@@ -37,7 +37,9 @@ def _add_common(sub, config_required=True):
     sub.add_argument("--out", default=None, help="machine-output path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--trials", type=int, default=None, help="override trial count")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect "
+                          "(each sweep point runs as batches)")
     sub.add_argument("--quiet", action="store_true")
     sub.add_argument("--timings", action="store_true",
                      help="include per-trial wall time in results "

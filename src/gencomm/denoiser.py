@@ -226,6 +226,8 @@ def analytic_epsilon(
 class AnalyticPredictor:
     """Bayes-optimal predictor for a GaussianWorld; ignores the prompt."""
 
+    uses_prompt = False
+
     def __init__(self, world: GaussianWorld, sched: NoiseSchedule, gamma: float):
         self.world = world
         self.sched = sched
@@ -266,7 +268,9 @@ class AnalyticPredictor:
 class ExactRecoveryOracle:
     """Knows the true clean latent; answers with the noise estimate whose
     clean-latent inversion returns it exactly (where the inversion is
-    non-singular)."""
+    non-singular). Ignores the prompt."""
+
+    uses_prompt = False
 
     def __init__(self, z0: np.ndarray, sched: NoiseSchedule, gamma: float):
         self.z0 = np.asarray(z0, dtype=np.float64)

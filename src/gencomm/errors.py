@@ -37,5 +37,9 @@ class DecodeError(GencommError):
     """A compressed bitstream could not be decoded."""
 
 
+class FormatError(GencommError):
+    """An input file is truncated or malformed."""
+
+
 class ConstructionError(GencommError):
     """Randomized code construction failed after bounded retries."""

@@ -7,6 +7,15 @@ systematic encoder by Gaussian elimination over GF(2). Decoding is flooding
 belief propagation on dense (checks x 6) message arrays with early exit once
 all parity checks are satisfied.
 
+Batch axis: `ldpc_decode_batch` decodes B codewords of one code as a single
+block-diagonal code of length B*n. Block b's check rows index variables
+offset by b*n and its variable edges index messages offset by b*m*6, so the
+flooding kernel runs unchanged and every block sees exactly the arithmetic
+of a lone decode. Each block stops at its own convergence iteration: its bits
+and count are frozen and the active set is compacted. Blocks are decoded in
+chunks of at most CHUNK_EDGES edges, which bounds the message arrays'
+memory whatever the batch size. `ldpc_decode` is the batch-of-one call.
+
 Sign convention: positive LLR means bit 0.
 """
 
@@ -16,11 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstructionError, ContractError
+from .errors import ConfigurationError, ConstructionError, ContractError, FormatError
 
 LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
+CHUNK_EDGES = 8192  # message-array edges per decode chunk (at least one block)
 
 
 class LdpcCode:
@@ -43,7 +53,9 @@ class LdpcCode:
     def k(self) -> int:
         return self.n - self.m
 
-    # Dense message-passing layout, built lazily on first decode.
+    # Dense message-passing layout of one decode chunk, built lazily:
+    # (blocks per chunk, check_vars, var_edges) for that many stacked copies
+    # of the code. A chunk with fewer blocks uses a prefix of each array.
     def _views(self):
         views = getattr(self, "_views_cache", None)
         if views is None:
@@ -52,7 +64,11 @@ class LdpcCode:
             check_vars = cols[order].reshape(self.m, ROW_WEIGHT)
             by_var = np.argsort(check_vars.ravel(), kind="stable")
             var_edges = by_var.reshape(self.n, COL_WEIGHT)
-            views = (check_vars, var_edges)
+            blocks = np.arange(max(1, CHUNK_EDGES // (self.m * ROW_WEIGHT)))
+            check_vars = check_vars[None] + (blocks * self.n)[:, None, None]
+            var_edges = var_edges[None] + (blocks * self.m * ROW_WEIGHT)[:, None, None]
+            views = (len(blocks), check_vars.reshape(-1, ROW_WEIGHT),
+                     var_edges.reshape(-1, COL_WEIGHT))
             self._views_cache = views
         return views
 
@@ -180,14 +196,48 @@ class DecodeResult(NamedTuple):
     iterations: int
 
 
+class BatchDecodeResult(NamedTuple):
+    bits: np.ndarray          # (B, n) uint8
+    converged: np.ndarray     # (B,) bool
+    iterations: np.ndarray    # (B,) int64
+
+
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50) -> DecodeResult:
     """Flooding sum-product decoding; non-convergence is a flag, not an error."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (code.n,):
         raise ContractError(f"expected {code.n} LLRs, got shape {llrs.shape}")
+    res = ldpc_decode_batch(code, llrs[None], max_iters)
+    return DecodeResult(res.bits[0], bool(res.converged[0]), int(res.iterations[0]))
+
+
+def ldpc_decode_batch(
+    code: LdpcCode, llrs: np.ndarray, max_iters: int = 50
+) -> BatchDecodeResult:
+    """`ldpc_decode` of every row of a (B, n) LLR array, bit for bit."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != code.n:
+        raise ContractError(f"expected (B, {code.n}) LLRs, got shape {llrs.shape}")
     if not np.all(np.isfinite(llrs)):
         raise ContractError("LLRs must be finite (clip infinities before decoding)")
-    check_vars, var_edges = code._views()
+    out = BatchDecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
+                            converged=np.zeros(len(llrs), dtype=bool),
+                            iterations=np.full(len(llrs), max_iters, dtype=np.int64))
+    chunk = code._views()[0]
+    for lo in range(0, len(llrs), chunk):
+        _decode_chunk(code, llrs[lo : lo + chunk], max_iters, lo, out)
+    return out
+
+
+def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
+                  out: BatchDecodeResult) -> None:
+    """Flooding BP on blocks first.. of `out`, stacked block-diagonally."""
+    m, n = code.m, code.n
+    _, all_check_vars, all_var_edges = code._views()
+    active = np.arange(first, first + len(llrs))
+    llrs = llrs.ravel()
+    check_vars = all_check_vars[: len(active) * m]
+    var_edges = all_var_edges[: len(active) * n]
     v2c = llrs[check_vars]
     bits = (llrs < 0).astype(np.uint8)
     for it in range(1, max_iters + 1):
@@ -201,9 +251,23 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50) -> Decode
         total = llrs + incoming.sum(axis=1)
         v2c.ravel()[var_edges.ravel()] = (total[:, None] - incoming).ravel()
         bits = (total < 0).astype(np.uint8)
-        if not np.any(bits[check_vars].sum(axis=1) % 2):
-            return DecodeResult(bits, True, it)
-    return DecodeResult(bits, False, max_iters)
+        unsatisfied = (bits[check_vars].sum(axis=1) % 2).reshape(-1, m).any(axis=1)
+        if unsatisfied.all():
+            continue
+        # Freeze the blocks that converged, then compact the rest.
+        done = ~unsatisfied
+        out.bits[active[done]] = bits.reshape(-1, n)[done]
+        out.converged[active[done]] = True
+        out.iterations[active[done]] = it
+        active = active[unsatisfied]
+        if len(active) == 0:
+            return
+        bits = bits.reshape(-1, n)[unsatisfied].ravel()
+        llrs = llrs.reshape(-1, n)[unsatisfied].ravel()
+        v2c = v2c.reshape(-1, m * ROW_WEIGHT)[unsatisfied].reshape(-1, ROW_WEIGHT)
+        check_vars = all_check_vars[: len(active) * m]
+        var_edges = all_var_edges[: len(active) * n]
+    out.bits[active] = bits.reshape(-1, n)
 
 
 def export_alist(code: LdpcCode, path) -> None:
@@ -227,12 +291,29 @@ def export_alist(code: LdpcCode, path) -> None:
 
 
 def import_alist(path, seed: int = -1) -> LdpcCode:
+    """Parse an alist file. The column and the row lists must agree, so a
+    truncated or malformed file raises FormatError."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    n, m = (int(v) for v in tokens[0].split())
-    H = np.zeros((m, n), dtype=np.uint8)
-    for c in range(n):
-        for r in (int(v) for v in tokens[4 + c].split()):
-            if r != 0:
-                H[r - 1, c] = 1
+        lines = fh.read().split("\n")
+    try:
+        n, m = (int(v) for v in lines[0].split())
+        H = np.zeros((m, n), dtype=np.uint8)
+        by_rows = np.zeros((m, n), dtype=np.uint8)
+        for c in range(n):
+            H[_alist_indices(lines[4 + c], m), c] = 1
+        for r in range(m):
+            by_rows[r, _alist_indices(lines[4 + n + r], n)] = 1
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"malformed alist file {path}: {exc}") from None
+    if not np.array_equal(H, by_rows):
+        raise FormatError(f"alist file {path}: column and row lists disagree")
     return LdpcCode(H, seed=seed)
+
+
+def _alist_indices(line: str, bound: int) -> np.ndarray:
+    """0-based positions from one 1-based, zero-padded alist line."""
+    idx = np.array(line.split(), dtype=np.int64)
+    idx = idx[idx != 0]
+    if np.any((idx < 1) | (idx > bound)):
+        raise ValueError(f"index outside 1..{bound}")
+    return idx - 1

@@ -2,9 +2,18 @@
 equalize -> decode -> warm-start diffusion refinement -> metrics, plus
 experiment sweeps and result persistence.
 
+A trial runs in three stages: `transmit_trial` (its own z0, codec, channel,
+equalizer and prompt LLRs), one batched side-channel decode shared by a
+batch of trials (`decode_prompt_batch`), and `refine_trial` (deframe,
+sampler, metrics). `run_trials` drives a batch through them; a sweep point
+is one batch of up to TRIALS_PER_BATCH trials (more become several
+batches, which bounds memory), and `run_trial` is a batch of one.
+
 Determinism: every trial owns an isolated random stream derived from
-(master seed, axis index, trial id), so sweep outputs are identical across
-runs and across thread counts; rows are sorted before aggregation/writing.
+(master seed, axis index, trial id), drawn in the same order in every trial
+(z0, channel noise, side-channel noise, warm-start noise), and batched BP
+decodes each block exactly as a lone decode would. So sweep outputs are
+identical across runs, batch sizes and `--threads` values.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -27,8 +35,10 @@ from .jscc import CodecConfig, cbr, make_linear_codec
 from .metrics import frechet_gauss, mse, psnr
 from .sampler import SamplerConfig, sample
 from .schedule import build_schedule, residual_weight
-from .sidechannel import send_prompt
+from .sidechannel import send_prompt  # noqa: F401  (benchmarks/spans.py traces this binding)
 from . import sidechannel
+
+TRIALS_PER_BATCH = 1024
 
 # Warm-start step by channel bandwidth ratio (nearest entry, ties toward the
 # larger step; clamped at the endpoints outside the covered range).
@@ -155,8 +165,22 @@ class TrialOutput:
     z0_hat: Optional[np.ndarray] = None
 
 
-def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
-    """One full transmission + refinement; deterministic per (seed, ids)."""
+@dataclass
+class TrialInFlight:
+    """One trial between its transmit and refine stages."""
+
+    trial_id: int
+    rng: np.random.Generator          # the trial's stream, resumed by the sampler
+    z0: np.ndarray
+    z_c: np.ndarray
+    prompt_llrs: Optional[np.ndarray]  # (blocks, n); None without a side channel
+    elapsed: float                     # seconds spent in the trial's own stages
+    prompt_bits: Optional[sidechannel.PromptBits] = None
+
+
+def transmit_trial(ctx: TrialContext, trial_id: int) -> TrialInFlight:
+    """Draw z0, send it through codec, channel and equalizer, and draw the
+    prompt's received LLRs, all from the trial's own stream."""
     cfg = ctx.cfg
     start = time.perf_counter()
     rng = trial_rng(cfg.master_seed, ctx.axis_index, trial_id)
@@ -167,32 +191,106 @@ def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
     y_c, h = transmit(pack_complex(x), ChannelConfig(cfg.channel.kind, ctx.snr_db), rng)
     z_c = ctx.codec.decode(mmse_equalize(y_c, h, sigma2), sigma2, scale)
 
+    llrs = None
+    if ctx.side_code is not None:
+        llrs = sidechannel.transmit_prompt(cfg.prompt, ctx.side_snr_db, rng, ctx.side_code)
+        if not np.all(np.isfinite(llrs)):
+            raise ContractError("prompt LLRs must be finite")
+    return TrialInFlight(trial_id, rng, z0, z_c, llrs, time.perf_counter() - start)
+
+
+def decode_prompt_batch(ctx: TrialContext, trials: list[TrialInFlight]) -> None:
+    """One block-diagonal BP decode of every trial's prompt blocks."""
+    if ctx.side_code is None:
+        return
+    decoded = sidechannel.decode_prompts(ctx.side_code, [t.prompt_llrs for t in trials],
+                                         ctx.cfg.bp_iters)
+    for trial, bits in zip(trials, decoded):
+        trial.prompt_bits = bits
+
+
+def refine_trial(ctx: TrialContext, trial: TrialInFlight, shared_time: float) -> TrialOutput:
+    """Deframe the prompt, run the warm-start sampler and score the trial."""
+    cfg = ctx.cfg
+    start = time.perf_counter()
     k_o = 0
     prompt_ok = True
     prompt = cfg.prompt
-    if prompt is not None and cfg.sidechannel_enabled:
-        report = send_prompt(prompt, ctx.side_snr_db, rng, ctx.side_code, cfg.bp_iters)
+    if trial.prompt_bits is not None:
+        report = sidechannel.receive_prompt(cfg.prompt, trial.prompt_bits, ctx.side_code)
         k_o = report.k_o
         prompt_ok = report.ok
         prompt = report.decoded  # None on failure -> unconditional sampling
 
     predictor = ctx.predictor
     if predictor is None:
-        predictor = ExactRecoveryOracle(z0, ctx.sched, ctx.gamma)
-    z0_hat, _ = sample(z_c, predictor, prompt, ctx.sampler_cfg, ctx.sched, rng)
+        predictor = ExactRecoveryOracle(trial.z0, ctx.sched, ctx.gamma)
+    z0_hat, _ = sample(trial.z_c, predictor, prompt, ctx.sampler_cfg, ctx.sched, trial.rng)
 
-    m_coarse = mse(z0, z_c)
-    m_refined = mse(z0, z0_hat)
+    m_coarse = mse(trial.z0, trial.z_c)
+    m_refined = mse(trial.z0, z0_hat)
     result = RunResult(
-        axis_index=ctx.axis_index, trial_id=trial_id, snr_db=ctx.snr_db,
+        axis_index=ctx.axis_index, trial_id=trial.trial_id, snr_db=ctx.snr_db,
         cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
         k=ctx.codec_cfg.k, k_o=k_o,
         mse_coarse=m_coarse, mse_refined=m_refined,
         psnr_coarse=psnr(m_coarse, cfg.peak), psnr_refined=psnr(m_refined, cfg.peak),
         frechet_gauss=math.nan, prompt_ok=prompt_ok,
-        wall_time=time.perf_counter() - start,
+        wall_time=trial.elapsed + shared_time + time.perf_counter() - start,
     )
-    return TrialOutput(result=result, z0=z0, z0_hat=z0_hat)
+    return TrialOutput(result=result, z0=trial.z0, z0_hat=z0_hat)
+
+
+def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialOutput:
+    """An error row: NaN metrics and a single-line, comma-free note."""
+    nan = math.nan
+    note = f"{type(exc).__name__}: {exc}".replace(",", ";")
+    note = " ".join(note.split())
+    return TrialOutput(result=RunResult(
+        axis_index=ctx.axis_index, trial_id=trial_id, snr_db=ctx.snr_db,
+        cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
+        k=ctx.codec_cfg.k, k_o=0, mse_coarse=nan, mse_refined=nan,
+        psnr_coarse=nan, psnr_refined=nan, frechet_gauss=nan,
+        prompt_ok=False, wall_time=0.0, error=note))
+
+
+def run_trials(
+    ctx: TrialContext, trial_ids: list[int], isolate: bool = True
+) -> list[TrialOutput]:
+    """Run a batch of one sweep point's trials through the three stages.
+
+    With `isolate`, a GencommError in one trial's stage becomes an error row
+    for that trial and the others carry on; without it, the error is raised.
+    Each trial's wall time is its own stages plus an equal share of the
+    batched side-channel decode.
+    """
+    outputs: dict[int, TrialOutput] = {}
+
+    def attempt(trial_id, stage, *args):
+        try:
+            return stage(*args)
+        except GencommError as exc:
+            if not isolate:
+                raise
+            outputs[trial_id] = _failed_trial(ctx, trial_id, exc)
+            return None
+
+    trials = [attempt(i, transmit_trial, ctx, i) for i in trial_ids]
+    trials = [t for t in trials if t is not None]
+    start = time.perf_counter()
+    decode_prompt_batch(ctx, trials)
+    shared = (time.perf_counter() - start) / max(len(trials), 1)
+    for t in trials:
+        out = attempt(t.trial_id, refine_trial, ctx, t, shared)
+        if out is not None:
+            outputs[t.trial_id] = out
+    return [outputs[i] for i in trial_ids]
+
+
+def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
+    """One full transmission + refinement; deterministic per (seed, ids).
+    Errors propagate."""
+    return run_trials(ctx, [trial_id], isolate=False)[0]
 
 
 def _axis_points(cfg: ExperimentConfig) -> list[tuple[int, float, CodecConfig]]:
@@ -218,36 +316,18 @@ _AGGREGATE_FIELDS = ("snr_db", "cbr", "warm_start", "k", "k_o", "mse_coarse",
 def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], list[dict]]:
     """Run the full trial grid; returns (per-trial rows, aggregate rows).
 
-    Trials are independent; `threads` only affects scheduling, never values.
-    A failing trial is recorded as a row with NaN metrics and an error note.
+    Each sweep point runs as batches of `run_trials`. `threads` is accepted
+    for compatibility and changes nothing. A failing trial is recorded as a
+    row with NaN metrics and an error note.
     """
     all_rows: list[RunResult] = []
     aggregates: list[dict] = []
     for axis_index, snr_db, codec_cfg in _axis_points(cfg):
         ctx = build_context(cfg, axis_index, snr_db, codec_cfg)
-
-        def one(trial_id: int, ctx=ctx) -> TrialOutput:
-            try:
-                return run_trial(ctx, trial_id)
-            except GencommError as exc:
-                nan = math.nan
-                # keep the note single-line and comma-free for the CSV layout
-                note = f"{type(exc).__name__}: {exc}".replace(",", ";")
-                note = " ".join(note.split())
-                return TrialOutput(result=RunResult(
-                    axis_index=ctx.axis_index, trial_id=trial_id, snr_db=ctx.snr_db,
-                    cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
-                    k=ctx.codec_cfg.k, k_o=0, mse_coarse=nan, mse_refined=nan,
-                    psnr_coarse=nan, psnr_refined=nan, frechet_gauss=nan,
-                    prompt_ok=False, wall_time=0.0, error=note))
-
         ids = list(range(cfg.trials))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outputs = list(pool.map(one, ids))
-        else:
-            outputs = [one(t) for t in ids]
-        outputs.sort(key=lambda o: o.result.trial_id)
+        outputs: list[TrialOutput] = []
+        for lo in range(0, len(ids), TRIALS_PER_BATCH):
+            outputs += run_trials(ctx, ids[lo : lo + TRIALS_PER_BATCH])
 
         good = [o for o in outputs if not o.result.error]
         dim = ctx.world.dim

@@ -26,6 +26,8 @@ class EpsilonPredictor(Protocol):
 
     Must be deterministic: identical arguments give identical outputs.
     `prompt` is an opaque conditioning label; None means unconditional.
+    A predictor whose output never depends on the prompt may set the class
+    attribute `uses_prompt = False`; the sampler then skips the guidance pass.
     """
 
     def predict(
@@ -186,8 +188,9 @@ def sample(
 
     Starts at the warm-start step, walks the rounded step grid down to 0 and
     returns the final clean-latent estimate together with a per-step trace.
-    The unconditional predictor pass is skipped when guidance == 1 or no
-    prompt is given (both reduce to the conditional prediction exactly).
+    The unconditional predictor pass is skipped when guidance == 1, no
+    prompt is given, or the predictor ignores the prompt (`uses_prompt` is
+    False): each reduces to the conditional prediction exactly.
     """
     if cfg.warm_start_step > sched.T:
         raise ConfigurationError(
@@ -197,12 +200,14 @@ def sample(
     gamma = residual_weight(cfg.warm_start_step, sched)
     z, _ = warm_start(z_c, cfg.warm_start_step, sched, rng)
 
+    guided = (prompt is not None and cfg.guidance != 1.0
+              and getattr(predictor, "uses_prompt", True))
     trace = SampleTrace()
     z0_hat = z_c
     for i, t in enumerate(grid):
         t_prev = grid[i + 1] if i + 1 < len(grid) else 0
         eps_cond = predictor.predict(z, z_c, prompt, t)
-        if prompt is None or cfg.guidance == 1.0:
+        if not guided:
             eps_hat = eps_cond
         else:
             eps_uncond = predictor.predict(z, z_c, None, t)

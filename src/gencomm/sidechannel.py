@@ -11,6 +11,16 @@ configured value and, at rate 1/2, snr_db coincides with Eb/N0 in dB. LLRs
 are 2y/sigma_dim^2, clipped to +/-30. CRC-32 uses the reflected polynomial
 0xEDB88320. On CRC failure the report carries a failure flag and no text;
 the pipeline then samples unconditionally.
+
+The round trip is split so that trials can share the expensive parts:
+`transmit_prompt` draws one trial's noisy LLRs, shape (blocks, n);
+`decode_prompts` stacks the blocks of many trials on the batch axis of
+`ldpc_decode_batch` (one block-diagonal BP decode, chunked there to bound
+memory); `receive_prompt` deframes one trial's decoded bits. `send_prompt`
+is the three in a row for one trial. Framing is pure, so it is cached:
+`frame_prompt` per text, the LDPC codeword blocks per (text, code), and
+`deframe_prompt` per received byte string. Only the noise, BP and the CRC
+of a byte string not seen before cost anything per trial.
 """
 
 from __future__ import annotations
@@ -20,13 +30,14 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .arithmetic import ac_decode, ac_encode
 from .errors import DecodeError, FrameError
-from .ldpc import LLR_MAX, LdpcCode, ldpc_decode, ldpc_encode, ldpc_make
+from .ldpc import (LLR_MAX, LdpcCode, ldpc_decode, ldpc_decode_batch, ldpc_encode,
+                   ldpc_make)
 
 DEFAULT_LDPC_N = 1024
 DEFAULT_LDPC_SEED = 7070
@@ -48,6 +59,7 @@ def default_code(n: int = DEFAULT_LDPC_N, seed: int = DEFAULT_LDPC_SEED) -> Ldpc
     return ldpc_make(n, seed)
 
 
+@lru_cache(maxsize=64)
 def frame_prompt(text: str) -> bytes:
     """length || payload || crc32(length || payload), payload = compressed text."""
     payload = np.packbits(ac_encode(text.encode("utf-8"))).tobytes()
@@ -58,6 +70,13 @@ def frame_prompt(text: str) -> bytes:
 
 
 def deframe_prompt(data: bytes) -> str:
+    """Inverse of `frame_prompt`; DecodeError on a short, truncated or
+    corrupt frame. Cached per byte string (any bytes-like input)."""
+    return _deframe(bytes(data))
+
+
+@lru_cache(maxsize=256)
+def _deframe(data: bytes) -> str:
     if len(data) < 6:
         raise DecodeError("frame shorter than header + checksum")
     (length,) = struct.unpack(">H", data[:2])
@@ -113,6 +132,63 @@ def transmit_bits(
     return bpsk_llrs(x + noise, snr_db)
 
 
+class PromptBits(NamedTuple):
+    """BP output for one trial's prompt blocks."""
+
+    info: np.ndarray              # decoded info bits of every block, in order
+    iterations: int               # total across the blocks
+
+
+@lru_cache(maxsize=64)
+def _prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
+    """LDPC blocks of the zero-padded frame, shape (blocks, n), read-only."""
+    frame_bits = np.unpackbits(np.frombuffer(frame_prompt(text), dtype=np.uint8))
+    n_blocks = math.ceil(len(frame_bits) / code.k)
+    padded = np.zeros(n_blocks * code.k, dtype=np.uint8)
+    padded[: len(frame_bits)] = frame_bits
+    coded = np.stack([ldpc_encode(code, block) for block in padded.reshape(n_blocks, code.k)])
+    coded.flags.writeable = False
+    return coded
+
+
+def transmit_prompt(
+    text: str, snr_db: float, rng: np.random.Generator, code: LdpcCode
+) -> np.ndarray:
+    """Received LLRs of the coded prompt, shape (blocks, n)."""
+    coded = _prompt_codeword(text, code)
+    return transmit_bits(coded.ravel(), snr_db, rng).reshape(coded.shape)
+
+
+def decode_prompts(
+    code: LdpcCode, llrs: Sequence[np.ndarray], max_iters: int = DEFAULT_BP_ITERS
+) -> list[PromptBits]:
+    """One batched BP decode of every trial's (blocks, n) LLRs."""
+    if not llrs:
+        return []
+    res = ldpc_decode_batch(code, np.concatenate(llrs), max_iters)
+    info = res.bits[:, code.info_positions]
+    out = []
+    lo = 0
+    for trial in llrs:
+        hi = lo + len(trial)
+        out.append(PromptBits(info[lo:hi].ravel(), int(res.iterations[lo:hi].sum())))
+        lo = hi
+    return out
+
+
+def receive_prompt(text: str, decoded: PromptBits, code: LdpcCode) -> SideChannelReport:
+    """CRC-check and decompress one trial's decoded frame; failure is a flag."""
+    frame_bits = 8 * len(frame_prompt(text))
+    coded_bits = math.ceil(frame_bits / code.k) * code.n
+    k_o = math.ceil(coded_bits / 2)
+    try:
+        text_out = deframe_prompt(np.packbits(decoded.info[:frame_bits]).tobytes())
+    except (DecodeError, UnicodeDecodeError):
+        text_out = None
+    return SideChannelReport(k_o=k_o, decoded=text_out, ok=text_out is not None,
+                             bp_iterations=decoded.iterations, coded_bits=coded_bits)
+
+
 def send_prompt(
     text: str,
     snr_db: float,
@@ -122,30 +198,8 @@ def send_prompt(
 ) -> SideChannelReport:
     """Full coded round trip of one prompt; failures are report states."""
     code = code or default_code()
-    frame = frame_prompt(text)
-    frame_bits = np.unpackbits(np.frombuffer(frame, dtype=np.uint8))
-    n_blocks = math.ceil(len(frame_bits) / code.k)
-    padded = np.zeros(n_blocks * code.k, dtype=np.uint8)
-    padded[: len(frame_bits)] = frame_bits
-    coded = np.concatenate(
-        [ldpc_encode(code, padded[b * code.k : (b + 1) * code.k]) for b in range(n_blocks)]
-    )
-    llrs = transmit_bits(coded, snr_db, rng)
-
-    iters = 0
-    info = np.empty_like(padded)
-    for b in range(n_blocks):
-        res = ldpc_decode(code, llrs[b * code.n : (b + 1) * code.n], max_iters)
-        iters += res.iterations
-        info[b * code.k : (b + 1) * code.k] = res.bits[code.info_positions]
-    k_o = math.ceil(len(coded) / 2)
-    try:
-        decoded = deframe_prompt(np.packbits(info[: len(frame_bits)]).tobytes())
-    except (DecodeError, UnicodeDecodeError):
-        return SideChannelReport(k_o=k_o, decoded=None, ok=False,
-                                 bp_iterations=iters, coded_bits=len(coded))
-    return SideChannelReport(k_o=k_o, decoded=decoded, ok=True,
-                             bp_iterations=iters, coded_bits=len(coded))
+    llrs = transmit_prompt(text, snr_db, rng, code)
+    return receive_prompt(text, decode_prompts(code, [llrs], max_iters)[0], code)
 
 
 def measure_link(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gencomm.errors import ConfigurationError, ContractError
-from gencomm.ldpc import (export_alist, import_alist, ldpc_decode, ldpc_encode,
-                          ldpc_make)
+from gencomm.errors import ConfigurationError, ContractError, FormatError
+from gencomm.ldpc import (CHUNK_EDGES, export_alist, import_alist, ldpc_decode,
+                          ldpc_decode_batch, ldpc_encode, ldpc_make)
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +131,64 @@ def test_alist_layout_is_one_based(tmp_path):
     lines = path.read_text().splitlines()
     col0 = [int(v) for v in lines[4].split()]
     assert sorted(np.nonzero(code.H[:, 0])[0] + 1) == sorted(v for v in col0 if v)
+
+
+def test_truncated_alist_raises_typed_error(tmp_path):
+    code = ldpc_make(24, seed=3)
+    path = tmp_path / "small.alist"
+    export_alist(code, path)
+    text = path.read_text()
+    cut_path = tmp_path / "cut.alist"
+    # every cut short of dropping only the final newline loses information
+    for cut in range(len(text) - 1):
+        cut_path.write_text(text[:cut])
+        with pytest.raises(FormatError):
+            import_alist(cut_path)
+    cut_path.write_text(text[:-1])
+    assert np.array_equal(import_alist(cut_path).H, code.H)
+
+
+def test_alist_index_out_of_range_rejected(tmp_path):
+    code = ldpc_make(24, seed=3)
+    path = tmp_path / "small.alist"
+    export_alist(code, path)
+    lines = path.read_text().splitlines()
+    lines[4] = "13 " + lines[4].split(" ", 1)[1]  # row 13 of 12
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError):
+        import_alist(path)
+
+
+class TestBatchDecode:
+    def test_matches_single_decodes_across_chunks(self, code):
+        # 0-4 dB mixes blocks that converge after few iterations, after
+        # many, and not at all; 37 blocks span several decode chunks.
+        rng = np.random.default_rng(21)
+        info = rng.integers(0, 2, size=(37, code.k)).astype(np.uint8)
+        words = np.stack([ldpc_encode(code, i) for i in info])
+        sigma2 = 10 ** (-rng.uniform(0.0, 4.0, size=(37, 1)) / 10.0)
+        y = 1.0 - 2.0 * words + np.sqrt(sigma2) * rng.standard_normal(words.shape)
+        llrs = np.clip(2.0 * y / sigma2, -30, 30)
+        assert llrs.size * 3 > 3 * CHUNK_EDGES  # 3 edges per variable
+        batch = ldpc_decode_batch(code, llrs, max_iters=20)
+        for b, row in enumerate(llrs):
+            one = ldpc_decode(code, row, max_iters=20)
+            assert np.array_equal(batch.bits[b], one.bits)
+            assert batch.converged[b] == one.converged
+            assert batch.iterations[b] == one.iterations
+        assert len(set(batch.iterations.tolist())) >= 4
+        assert batch.converged.any() and not batch.converged.all()
+
+    def test_zero_iterations_hard_decision(self, code):
+        llrs = np.random.default_rng(2).standard_normal((3, code.n))
+        res = ldpc_decode_batch(code, llrs, max_iters=0)
+        assert np.array_equal(res.bits, (llrs < 0).astype(np.uint8))
+        assert not res.converged.any() and not res.iterations.any()
+
+    def test_contract(self, code):
+        with pytest.raises(ContractError):
+            ldpc_decode_batch(code, np.zeros(code.n))
+        llrs = np.zeros((2, code.n))
+        llrs[1, 3] = np.nan
+        with pytest.raises(ContractError):
+            ldpc_decode_batch(code, llrs)

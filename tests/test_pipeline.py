@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -180,7 +180,7 @@ class TestSweep:
         import gencomm.pipeline as pipeline_mod
         from gencomm.errors import NormalizationError
 
-        real = pipeline_mod.run_trial
+        real = pipeline_mod.transmit_trial
 
         def flaky(ctx, trial_id):
             if trial_id == 1:
@@ -188,7 +188,7 @@ class TestSweep:
                 raise NormalizationError("synthetic failure, shape (3, 4)\nboom")
             return real(ctx, trial_id)
 
-        monkeypatch.setattr(pipeline_mod, "run_trial", flaky)
+        monkeypatch.setattr(pipeline_mod, "transmit_trial", flaky)
         rows, aggregates = sweep(toy_config(trials=4))
         assert len(rows) == 4
         failed = [r for r in rows if r.error]
@@ -203,6 +203,73 @@ class TestSweep:
         _, trials, _ = read_results(path)
         assert len(trials) == 4
         assert "synthetic failure" in trials[1]["error"]
+
+
+def _same_fields(a, b):
+    """Every RunResult field but wall_time equal; NaN equals NaN."""
+    for f in fields(a):
+        if f.name == "wall_time":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))):
+            return False
+    return True
+
+
+class TestBatchedSideChannel:
+    def _cfg(self, **kw):
+        # 1 dB: some prompts fail. trials <= latent dim, so frechet_gauss
+        # stays NaN in sweep rows as in run_trial rows.
+        base = dict(trials=8, sweep_axis="snr", snr_points=(1.0,), prompt="class:3",
+                    sidechannel_enabled=True, ldpc_n=256, ldpc_seed=11)
+        return toy_config(**{**base, **kw})
+
+    def test_sweep_equals_run_trial_per_trial(self):
+        cfg = self._cfg()
+        rows, _ = sweep(cfg)
+        ctx = build_context(cfg, 0, 1.0)
+        direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
+        assert {r.prompt_ok for r in rows} == {True, False}
+        assert not any(r.error for r in rows)
+        for row, want in zip(rows, direct):
+            assert _same_fields(row, want), (row, want)
+
+    def test_failure_in_one_trial_side_channel(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        cfg = self._cfg()
+        ctx = build_context(cfg, 0, 1.0)
+        direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
+        real = pipeline_mod.sidechannel.transmit_prompt
+        calls = []
+
+        def poisoned(*args):
+            llrs = real(*args)
+            calls.append(args)
+            if len(calls) == 3:  # trials are transmitted in id order
+                llrs = llrs.copy()
+                llrs[0, 5] = np.nan
+            return llrs
+
+        monkeypatch.setattr(pipeline_mod.sidechannel, "transmit_prompt", poisoned)
+        rows, aggregates = sweep(cfg)
+        assert [r.trial_id for r in rows if r.error] == [2]
+        assert "ContractError" in rows[2].error
+        for row, want in zip(rows, direct):
+            if row.trial_id != 2:
+                assert _same_fields(row, want)
+        assert next(a for a in aggregates if a["kind"] == "mean")["n_failed"] == 1
+
+    def test_batch_size_changes_nothing(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        cfg = self._cfg(trials=10)
+        whole, agg = sweep(cfg)
+        monkeypatch.setattr(pipeline_mod, "TRIALS_PER_BATCH", 3)
+        split, agg3 = sweep(cfg)
+        assert all(_same_fields(a, b) for a, b in zip(whole, split))
+        assert len(split) == 10 and split[-1].trial_id == 9
+        assert [a["mse_refined"] for a in agg] == [a["mse_refined"] for a in agg3]
 
 
 class TestPersistence:

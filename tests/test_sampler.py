@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ZeroNoise
-from gencomm.denoiser import ExactRecoveryOracle
+from gencomm.denoiser import AnalyticPredictor, ExactRecoveryOracle, GaussianWorld
 from gencomm.errors import ConfigurationError, ContractError
 from gencomm.sampler import (SamplerConfig, cfg_combine, predict_z0,
                              residual_forward, sample, sampler_step, step_grid,
@@ -218,6 +218,31 @@ class TestSample:
         sample(z_c, pred, None, SamplerConfig(steps=5, warm_start_step=WARM),
                sched, np.random.default_rng(0))
         assert (pred.cond_calls, pred.uncond_calls) == (0, 5)
+
+    def test_prompt_blind_predictors_skip_guidance_pass(self, sched, gamma, rng):
+        d = 6
+        world = GaussianWorld(mu0=np.zeros(d), sigma0=np.eye(d), obs_matrix=np.eye(d),
+                              obs_noise_cov=0.2 * np.eye(d))
+        z0, z_c = rng.standard_normal((2, d))
+        cfg = SamplerConfig(steps=5, warm_start_step=WARM, guidance=3.0)
+        for cls, args in ((AnalyticPredictor, (world, sched, gamma)),
+                          (ExactRecoveryOracle, (z0, sched, gamma))):
+            assert cls.uses_prompt is False
+            runs = {}
+            for uses_prompt in (False, True):
+                class Counting(cls):
+                    calls = 0
+
+                    def predict(self, *a):
+                        self.calls += 1
+                        return super().predict(*a)
+
+                Counting.uses_prompt = uses_prompt
+                pred = Counting(*args)
+                out, _ = sample(z_c, pred, "class:2", cfg, sched, np.random.default_rng(8))
+                runs[uses_prompt] = (out, pred.calls)
+            assert (runs[False][1], runs[True][1]) == (5, 10)
+            assert np.array_equal(runs[False][0], runs[True][0])
 
     def test_determinism_bitwise(self, sched, rng):
         z_c = rng.standard_normal(6)
