@@ -58,9 +58,8 @@ def main() -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
-    with open(f"{out}.loss.csv", "a") as fh:
-        if fh.tell() == 0:
-            fh.write("stage,step,total,diffusion,latent_mse,pixel_mse\n")
+    with open(f"{out}.loss.csv", "w") as fh:
+        fh.write("stage,step,total,diffusion,latent_mse,pixel_mse\n")
         for stage, hist in ((1, hist1), (2, hist2)):
             for rec in hist:
                 fh.write(f"{stage},{rec['step']},{rec['total']:.17g},"

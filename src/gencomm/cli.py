@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/numerical error,
 3 when `verify` finds a failing invariant. Human-readable summaries go to
 stderr; machine output goes to the --out path. Nothing is written outside
 --out (train-denoiser additionally writes `<out>.loss.csv` next to its
-checkpoint).
+checkpoint, replacing the curve of an earlier run to the same path).
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ def cmd_train_denoiser(args) -> int:
     history = train(model, dataset, tc, ctx.sched, rng, gamma=ctx.gamma)
     save_checkpoint(model, args.out)
     curve_path = f"{args.out}.loss.csv"
-    with open(curve_path, "a") as fh:
-        if fh.tell() == 0:
-            fh.write("step,total,diffusion,latent_mse\n")
+    with open(curve_path, "w") as fh:
+        fh.write("step,total,diffusion,latent_mse\n")
         for rec in history:
             fh.write(f"{rec['step']},{rec['total']:.17g},"
                      f"{rec['diffusion']:.17g},{rec['latent_mse']:.17g}\n")

@@ -13,6 +13,9 @@ Three predictor families implement the same behavioral contract as
   time embedding and a class-label prompt table including a learned null
   token, optimized by plain gradient descent with reverse-mode gradients
   computed in-module.
+
+Each answers a (B, d) batch with `predict_batch`, whose rows carry exactly the
+bits of lone calls; `predict` is its batch-of-one call.
 """
 
 from __future__ import annotations
@@ -108,19 +111,6 @@ class GaussianWorld:
     @property
     def dim(self) -> int:
         return len(self.mu0)
-
-    @classmethod
-    def isotropic(
-        cls,
-        codec,
-        snr_db: float,
-        kind: str = "awgn",
-        prior_var: float = 1.0,
-        mu0: Optional[np.ndarray] = None,
-    ) -> "GaussianWorld":
-        d = codec.n_in
-        mu0 = np.zeros(d) if mu0 is None else np.asarray(mu0, dtype=np.float64)
-        return cls.from_codec_channel(mu0, prior_var * np.eye(d), codec, snr_db, kind)
 
     @classmethod
     def ar1(
@@ -259,16 +249,20 @@ class AnalyticPredictor:
         return coefs
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
+        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
+
+    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
         ab, c, denom, gain, mu_w = self._coefs(t)
-        w = np.concatenate([z_c, z_t])
-        z0_mean = self.world.mu0 + gain @ (w - mu_w)
+        w = np.concatenate([z_c, z_t], axis=1)
+        z0_mean = self.world.mu0 + (gain @ (w - mu_w)[:, :, None])[:, :, 0]
         return (z_t - c * self.gamma * z_c - denom * z0_mean) / c
 
 
 class ExactRecoveryOracle:
     """Knows the true clean latent; answers with the noise estimate whose
     clean-latent inversion returns it exactly (where the inversion is
-    non-singular). Ignores the prompt."""
+    non-singular). Ignores the prompt. `z0` is one latent, or a (B, d) stack
+    whose rows answer the rows of a `predict_batch` call."""
 
     uses_prompt = False
 
@@ -278,6 +272,9 @@ class ExactRecoveryOracle:
         self.gamma = gamma
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
+        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
+
+    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
         ab = self.sched.alpha_bar(t)
         c = math.sqrt(1.0 - ab)
         denom = math.sqrt(ab) - c * self.gamma
@@ -388,11 +385,22 @@ class MlpDenoiser:
         return grads
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
+        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
+
+    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
+        """Inference on a (B, d) batch at one step and prompt.
+
+        Each layer is a stacked row-times-matrix product, not the one gemm of
+        `forward_batch`: a gemm's summation order depends on the batch size,
+        so only the stacked form gives every row the bits of a lone call.
+        """
+        n = len(z_t)
         idx = prompt_to_index(prompt, self.n_classes)
-        out, _ = self.forward_batch(
-            z_t[None, :], z_c[None, :], np.array([idx]), np.array([t])
-        )
-        return out[0]
+        x = self._assemble(z_t, z_c, np.full(n, idx), np.full(n, t))
+        p = self.params
+        h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
+        h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
+        return (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:

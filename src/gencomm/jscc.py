@@ -3,20 +3,22 @@
 A learned codec is out of scope here; the reference implementation is a
 seeded random projection with orthonormal rows, which keeps the system role
 (bandwidth compression with structured decode residuals) while staying
-analytically tractable. Any object with encode/decode of matching shapes can
-be swapped in behind the same interface.
+analytically tractable.
+
+The codec works on (B, d) batches; `encode` and `decode` are its batch-of-one
+calls. Products are stacked matrix-vector products, one per row, so a row's
+bits do not depend on the batch it sits in.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
-from .channel import normalize_power
-from .errors import ConfigurationError, ContractError
+from .channel import ZERO_POWER, power_scales
+from .errors import ConfigurationError, ContractError, NormalizationError
 
 _CODEC_MAGIC = b"LCOD1\n"
 
@@ -38,12 +40,6 @@ class CodecConfig:
             )
         if min(self.height, self.width, self.channels) < 1:
             raise ConfigurationError("source dims must be positive")
-
-
-class LatentCodec(Protocol):
-    def encode(self, z: np.ndarray) -> tuple[np.ndarray, float]: ...
-
-    def decode(self, y: np.ndarray, sigma2: float, scale: float = 1.0) -> np.ndarray: ...
 
 
 class LinearCodec:
@@ -82,15 +78,31 @@ class LinearCodec:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.n_in,):
             raise ContractError(f"expected latent of shape ({self.n_in},), got {z.shape}")
-        return normalize_power(self.projection @ z)
+        x, scales = self.encode_batch(z[None])
+        if np.isnan(scales[0]):
+            raise NormalizationError(ZERO_POWER)
+        return x[0], scales[0]
+
+    def encode_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Project and power-normalize each row of a (B, n_in) batch. Returns
+        (symbols (B, n_out), multipliers (B,)); an all-zero projection gets a
+        NaN multiplier and NaN symbols instead of an error, so the caller can
+        fail that row alone."""
+        x = (self.projection @ z[:, :, None])[:, :, 0]
+        scales = power_scales(x)
+        return x * scales[:, None], scales
 
     def decode(self, y: np.ndarray, sigma2: float, scale: float = 1.0) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_out,):
             raise ContractError(f"expected symbols of shape ({self.n_out},), got {y.shape}")
+        return self.decode_batch(y[None], sigma2, np.array([scale]))[0]
+
+    def decode_batch(self, y: np.ndarray, sigma2: float, scales: np.ndarray) -> np.ndarray:
+        """`decode` of each row of a (B, n_out) batch with its own multiplier."""
         if self.tikhonov_lambda > 0.0:
             y = y / (1.0 + self.tikhonov_lambda * sigma2)
-        return (self.projection.T @ y) / scale
+        return (self.projection.T @ y[:, :, None])[:, :, 0] / scales[:, None]
 
 
 def make_linear_codec(cfg: CodecConfig, seed: int, tikhonov_lambda: float = 0.0) -> LinearCodec:

@@ -11,12 +11,15 @@ from .errors import ContractError
 FRECHET_JITTER = 1e-8
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
+def mse(a: np.ndarray, b: np.ndarray):
+    """Mean squared error over the last axis: a float for two vectors, one
+    value per row for two (B, d) batches (each equal to the rows' lone mse)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ContractError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    out = np.mean((a - b) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def psnr(mse_value: float, peak: float = 1.0) -> float:

@@ -2,18 +2,22 @@
 equalize -> decode -> warm-start diffusion refinement -> metrics, plus
 experiment sweeps and result persistence.
 
-A trial runs in three stages: `transmit_trial` (its own z0, codec, channel,
-equalizer and prompt LLRs), one batched side-channel decode shared by a
-batch of trials (`decode_prompt_batch`), and `refine_trial` (deframe,
-sampler, metrics). `run_trials` drives a batch through them; a sweep point
-is one batch of up to TRIALS_PER_BATCH trials (more become several
-batches, which bounds memory), and `run_trial` is a batch of one.
+Batch-first: `run_trials` runs a batch of one sweep point's trials. Only the
+random draws are per trial (`draw_trial`). Then the batch runs as stacked
+(B, d) arrays: `transmit_batch` (z0, codec, channel, equalizer),
+`decode_prompt_batch` (one block-diagonal BP decode of every trial's prompt
+blocks) and `refine_batch` (deframe, one sampler run per received prompt,
+metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
+become several batches, which bounds memory), and `run_trial` is a batch of
+one. A trial that fails a stage becomes an error row; the others carry on.
 
 Determinism: every trial owns an isolated random stream derived from
 (master seed, axis index, trial id), drawn in the same order in every trial
-(z0, channel noise, side-channel noise, warm-start noise), and batched BP
-decodes each block exactly as a lone decode would. So sweep outputs are
-identical across runs, batch sizes and `--threads` values.
+(z0, channel noise, side-channel noise, warm-start noise). Every batched
+product is a stacked matrix-vector product and every other step is
+elementwise or per row, so each row gets the bits of a lone trial. Sweep
+outputs are therefore identical across runs, batch sizes and `--threads`
+values.
 """
 
 from __future__ import annotations
@@ -22,18 +26,21 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ChannelConfig, mmse_equalize, pack_complex, snr_to_sigma2, transmit
+from .channel import (DRAW_ROWS, ZERO_POWER, ChannelConfig, apply_channel,
+                      channel_draws, mmse_equalize, pack_complex, snr_to_sigma2)
+from .channel import transmit  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .config import ExperimentConfig
 from .denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
                        MlpDenoiser, load_checkpoint, psd_sqrt)
-from .errors import ConfigurationError, ContractError, GencommError
+from .errors import ConfigurationError, ContractError, GencommError, NormalizationError
 from .jscc import CodecConfig, cbr, make_linear_codec
 from .metrics import frechet_gauss, mse, psnr
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, sample_batch
+from .sampler import sample  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .schedule import build_schedule, residual_weight
 from .sidechannel import send_prompt  # noqa: F401  (benchmarks/spans.py traces this binding)
 from . import sidechannel
@@ -165,80 +172,133 @@ class TrialOutput:
     z0_hat: Optional[np.ndarray] = None
 
 
-@dataclass
-class TrialInFlight:
-    """One trial between its transmit and refine stages."""
+class TrialDraws(NamedTuple):
+    """A trial's random draws. In a `TrialBatch` each field is stacked on a
+    leading batch axis."""
 
-    trial_id: int
-    rng: np.random.Generator          # the trial's stream, resumed by the sampler
-    z0: np.ndarray
-    z_c: np.ndarray
+    prior: np.ndarray                  # (d,) standard normals behind z0
+    channel: np.ndarray                # (2|4, k), see `channel_draws`
     prompt_llrs: Optional[np.ndarray]  # (blocks, n); None without a side channel
-    elapsed: float                     # seconds spent in the trial's own stages
-    prompt_bits: Optional[sidechannel.PromptBits] = None
+    warm: np.ndarray                   # (d,) warm-start noise
 
 
-def transmit_trial(ctx: TrialContext, trial_id: int) -> TrialInFlight:
-    """Draw z0, send it through codec, channel and equalizer, and draw the
-    prompt's received LLRs, all from the trial's own stream."""
-    cfg = ctx.cfg
-    start = time.perf_counter()
-    rng = trial_rng(cfg.master_seed, ctx.axis_index, trial_id)
-
-    z0 = ctx.world.mu0 + ctx.prior_root @ rng.standard_normal(ctx.world.dim)
-    x, scale = ctx.codec.encode(z0)
-    sigma2 = snr_to_sigma2(ctx.snr_db)
-    y_c, h = transmit(pack_complex(x), ChannelConfig(cfg.channel.kind, ctx.snr_db), rng)
-    z_c = ctx.codec.decode(mmse_equalize(y_c, h, sigma2), sigma2, scale)
-
+def draw_trial(ctx: TrialContext, trial_id: int) -> TrialDraws:
+    """Every random draw of one trial from its own stream, in the order a
+    lone trial consumes them: z0, channel, prompt LLRs, warm-start noise."""
+    rng = trial_rng(ctx.cfg.master_seed, ctx.axis_index, trial_id)
+    prior = rng.standard_normal(ctx.world.dim)
+    chan = channel_draws(ctx.cfg.channel.kind, ctx.codec_cfg.k, rng)
     llrs = None
     if ctx.side_code is not None:
-        llrs = sidechannel.transmit_prompt(cfg.prompt, ctx.side_snr_db, rng, ctx.side_code)
-        if not np.all(np.isfinite(llrs)):
-            raise ContractError("prompt LLRs must be finite")
-    return TrialInFlight(trial_id, rng, z0, z_c, llrs, time.perf_counter() - start)
+        llrs = sidechannel.transmit_prompt(ctx.cfg.prompt, ctx.side_snr_db, rng,
+                                           ctx.side_code)
+    return TrialDraws(prior, chan, llrs, rng.standard_normal(ctx.world.dim))
 
 
-def decode_prompt_batch(ctx: TrialContext, trials: list[TrialInFlight]) -> None:
+@dataclass
+class TrialBatch:
+    """The live trials of one batch between stages; row r of every array
+    belongs to trial ids[r]."""
+
+    ids: list[int]
+    draws: TrialDraws
+    z0: Optional[np.ndarray] = None
+    z_c: Optional[np.ndarray] = None
+    prompt_bits: Optional[list[sidechannel.PromptBits]] = None
+
+    def keep(self, rows: np.ndarray) -> "TrialBatch":
+        """The rows `rows` of a batch that has not been decoded yet."""
+        draws = TrialDraws(*(None if a is None else a[rows] for a in self.draws))
+        return TrialBatch([self.ids[r] for r in rows], draws,
+                          self.z0[rows], self.z_c[rows])
+
+
+def transmit_latents(
+    ctx: TrialContext, prior: np.ndarray, chan: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z0 from its prior draws, then codec, channel, equalizer and decode on
+    (B, d) arrays. Returns (z0, z_c, ok); a row whose projection is all zero
+    is not ok and its z_c is NaN."""
+    z0 = ctx.world.mu0 + (ctx.prior_root @ prior[:, :, None])[:, :, 0]
+    x, scales = ctx.codec.encode_batch(z0)
+    sigma2 = snr_to_sigma2(ctx.snr_db)
+    y_c, h = apply_channel(pack_complex(x), chan,
+                           ChannelConfig(ctx.cfg.channel.kind, ctx.snr_db))
+    z_c = ctx.codec.decode_batch(mmse_equalize(y_c, h, sigma2), sigma2, scales)
+    return z0, z_c, ~np.isnan(scales)
+
+
+def transmit_batch(ctx: TrialContext, batch: TrialBatch, fail) -> TrialBatch:
+    """Send the batch's latents through codec and channel and check its
+    prompt LLRs; a failing row goes to `fail(trial_id, error)` and is
+    dropped."""
+    batch.z0, batch.z_c, ok = transmit_latents(ctx, batch.draws.prior, batch.draws.channel)
+    for r in np.flatnonzero(~ok):
+        fail(batch.ids[r], NormalizationError(ZERO_POWER))
+    llrs = batch.draws.prompt_llrs
+    if llrs is not None:
+        finite = np.isfinite(llrs).all(axis=(1, 2))
+        for r in np.flatnonzero(ok & ~finite):
+            fail(batch.ids[r], ContractError("prompt LLRs must be finite"))
+        ok &= finite
+    return batch if ok.all() else batch.keep(np.flatnonzero(ok))
+
+
+def decode_prompt_batch(ctx: TrialContext, batch: TrialBatch) -> None:
     """One block-diagonal BP decode of every trial's prompt blocks."""
-    if ctx.side_code is None:
-        return
-    decoded = sidechannel.decode_prompts(ctx.side_code, [t.prompt_llrs for t in trials],
-                                         ctx.cfg.bp_iters)
-    for trial, bits in zip(trials, decoded):
-        trial.prompt_bits = bits
+    if ctx.side_code is not None:
+        batch.prompt_bits = sidechannel.decode_prompts(
+            ctx.side_code, batch.draws.prompt_llrs, ctx.cfg.bp_iters)
 
 
-def refine_trial(ctx: TrialContext, trial: TrialInFlight, shared_time: float) -> TrialOutput:
-    """Deframe the prompt, run the warm-start sampler and score the trial."""
+def refine_batch(ctx: TrialContext, batch: TrialBatch, fail) -> dict[int, TrialOutput]:
+    """Deframe each prompt, run the sampler once per group of rows that share
+    a received prompt, and score every row. A sampler error fails the rows of
+    its group."""
     cfg = ctx.cfg
-    start = time.perf_counter()
-    k_o = 0
-    prompt_ok = True
-    prompt = cfg.prompt
-    if trial.prompt_bits is not None:
-        report = sidechannel.receive_prompt(cfg.prompt, trial.prompt_bits, ctx.side_code)
-        k_o = report.k_o
-        prompt_ok = report.ok
-        prompt = report.decoded  # None on failure -> unconditional sampling
+    n = len(batch.ids)
+    k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
+    for r, bits in enumerate(batch.prompt_bits or ()):
+        report = sidechannel.receive_prompt(cfg.prompt, bits, ctx.side_code)
+        k_o[r], prompt_ok[r] = report.k_o, report.ok
+        prompts[r] = report.decoded  # None on failure -> unconditional sampling
 
-    predictor = ctx.predictor
-    if predictor is None:
-        predictor = ExactRecoveryOracle(trial.z0, ctx.sched, ctx.gamma)
-    z0_hat, _ = sample(trial.z_c, predictor, prompt, ctx.sampler_cfg, ctx.sched, trial.rng)
+    groups: dict = {}
+    for r, prompt in enumerate(prompts):
+        groups.setdefault(prompt, []).append(r)
+    z0_hat = np.full_like(batch.z_c, np.nan)
+    sampled = np.zeros(n, dtype=bool)
+    for prompt, rows in groups.items():
+        rows = np.array(rows)
+        predictor = ctx.predictor
+        if predictor is None:
+            predictor = ExactRecoveryOracle(batch.z0[rows], ctx.sched, ctx.gamma)
+        try:
+            z0_hat[rows], _ = sample_batch(batch.z_c[rows], predictor, prompt,
+                                           ctx.sampler_cfg, ctx.sched,
+                                           batch.draws.warm[rows])
+        except GencommError as exc:
+            for r in rows:
+                fail(batch.ids[r], exc)
+            continue
+        sampled[rows] = True
 
-    m_coarse = mse(trial.z0, trial.z_c)
-    m_refined = mse(trial.z0, z0_hat)
-    result = RunResult(
-        axis_index=ctx.axis_index, trial_id=trial.trial_id, snr_db=ctx.snr_db,
-        cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
-        k=ctx.codec_cfg.k, k_o=k_o,
-        mse_coarse=m_coarse, mse_refined=m_refined,
-        psnr_coarse=psnr(m_coarse, cfg.peak), psnr_refined=psnr(m_refined, cfg.peak),
-        frechet_gauss=math.nan, prompt_ok=prompt_ok,
-        wall_time=trial.elapsed + shared_time + time.perf_counter() - start,
-    )
-    return TrialOutput(result=result, z0=trial.z0, z0_hat=z0_hat)
+    m_coarse = mse(batch.z0, batch.z_c).tolist()
+    m_refined = mse(batch.z0, z0_hat).tolist()
+    cbr_value = cbr(ctx.codec_cfg)
+    out = {}
+    for r in np.flatnonzero(sampled):
+        result = RunResult(
+            axis_index=ctx.axis_index, trial_id=batch.ids[r], snr_db=ctx.snr_db,
+            cbr=cbr_value, warm_start=ctx.sampler_cfg.warm_start_step,
+            k=ctx.codec_cfg.k, k_o=k_o[r],
+            mse_coarse=m_coarse[r], mse_refined=m_refined[r],
+            psnr_coarse=psnr(m_coarse[r], cfg.peak),
+            psnr_refined=psnr(m_refined[r], cfg.peak),
+            frechet_gauss=math.nan, prompt_ok=prompt_ok[r], wall_time=0.0,
+        )
+        out[batch.ids[r]] = TrialOutput(result=result, z0=batch.z0[r], z0_hat=z0_hat[r])
+    return out
 
 
 def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialOutput:
@@ -257,33 +317,42 @@ def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialO
 def run_trials(
     ctx: TrialContext, trial_ids: list[int], isolate: bool = True
 ) -> list[TrialOutput]:
-    """Run a batch of one sweep point's trials through the three stages.
+    """Run a batch of one sweep point's trials: each trial's draws, then the
+    batched stages on stacked arrays.
 
-    With `isolate`, a GencommError in one trial's stage becomes an error row
-    for that trial and the others carry on; without it, the error is raised.
-    Each trial's wall time is its own stages plus an equal share of the
-    batched side-channel decode.
+    With `isolate`, a GencommError in one trial becomes an error row for that
+    trial and the others carry on; without it, the error is raised. Each
+    trial's wall time is its own draws plus an equal share of the batch's
+    stages.
     """
     outputs: dict[int, TrialOutput] = {}
 
-    def attempt(trial_id, stage, *args):
-        try:
-            return stage(*args)
-        except GencommError as exc:
-            if not isolate:
-                raise
-            outputs[trial_id] = _failed_trial(ctx, trial_id, exc)
-            return None
+    def fail(trial_id: int, exc: GencommError) -> None:
+        if not isolate:
+            raise exc
+        outputs[trial_id] = _failed_trial(ctx, trial_id, exc)
 
-    trials = [attempt(i, transmit_trial, ctx, i) for i in trial_ids]
-    trials = [t for t in trials if t is not None]
-    start = time.perf_counter()
-    decode_prompt_batch(ctx, trials)
-    shared = (time.perf_counter() - start) / max(len(trials), 1)
-    for t in trials:
-        out = attempt(t.trial_id, refine_trial, ctx, t, shared)
-        if out is not None:
-            outputs[t.trial_id] = out
+    ids, draws, own_time = [], [], []
+    for trial_id in trial_ids:
+        start = time.perf_counter()
+        try:
+            draws.append(draw_trial(ctx, trial_id))
+        except GencommError as exc:
+            fail(trial_id, exc)
+            continue
+        ids.append(trial_id)
+        own_time.append(time.perf_counter() - start)
+    if ids:
+        start = time.perf_counter()
+        stacked = TrialDraws(*(None if f[0] is None else np.stack(f) for f in zip(*draws)))
+        batch = transmit_batch(ctx, TrialBatch(ids, stacked), fail)
+        decode_prompt_batch(ctx, batch)
+        done = refine_batch(ctx, batch, fail)
+        shared = (time.perf_counter() - start) / len(ids)
+        for trial_id, own in zip(ids, own_time):
+            if trial_id in done:
+                done[trial_id].result.wall_time = own + shared
+        outputs.update(done)
     return [outputs[i] for i in trial_ids]
 
 
@@ -474,17 +543,15 @@ def make_training_set(
     Class labels bucket the first latent coordinate by its prior quantile, so
     the prompt genuinely carries information about the clean latent.
     """
-    d = ctx.world.dim
-    z0s = np.empty((n, d))
-    z_cs = np.empty((n, d))
-    sigma2 = snr_to_sigma2(ctx.snr_db)
-    chan = ChannelConfig(ctx.cfg.channel.kind, ctx.snr_db)
-    for i in range(n):
-        z0 = ctx.world.mu0 + ctx.prior_root @ rng.standard_normal(d)
-        x, scale = ctx.codec.encode(z0)
-        y_c, h = transmit(pack_complex(x), chan, rng)
-        z_cs[i] = ctx.codec.decode(mmse_equalize(y_c, h, sigma2), sigma2, scale)
-        z0s[i] = z0
+    kind, d, k = ctx.cfg.channel.kind, ctx.world.dim, ctx.codec_cfg.k
+    prior = np.empty((n, d))
+    chan = np.empty((n, DRAW_ROWS[kind], k))
+    for i in range(n):  # one stream: each sample's z0 draw, then its channel draws
+        prior[i] = rng.standard_normal(d)
+        chan[i] = channel_draws(kind, k, rng)
+    z0s, z_cs, ok = transmit_latents(ctx, prior, chan)
+    if not ok.all():
+        raise NormalizationError(ZERO_POWER)
     spread = math.sqrt(max(ctx.world.sigma0[0, 0], 1e-12))
     quantiles = 0.5 * (1.0 + np.vectorize(math.erf)((z0s[:, 0] - ctx.world.mu0[0])
                                                     / (spread * math.sqrt(2.0))))

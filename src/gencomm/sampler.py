@@ -28,6 +28,9 @@ class EpsilonPredictor(Protocol):
     `prompt` is an opaque conditioning label; None means unconditional.
     A predictor whose output never depends on the prompt may set the class
     attribute `uses_prompt = False`; the sampler then skips the guidance pass.
+    A predictor may add `predict_batch(z_t, z_c, prompt, t)` over (B, d)
+    arrays, row for row equal to `predict`; the sampler calls it once per
+    step instead of `predict` once per row.
     """
 
     def predict(
@@ -84,9 +87,13 @@ def warm_start(
     Returns (initial state, the Gaussian draw used) so tests can observe the
     exact noise realization.
     """
-    ab = sched.alpha_bar(warm_step)
     eps = rng.standard_normal(z_c.shape)
-    return math.sqrt(ab) * z_c + math.sqrt(1.0 - ab) * eps, eps
+    return _noised(z_c, eps, warm_step, sched), eps
+
+
+def _noised(z_c: np.ndarray, eps: np.ndarray, warm_step: int, sched: NoiseSchedule):
+    ab = sched.alpha_bar(warm_step)
+    return math.sqrt(ab) * z_c + math.sqrt(1.0 - ab) * eps
 
 
 def residual_forward(
@@ -176,6 +183,56 @@ def sampler_step(
     return a * z_t + b * z0_hat
 
 
+def _predict(predictor, z_t, z_c, prompt, t: int) -> np.ndarray:
+    batch = getattr(predictor, "predict_batch", None)
+    if batch is not None:
+        return batch(z_t, z_c, prompt, t)
+    return np.stack([predictor.predict(a, b, prompt, t) for a, b in zip(z_t, z_c)])
+
+
+def sample_batch(
+    z_c: np.ndarray,
+    predictor: EpsilonPredictor,
+    prompt: Optional[object],
+    cfg: SamplerConfig,
+    sched: NoiseSchedule,
+    eps: np.ndarray,
+) -> tuple[np.ndarray, SampleTrace]:
+    """Run the full conditioned sampler on a (B, d) batch of decoded latents.
+
+    `eps` (B, d) is each row's warm-start noise. Starts at the warm-start
+    step, walks the rounded step grid down to 0 and returns the final
+    clean-latent estimates together with a per-step trace of (B, d) arrays.
+    The unconditional predictor pass is skipped when guidance == 1, no
+    prompt is given, or the predictor ignores the prompt (`uses_prompt` is
+    False): each reduces to the conditional prediction exactly. Every update
+    is elementwise, so each row gets exactly the bits of a batch of one.
+    """
+    if cfg.warm_start_step > sched.T:
+        raise ConfigurationError(
+            f"warm_start_step {cfg.warm_start_step} exceeds schedule T={sched.T}"
+        )
+    grid = step_grid(cfg.warm_start_step, cfg.steps)
+    gamma = residual_weight(cfg.warm_start_step, sched)
+    z = _noised(z_c, eps, cfg.warm_start_step, sched)
+
+    guided = (prompt is not None and cfg.guidance != 1.0
+              and getattr(predictor, "uses_prompt", True))
+    trace = SampleTrace()
+    for i, t in enumerate(grid):
+        t_prev = grid[i + 1] if i + 1 < len(grid) else 0
+        eps_cond = _predict(predictor, z, z_c, prompt, t)
+        if not guided:
+            eps_hat = eps_cond
+        else:
+            eps_uncond = _predict(predictor, z, z_c, None, t)
+            eps_hat = cfg_combine(eps_uncond, eps_cond, cfg.guidance)
+        z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched, cfg.singular_guard)
+        trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
+        z = sampler_step(z, z0_hat, t_prev, t, sched)
+    return z, trace
+
+
 def sample(
     z_c: np.ndarray,
     predictor: EpsilonPredictor,
@@ -184,35 +241,10 @@ def sample(
     sched: NoiseSchedule,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, SampleTrace]:
-    """Run the full conditioned sampler from a decoded latent.
-
-    Starts at the warm-start step, walks the rounded step grid down to 0 and
-    returns the final clean-latent estimate together with a per-step trace.
-    The unconditional predictor pass is skipped when guidance == 1, no
-    prompt is given, or the predictor ignores the prompt (`uses_prompt` is
-    False): each reduces to the conditional prediction exactly.
-    """
-    if cfg.warm_start_step > sched.T:
-        raise ConfigurationError(
-            f"warm_start_step {cfg.warm_start_step} exceeds schedule T={sched.T}"
-        )
-    grid = step_grid(cfg.warm_start_step, cfg.steps)
-    gamma = residual_weight(cfg.warm_start_step, sched)
-    z, _ = warm_start(z_c, cfg.warm_start_step, sched, rng)
-
-    guided = (prompt is not None and cfg.guidance != 1.0
-              and getattr(predictor, "uses_prompt", True))
-    trace = SampleTrace()
-    z0_hat = z_c
-    for i, t in enumerate(grid):
-        t_prev = grid[i + 1] if i + 1 < len(grid) else 0
-        eps_cond = predictor.predict(z, z_c, prompt, t)
-        if not guided:
-            eps_hat = eps_cond
-        else:
-            eps_uncond = predictor.predict(z, z_c, None, t)
-            eps_hat = cfg_combine(eps_uncond, eps_cond, cfg.guidance)
-        z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched, cfg.singular_guard)
-        trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
-        z = sampler_step(z, z0_hat, t_prev, t, sched)
-    return z, trace
+    """`sample_batch` on one decoded latent, drawing its warm-start noise
+    from `rng`; the trace holds that latent's rows."""
+    eps = rng.standard_normal(z_c.shape)
+    z, trace = sample_batch(z_c[None], predictor, prompt, cfg, sched, eps[None])
+    steps = [SampleStep(t=s.t, z_t=s.z_t[0], z0_hat=s.z0_hat[0], eps_hat=s.eps_hat[0])
+             for s in trace.steps]
+    return z[0], SampleTrace(steps)

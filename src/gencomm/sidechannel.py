@@ -14,10 +14,10 @@ the pipeline then samples unconditionally.
 
 The round trip is split so that trials can share the expensive parts:
 `transmit_prompt` draws one trial's noisy LLRs, shape (blocks, n);
-`decode_prompts` stacks the blocks of many trials on the batch axis of
-`ldpc_decode_batch` (one block-diagonal BP decode, chunked there to bound
-memory); `receive_prompt` deframes one trial's decoded bits. `send_prompt`
-is the three in a row for one trial. Framing is pure, so it is cached:
+`decode_prompts` stacks the (trials, blocks, n) LLRs of many trials on the
+batch axis of `ldpc_decode_batch` (one block-diagonal BP decode, chunked
+there to bound memory); `receive_prompt` deframes one trial's decoded bits.
+`send_prompt` is the three in a row for one trial. Framing is pure, so it is cached:
 `frame_prompt` per text, the LDPC codeword blocks per (text, code), and
 `deframe_prompt` per received byte string. Only the noise, BP and the CRC
 of a byte string not seen before cost anything per trial.
@@ -30,18 +30,19 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .arithmetic import ac_decode, ac_encode
 from .errors import DecodeError, FrameError
-from .ldpc import (LLR_MAX, LdpcCode, ldpc_decode, ldpc_decode_batch, ldpc_encode,
-                   ldpc_make)
+from .ldpc import LLR_MAX, LdpcCode, ldpc_decode_batch, ldpc_encode, ldpc_make
+from .ldpc import ldpc_decode  # noqa: F401  (benchmarks/spans.py traces this binding)
 
 DEFAULT_LDPC_N = 1024
 DEFAULT_LDPC_SEED = 7070
 DEFAULT_BP_ITERS = 50
+LINK_FRAMES_PER_DECODE = 64  # frames `measure_link` holds and decodes at once
 MAX_PAYLOAD_BYTES = (1 << 16) - 1
 
 
@@ -160,20 +161,15 @@ def transmit_prompt(
 
 
 def decode_prompts(
-    code: LdpcCode, llrs: Sequence[np.ndarray], max_iters: int = DEFAULT_BP_ITERS
+    code: LdpcCode, llrs: np.ndarray, max_iters: int = DEFAULT_BP_ITERS
 ) -> list[PromptBits]:
-    """One batched BP decode of every trial's (blocks, n) LLRs."""
-    if not llrs:
-        return []
-    res = ldpc_decode_batch(code, np.concatenate(llrs), max_iters)
-    info = res.bits[:, code.info_positions]
-    out = []
-    lo = 0
-    for trial in llrs:
-        hi = lo + len(trial)
-        out.append(PromptBits(info[lo:hi].ravel(), int(res.iterations[lo:hi].sum())))
-        lo = hi
-    return out
+    """One batched BP decode of every trial's blocks; `llrs` is
+    (trials, blocks, n)."""
+    trials, blocks, _ = llrs.shape
+    res = ldpc_decode_batch(code, llrs.reshape(-1, code.n), max_iters)
+    info = res.bits[:, code.info_positions].reshape(trials, -1)
+    iterations = res.iterations.reshape(trials, blocks).sum(axis=1)
+    return [PromptBits(info[i], int(iterations[i])) for i in range(trials)]
 
 
 def receive_prompt(text: str, decoded: PromptBits, code: LdpcCode) -> SideChannelReport:
@@ -199,7 +195,7 @@ def send_prompt(
     """Full coded round trip of one prompt; failures are report states."""
     code = code or default_code()
     llrs = transmit_prompt(text, snr_db, rng, code)
-    return receive_prompt(text, decode_prompts(code, [llrs], max_iters)[0], code)
+    return receive_prompt(text, decode_prompts(code, llrs[None], max_iters)[0], code)
 
 
 def measure_link(
@@ -212,19 +208,22 @@ def measure_link(
     """Monte Carlo BER/FER of the coded BPSK link at one operating point.
 
     Random info words per frame; with the per-dim conventions above snr_db
-    equals Eb/N0 in dB at this code rate.
+    equals Eb/N0 in dB at this code rate. Frames are drawn one after another
+    from `rng` and decoded LINK_FRAMES_PER_DECODE at a time in one batch.
     """
     frames = math.ceil(min_info_bits / code.k)
     bit_errors = 0
     frame_errors = 0
-    for _ in range(frames):
-        info = rng.integers(0, 2, size=code.k).astype(np.uint8)
-        coded = ldpc_encode(code, info)
-        llrs = transmit_bits(coded, snr_db, rng)
-        res = ldpc_decode(code, llrs[: code.n], max_iters)
-        errs = int(np.count_nonzero(res.bits[code.info_positions] != info))
-        bit_errors += errs
-        frame_errors += errs > 0
+    for lo in range(0, frames, LINK_FRAMES_PER_DECODE):
+        # Draw a group of frames in stream order, then decode them as one batch.
+        infos, llrs = [], []
+        for _ in range(min(LINK_FRAMES_PER_DECODE, frames - lo)):
+            infos.append(rng.integers(0, 2, size=code.k).astype(np.uint8))
+            llrs.append(transmit_bits(ldpc_encode(code, infos[-1]), snr_db, rng)[: code.n])
+        res = ldpc_decode_batch(code, np.stack(llrs), max_iters)
+        errs = np.count_nonzero(res.bits[:, code.info_positions] != np.stack(infos), axis=1)
+        bit_errors += int(errs.sum())
+        frame_errors += int(np.count_nonzero(errs))
     total_bits = frames * code.k
     return {
         "snr_db": snr_db,

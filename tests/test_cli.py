@@ -146,6 +146,16 @@ class TestOtherCommands:
         assert curve[0] == "step,total,diffusion,latent_mse"
         assert len(curve) == 31
 
+    def test_train_denoiser_rerun_replaces_curve(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "model.npz"
+        for steps in ("30", "12"):
+            assert main(["train-denoiser", "--config", cfg, "--out", str(out),
+                         "--steps", steps, "--quiet"]) == 0
+        curve = (tmp_path / "model.npz.loss.csv").read_text().splitlines()
+        assert curve[0] == "step,total,diffusion,latent_mse"
+        assert len(curve) == 13 and curve[1].startswith("0,")
+
     def test_train_denoiser_requires_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)
         assert main(["train-denoiser", "--config", cfg]) == 1

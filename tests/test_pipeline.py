@@ -180,7 +180,7 @@ class TestSweep:
         import gencomm.pipeline as pipeline_mod
         from gencomm.errors import NormalizationError
 
-        real = pipeline_mod.transmit_trial
+        real = pipeline_mod.draw_trial
 
         def flaky(ctx, trial_id):
             if trial_id == 1:
@@ -188,7 +188,7 @@ class TestSweep:
                 raise NormalizationError("synthetic failure, shape (3, 4)\nboom")
             return real(ctx, trial_id)
 
-        monkeypatch.setattr(pipeline_mod, "transmit_trial", flaky)
+        monkeypatch.setattr(pipeline_mod, "draw_trial", flaky)
         rows, aggregates = sweep(toy_config(trials=4))
         assert len(rows) == 4
         failed = [r for r in rows if r.error]

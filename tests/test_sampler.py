@@ -233,9 +233,9 @@ class TestSample:
                 class Counting(cls):
                     calls = 0
 
-                    def predict(self, *a):
+                    def predict_batch(self, *a):
                         self.calls += 1
-                        return super().predict(*a)
+                        return super().predict_batch(*a)
 
                 Counting.uses_prompt = uses_prompt
                 pred = Counting(*args)
