@@ -79,6 +79,11 @@ def _emit(text: str, args) -> None:
         sys.stderr.write(text if text.endswith("\n") else text + "\n")
 
 
+# Per-point means in the stderr summary of a sweep.
+_SUMMARY_COLUMNS = ("snr_db", "cbr", "k", "warm_start", "mse_coarse", "mse_refined",
+                    "psnr_gain_db", "frechet_gauss", "prompt_ok")
+
+
 def _run_sweep(args, axis: str) -> int:
     cfg = replace(_load(args), sweep_axis=axis)
     rows, aggregates = sweep(cfg, threads=args.threads)
@@ -89,10 +94,13 @@ def _run_sweep(args, axis: str) -> int:
         _emit(f"{len(rows)} trials ({failed} failed) -> {args.out}", args)
     else:
         _emit(f"{len(rows)} trials ({failed} failed); no --out given", args)
-        for rec in aggregates:
-            if rec["kind"] == "mean":
-                _emit(f"  axis {rec['axis_index']}: mse_coarse={rec['mse_coarse']:.6g} "
-                      f"mse_refined={rec['mse_refined']:.6g}", args)
+    widths = [max(len(c), 9) for c in _SUMMARY_COLUMNS]
+    _emit(" ".join(f"{c:>{w}}" for c, w in zip(_SUMMARY_COLUMNS, widths)), args)
+    for rec in aggregates:
+        if rec["kind"] == "mean":
+            rec = dict(rec, psnr_gain_db=rec["psnr_refined"] - rec["psnr_coarse"])
+            _emit(" ".join(f"{rec[c]:>{w}.6g}" for c, w in zip(_SUMMARY_COLUMNS, widths)),
+                  args)
     return 0
 
 

@@ -57,7 +57,7 @@ Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .channel import ChannelConfig
@@ -109,6 +109,8 @@ class ExperimentConfig:
     bp_iters: int = 50
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.predictor not in PREDICTOR_CHOICES:
@@ -124,126 +126,108 @@ class ExperimentConfig:
                 f"warm_start ({self.warm_start}) must be >= sampler steps "
                 f"({self.sampler_steps})"
             )
+        if self.peak <= 0.0:
+            raise ConfigurationError(f"peak must be > 0, got {self.peak}")
         if self.prior_var <= 0.0:
             raise ConfigurationError("prior_var must be > 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
             raise ConfigurationError("prior_ar1_rho must be in [0, 1)")
 
 
-def _parse_scalar(raw: str, kind: str, section: str, key: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
+def _bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError("expected true or false")
+
+
+def _or_auto(parse):
+    """`auto` -> None, anything else through `parse`."""
+    return lambda raw: None if raw.strip() == "auto" else parse(raw)
+
+
+def _text_or_none(raw: str) -> Optional[str]:
+    return raw if raw.strip() else None
+
+
+# (section, key) -> (ExperimentConfig field, parser). A dotted field names an
+# attribute of a nested config; `spec_version` is checked, not stored.
 _SCHEMA = {
-    "experiment": {
-        "spec_version": "int", "master_seed": "int", "trials": "int",
-        "predictor": "str", "sweep_axis": "str", "snr_points": "floats",
-        "cbr_points": "floats", "prompt": "str", "peak": "float",
-        "mlp_checkpoint": "str",
-    },
-    "channel": {"kind": "str", "snr_db": "float"},
-    "codec": {"k": "int", "k_prime": "int", "height": "int", "width": "int",
-              "channels": "int", "seed": "int", "tikhonov_lambda": "float"},
-    "schedule": {"steps": "int", "beta_min": "float", "beta_max": "float",
-                 "kind": "str"},
-    "sampler": {"steps": "int", "warm_start": "str", "guidance": "float",
-                "singular_guard": "float"},
-    "world": {"prior_var": "float", "prior_ar1_rho": "float"},
-    "sidechannel": {"enabled": "bool", "snr_db": "str", "ldpc_n": "int",
-                    "ldpc_seed": "int", "bp_iters": "int"},
+    ("experiment", "spec_version"): ("spec_version", int),
+    ("experiment", "master_seed"): ("master_seed", int),
+    ("experiment", "trials"): ("trials", int),
+    ("experiment", "predictor"): ("predictor", str),
+    ("experiment", "sweep_axis"): ("sweep_axis", str),
+    ("experiment", "snr_points"): ("snr_points", _floats),
+    ("experiment", "cbr_points"): ("cbr_points", _floats),
+    ("experiment", "prompt"): ("prompt", _text_or_none),
+    ("experiment", "peak"): ("peak", float),
+    ("experiment", "mlp_checkpoint"): ("mlp_checkpoint", _text_or_none),
+    ("channel", "kind"): ("channel.kind", str),
+    ("channel", "snr_db"): ("channel.snr_db", float),
+    ("codec", "k"): ("codec.k", int),
+    ("codec", "k_prime"): ("codec.k_prime", int),
+    ("codec", "height"): ("codec.height", int),
+    ("codec", "width"): ("codec.width", int),
+    ("codec", "channels"): ("codec.channels", int),
+    ("codec", "seed"): ("codec_seed", int),
+    ("codec", "tikhonov_lambda"): ("tikhonov_lambda", float),
+    ("schedule", "steps"): ("schedule_steps", int),
+    ("schedule", "beta_min"): ("beta_min", float),
+    ("schedule", "beta_max"): ("beta_max", float),
+    ("schedule", "kind"): ("schedule_kind", str),
+    ("sampler", "steps"): ("sampler_steps", int),
+    ("sampler", "warm_start"): ("warm_start", _or_auto(int)),
+    ("sampler", "guidance"): ("guidance", float),
+    ("sampler", "singular_guard"): ("singular_guard", float),
+    ("world", "prior_var"): ("prior_var", float),
+    ("world", "prior_ar1_rho"): ("prior_ar1_rho", float),
+    ("sidechannel", "enabled"): ("sidechannel_enabled", _bool),
+    ("sidechannel", "snr_db"): ("sidechannel_snr_db", _or_auto(float)),
+    ("sidechannel", "ldpc_n"): ("ldpc_n", int),
+    ("sidechannel", "ldpc_seed"): ("ldpc_seed", int),
+    ("sidechannel", "bp_iters"): ("bp_iters", int),
 }
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config a file describes; keys it does not set keep the
+    ExperimentConfig defaults."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
-    values: dict[str, dict] = {}
+    top: dict = {}
+    nested: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-            kind = _SCHEMA[section][key]
-            if kind == "floats":
-                values[section][key] = tuple(
-                    _parse_scalar(tok, "float", section, key)
-                    for tok in raw.replace(",", " ").split()
-                )
-            else:
-                values[section][key] = _parse_scalar(raw, kind, section, key)
+            name, parse = _SCHEMA[section, key]
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+            owner, _, attr = name.rpartition(".")
+            (nested.setdefault(owner, {}) if owner else top)[attr] = value
 
-    exp = values.get("experiment", {})
-    version = exp.get("spec_version", SPEC_VERSION)
+    version = top.pop("spec_version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise ConfigurationError(f"unsupported spec_version {version}")
-
-    chan = values.get("channel", {})
-    codec = values.get("codec", {})
-    sched = values.get("schedule", {})
-    samp = values.get("sampler", {})
-    world = values.get("world", {})
-    side = values.get("sidechannel", {})
-
-    warm_start_raw = samp.get("warm_start", "auto")
-    warm_start = None if str(warm_start_raw).strip() == "auto" else int(warm_start_raw)
-    side_snr_raw = side.get("snr_db", "auto")
-    side_snr = None if str(side_snr_raw).strip() == "auto" else float(side_snr_raw)
-    prompt = exp.get("prompt", "class:3")
-    if prompt is not None and str(prompt).strip() == "":
-        prompt = None
-    checkpoint = exp.get("mlp_checkpoint") or None
-
-    return ExperimentConfig(
-        master_seed=exp.get("master_seed", 7),
-        trials=exp.get("trials", 100),
-        predictor=exp.get("predictor", "analytic"),
-        sweep_axis=exp.get("sweep_axis", "snr"),
-        snr_points=tuple(exp.get("snr_points", (1.0, 4.0, 7.0, 10.0, 13.0))),
-        cbr_points=tuple(exp.get("cbr_points", (0.002, 0.0033, 0.0059, 0.011))),
-        prompt=prompt,
-        peak=exp.get("peak", 1.0),
-        mlp_checkpoint=checkpoint,
-        channel=ChannelConfig(kind=chan.get("kind", "awgn"),
-                              snr_db=chan.get("snr_db", 10.0)),
-        codec=CodecConfig(k_prime=codec.get("k_prime", 8), k=codec.get("k", 2),
-                          height=codec.get("height", 32), width=codec.get("width", 32),
-                          channels=codec.get("channels", 1)),
-        codec_seed=codec.get("seed", 99),
-        tikhonov_lambda=codec.get("tikhonov_lambda", 0.0),
-        schedule_steps=sched.get("steps", 1000),
-        beta_min=sched.get("beta_min", 1e-4),
-        beta_max=sched.get("beta_max", 0.02),
-        schedule_kind=sched.get("kind", "linear"),
-        sampler_steps=samp.get("steps", 5),
-        warm_start=warm_start,
-        guidance=samp.get("guidance", 3.0),
-        singular_guard=samp.get("singular_guard", 1e-8),
-        prior_var=world.get("prior_var", 1.0),
-        prior_ar1_rho=world.get("prior_ar1_rho", 0.9),
-        sidechannel_enabled=side.get("enabled", True),
-        sidechannel_snr_db=side_snr,
-        ldpc_n=side.get("ldpc_n", 1024),
-        ldpc_seed=side.get("ldpc_seed", 7070),
-        bp_iters=side.get("bp_iters", 50),
-    )
+    defaults = ExperimentConfig()
+    for owner, values in nested.items():
+        top[owner] = replace(getattr(defaults, owner), **values)
+    return ExperimentConfig(**top)
 
 
 def config_metadata(cfg: ExperimentConfig) -> dict:

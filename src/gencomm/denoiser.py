@@ -14,8 +14,9 @@ Three predictor families implement the same behavioral contract as
   token, optimized by plain gradient descent with reverse-mode gradients
   computed in-module.
 
-Each answers a (B, d) batch with `predict_batch`, whose rows carry exactly the
-bits of lone calls; `predict` is its batch-of-one call.
+Each has one method, `predict(z_t, z_c, prompt, t)`, over (B, d) arrays;
+every row gets exactly the bits it would get in a batch of one. A single
+latent is passed as a `[None]` row.
 """
 
 from __future__ import annotations
@@ -197,24 +198,11 @@ class GaussianWorld:
         return self.sigma0 - gain @ cross.T
 
 
-def analytic_epsilon(
-    world: GaussianWorld,
-    z_t: np.ndarray,
-    z_c: np.ndarray,
-    t: int,
-    gamma: float,
-    sched: NoiseSchedule,
-) -> np.ndarray:
-    """Conditional-mean noise estimate E[eps | z_t, z_c] in closed form.
-
-    The forward process expresses eps linearly in (z0, z_t, z_c); substituting
-    the Gaussian conditional mean E[z0 | z_t, z_c] gives the estimate.
-    """
-    return AnalyticPredictor(world, sched, gamma).predict(z_t, z_c, None, t)
-
-
 class AnalyticPredictor:
-    """Bayes-optimal predictor for a GaussianWorld; ignores the prompt."""
+    """Bayes-optimal predictor for a GaussianWorld: the conditional mean
+    E[eps | z_t, z_c] in closed form. The forward process expresses eps
+    linearly in (z0, z_t, z_c); substituting the Gaussian conditional mean
+    E[z0 | z_t, z_c] gives the estimate. Ignores the prompt."""
 
     uses_prompt = False
 
@@ -249,9 +237,6 @@ class AnalyticPredictor:
         return coefs
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
-
-    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
         ab, c, denom, gain, mu_w = self._coefs(t)
         w = np.concatenate([z_c, z_t], axis=1)
         z0_mean = self.world.mu0 + (gain @ (w - mu_w)[:, :, None])[:, :, 0]
@@ -262,7 +247,7 @@ class ExactRecoveryOracle:
     """Knows the true clean latent; answers with the noise estimate whose
     clean-latent inversion returns it exactly (where the inversion is
     non-singular). Ignores the prompt. `z0` is one latent, or a (B, d) stack
-    whose rows answer the rows of a `predict_batch` call."""
+    whose rows answer the rows of a `predict` call."""
 
     uses_prompt = False
 
@@ -272,9 +257,6 @@ class ExactRecoveryOracle:
         self.gamma = gamma
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
-
-    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
         ab = self.sched.alpha_bar(t)
         c = math.sqrt(1.0 - ab)
         denom = math.sqrt(ab) - c * self.gamma
@@ -385,9 +367,6 @@ class MlpDenoiser:
         return grads
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        return self.predict_batch(z_t[None], z_c[None], prompt, t)[0]
-
-    def predict_batch(self, z_t, z_c, prompt, t: int) -> np.ndarray:
         """Inference on a (B, d) batch at one step and prompt.
 
         Each layer is a stacked row-times-matrix product, not the one gemm of
@@ -437,7 +416,6 @@ class TrainConfig:
     lambda_l: float = 0.0
     stage: int = 1
     warm_start_step: int = 500
-    momentum: float = 0.0
     singular_guard: float = 1e-8
 
     def __post_init__(self):
@@ -569,40 +547,6 @@ def loss_and_grads(
     return total, parts, model.backward_batch(cache, dout)
 
 
-def loss_diffusion(
-    model: MlpDenoiser,
-    z0: np.ndarray,
-    z_c: np.ndarray,
-    class_idx: np.ndarray,
-    sched: NoiseSchedule,
-    gamma: float,
-    warm_step: int,
-    rng: np.random.Generator,
-    dropout_rate: float = 0.10,
-) -> float:
-    """Noise-prediction objective on a freshly noised batch."""
-    prep = prepare_diffusion_batch(z0, z_c, class_idx, sched, gamma, warm_step,
-                                   dropout_rate, rng, model.null_index)
-    out, _ = model.forward_batch(prep.z_t, prep.z_c, prep.class_idx, prep.ts)
-    return float(np.sum((out - prep.eps) ** 2)) / len(z0)
-
-
-def loss_stage1(model, prep: PreparedBatch, sched: NoiseSchedule,
-                cfg: Optional[TrainConfig] = None) -> float:
-    cfg = cfg or TrainConfig.stage1()
-    total, _, _ = loss_and_grads(model, prep, cfg, sched, want_grads=False)
-    return total
-
-
-def loss_stage2(model, prep: PreparedBatch, sched: NoiseSchedule, pixel_map,
-                cfg: Optional[TrainConfig] = None,
-                perceptual_hook: PerceptualHook = zero_perceptual_hook) -> float:
-    cfg = cfg or TrainConfig.stage2()
-    total, _, _ = loss_and_grads(model, prep, cfg, sched, pixel_map,
-                                 perceptual_hook, want_grads=False)
-    return total
-
-
 def train(
     model: MlpDenoiser,
     dataset: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -622,7 +566,6 @@ def train(
     n = len(z0s)
     warm_step = min(cfg.warm_start_step, sched.T)
     gamma = float(gamma)
-    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     history: list[dict] = []
     for step in range(cfg.steps):
         pick = rng.integers(0, n, size=min(cfg.batch_size, n))
@@ -634,8 +577,7 @@ def train(
         if not math.isfinite(total):
             raise TrainingError(f"loss diverged at step {step}: {parts}")
         for name, g in grads.items():
-            velocity[name] = cfg.momentum * velocity[name] - cfg.learning_rate * g
-            model.params[name] += velocity[name]
+            model.params[name] -= cfg.learning_rate * g
         history.append({"step": step, **parts})
     return history
 

@@ -419,7 +419,9 @@ def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
                      "n_trials": len(rows), "n_failed": len(rows) - len(ok)}
         for name in _AGGREGATE_FIELDS:
             values = [float(getattr(r, name)) for r in ok]
-            rec[name] = float(fn(values)) if values else math.nan
+            # An exactly recovered latent has PSNR +inf; its std is NaN.
+            with np.errstate(invalid="ignore"):
+                rec[name] = float(fn(values)) if values else math.nan
         out.append(rec)
     return out
 

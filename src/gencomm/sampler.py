@@ -4,6 +4,10 @@ The reverse process is initialized from a noised version of the decoded
 latent instead of pure noise, the decode residual (z_c - z0) is folded into
 the forward process with a constant weight, and each deterministic reverse
 step is z <- a * z + b * z0_hat with closed-form (a, b).
+
+The sampler works on a (B, d) batch of decoded latents and calls the
+predictor's one method, `predict(z_t, z_c, prompt, t)`, once per step (twice
+under guidance) with the whole batch. A single latent is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ DEFAULT_SINGULAR_GUARD = 1e-8
 class EpsilonPredictor(Protocol):
     """Behavioral contract of a noise predictor.
 
-    Must be deterministic: identical arguments give identical outputs.
-    `prompt` is an opaque conditioning label; None means unconditional.
-    A predictor whose output never depends on the prompt may set the class
-    attribute `uses_prompt = False`; the sampler then skips the guidance pass.
-    A predictor may add `predict_batch(z_t, z_c, prompt, t)` over (B, d)
-    arrays, row for row equal to `predict`; the sampler calls it once per
-    step instead of `predict` once per row.
+    `predict` maps (B, d) arrays `z_t` and `z_c` at step `t` to a (B, d)
+    noise estimate, and each row must get the bits it would get in a batch
+    of one. Must be deterministic: identical arguments give identical
+    outputs. `prompt` is an opaque conditioning label shared by the batch;
+    None means unconditional. A predictor whose output never depends on the
+    prompt may set the class attribute `uses_prompt = False`; the sampler
+    then skips the guidance pass.
     """
 
     def predict(
@@ -47,7 +51,6 @@ class SamplerConfig:
     steps: int = 5                      # denoising steps N
     warm_start_step: int = 500          # step index the trajectory starts from
     guidance: float = DEFAULT_GUIDANCE  # text-guidance scale omega
-    eta: float = 0.0
     singular_guard: float = DEFAULT_SINGULAR_GUARD
 
     def __post_init__(self):
@@ -59,9 +62,6 @@ class SamplerConfig:
             )
         if self.guidance < 0.0:
             raise ConfigurationError(f"guidance must be >= 0, got {self.guidance}")
-        if self.eta != 0.0:
-            # The closed-form update coefficients assume zero sampling noise.
-            raise ConfigurationError("only eta = 0 (deterministic sampling) is supported")
         if self.singular_guard <= 0.0:
             raise ConfigurationError("singular_guard must be > 0")
 
@@ -183,13 +183,6 @@ def sampler_step(
     return a * z_t + b * z0_hat
 
 
-def _predict(predictor, z_t, z_c, prompt, t: int) -> np.ndarray:
-    batch = getattr(predictor, "predict_batch", None)
-    if batch is not None:
-        return batch(z_t, z_c, prompt, t)
-    return np.stack([predictor.predict(a, b, prompt, t) for a, b in zip(z_t, z_c)])
-
-
 def sample_batch(
     z_c: np.ndarray,
     predictor: EpsilonPredictor,
@@ -221,11 +214,11 @@ def sample_batch(
     trace = SampleTrace()
     for i, t in enumerate(grid):
         t_prev = grid[i + 1] if i + 1 < len(grid) else 0
-        eps_cond = _predict(predictor, z, z_c, prompt, t)
+        eps_cond = predictor.predict(z, z_c, prompt, t)
         if not guided:
             eps_hat = eps_cond
         else:
-            eps_uncond = _predict(predictor, z, z_c, None, t)
+            eps_uncond = predictor.predict(z, z_c, None, t)
             eps_hat = cfg_combine(eps_uncond, eps_cond, cfg.guidance)
         z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched, cfg.singular_guard)
         trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))

@@ -109,14 +109,3 @@ def update_coeffs(t_prev: int, t: int, sched: NoiseSchedule) -> tuple[float, flo
     if not 0 <= t_prev < t <= sched.T:
         raise DomainError(f"need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
     return coeffs_from_alpha_bars(sched.alpha_bar(t_prev), sched.alpha_bar(t))
-
-
-def ddim_sigma(t_prev: int, t: int, eta: float, sched: NoiseSchedule) -> float:
-    """Stochasticity scale of the DDIM family; eta = 0 is fully deterministic."""
-    if not 0 <= t_prev < t <= sched.T:
-        raise DomainError(f"need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
-    if eta < 0.0:
-        raise DomainError(f"eta must be >= 0, got {eta}")
-    ab_prev = sched.alpha_bar(t_prev)
-    ab_t = sched.alpha_bar(t)
-    return eta * math.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_prev)

@@ -90,20 +90,6 @@ def _deframe(data: bytes) -> str:
     return ac_decode(np.unpackbits(np.frombuffer(head[2:], dtype=np.uint8))).decode("utf-8")
 
 
-def write_frame(text: str, path) -> int:
-    """Persist one framed, compressed prompt as a raw byte file; returns the
-    byte count."""
-    frame = frame_prompt(text)
-    with open(path, "wb") as fh:
-        fh.write(frame)
-    return len(frame)
-
-
-def read_frame(path) -> str:
-    with open(path, "rb") as fh:
-        return deframe_prompt(fh.read())
-
-
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Even-index bits on I, odd-index on Q; bit 0 -> +1."""
     symbols = 1.0 - 2.0 * bits.astype(np.float64)

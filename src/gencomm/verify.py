@@ -144,8 +144,9 @@ class _SeededPredictor:
 
     def predict(self, z_t, z_c, prompt, t):
         tag = 0 if prompt is None else (zlib.crc32(str(prompt).encode()) % 997)
-        probe = np.random.default_rng(abs(int(z_t[0] * 1e6)) % 2**31 + t + tag)
-        return probe.standard_normal(z_t.shape)
+        return np.stack([
+            np.random.default_rng(abs(int(row[0] * 1e6)) % 2**31 + t + tag)
+            .standard_normal(row.shape) for row in z_t])
 
 
 def check_cfg_identities(rng):
@@ -243,7 +244,7 @@ def check_analytic_predictor(rng):
     z_t = rng.standard_normal(d)
     ab = sched.alpha_bar(400)
     want = (z_t - math.sqrt(ab) * z0) / math.sqrt(1 - ab)
-    got = pred.predict(z_t, z0, None, 400)
+    got = pred.predict(z_t[None], z0[None], None, 400)[0]
     assert np.max(np.abs(got - want)) <= 1e-8
     mu = np.full(d, 1.5)
     point = GaussianWorld(mu0=mu, sigma0=np.zeros((d, d)), obs_matrix=eye,
@@ -253,7 +254,7 @@ def check_analytic_predictor(rng):
     c = math.sqrt(1 - ab)
     denom = math.sqrt(ab) - c * 0.3
     want2 = (z_t - c * 0.3 * z_c - denom * mu) / c
-    assert np.max(np.abs(pred2.predict(z_t, z_c, None, 400) - want2)) <= 1e-8
+    assert np.max(np.abs(pred2.predict(z_t[None], z_c[None], None, 400)[0] - want2)) <= 1e-8
 
 
 def check_arithmetic_roundtrip(rng):

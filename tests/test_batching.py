@@ -116,12 +116,12 @@ class TestPredictorsAndSampler:
         z_t, z_c, z0 = rng.standard_normal((3, b, d))
         pred, prompt = _predictors(sched, d, z0)[name]
         for p in (prompt, None):
-            batch = pred.predict_batch(z_t, z_c, p, 300)
+            batch = pred.predict(z_t, z_c, p, 300)
             if name == "oracle":
-                lone = [ExactRecoveryOracle(z, sched, pred.gamma).predict(a, c, p, 300)
-                        for z, a, c in zip(z0, z_t, z_c)]
+                lone = [ExactRecoveryOracle(z, sched, pred.gamma)
+                        .predict(a[None], c[None], p, 300)[0] for z, a, c in zip(z0, z_t, z_c)]
             else:
-                lone = [pred.predict(a, c, p, 300) for a, c in zip(z_t, z_c)]
+                lone = [pred.predict(a[None], c[None], p, 300)[0] for a, c in zip(z_t, z_c)]
             assert _rows_equal(batch, lone)
 
     def test_mlp_inference_agrees_with_training_forward(self, rng):
@@ -129,8 +129,8 @@ class TestPredictorsAndSampler:
         # since a gemm's rounding may change with the batch size.
         model = MlpDenoiser(latent_dim=8, seed=2)
         z_t, z_c = rng.standard_normal((2, 64, 8))
-        out = model.predict_batch(z_t, z_c, "class:1", 250)
-        again = model.predict_batch(z_t[:5], z_c[:5], "class:1", 250)
+        out = model.predict(z_t, z_c, "class:1", 250)
+        again = model.predict(z_t[:5], z_c[:5], "class:1", 250)
         assert np.array_equal(out[:5], again)
         gemm, _ = model.forward_batch(z_t, z_c, np.full(64, 1), np.full(64, 250))
         assert np.allclose(gemm, out, rtol=1e-12, atol=1e-12)

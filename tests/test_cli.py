@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gencomm.cli import main
 from gencomm.denoiser import load_checkpoint
 
@@ -53,6 +55,16 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "[sampler]\nsteps = 5\nwarm_start = 3\n")
         assert main(["simulate", "--config", cfg]) == 1
         assert "warm_start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "[sampler]\nwarm_start = soon\n",
+        "[sidechannel]\nsnr_db = loud\n",
+        "[experiment]\npeak = 0\n",
+        "[experiment]\nmaster_seed = -1\n",
+    ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed"])
+    def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
+        assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,5 +1,8 @@
+from operator import attrgetter
+
 import pytest
 
+import gencomm.config as config_mod
 from gencomm.config import ExperimentConfig, config_metadata, load_config
 from gencomm.errors import ConfigurationError
 from gencomm.jscc import CodecConfig
@@ -86,6 +89,35 @@ def test_full_file_parses(tmp_path):
 def test_empty_sections_give_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, "[experiment]\nmaster_seed = 3\n"))
     assert cfg == ExperimentConfig(master_seed=3)
+
+
+def test_empty_file_gives_defaults(tmp_path):
+    assert load_config(_write(tmp_path, "")) == ExperimentConfig()
+
+
+def _documented_table():
+    """(section, key) -> value of the `key = value` table in the module
+    docstring, inline `;` comments dropped."""
+    table, section = {}, None
+    for line in config_mod.__doc__.splitlines():
+        line = line.split(";")[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+        elif section and "=" in line:
+            key, _, value = line.partition("=")
+            table[section, key.strip()] = value.strip()
+    return table
+
+
+def test_documented_table_is_the_schema_with_its_defaults():
+    documented = _documented_table()
+    assert set(documented) == set(config_mod._SCHEMA)
+    defaults = ExperimentConfig()
+    for (section, key), raw in documented.items():
+        name, parse = config_mod._SCHEMA[section, key]
+        want = (config_mod.SPEC_VERSION if name == "spec_version"
+                else attrgetter(name)(defaults))
+        assert parse(raw) == want, f"[{section}] {key} documented as {raw!r}"
 
 
 def test_auto_values(tmp_path):

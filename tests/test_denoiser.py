@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gencomm.denoiser import (AnalyticPredictor, GaussianWorld,
-                              MlpDenoiser, ToyPixelMap, TrainConfig, analytic_epsilon,
-                              load_checkpoint, loss_and_grads, loss_diffusion,
-                              loss_stage1, loss_stage2, prepare_diffusion_batch,
-                              prompt_to_index, save_checkpoint, time_embedding,
-                              train)
+                              MlpDenoiser, ToyPixelMap, TrainConfig,
+                              load_checkpoint, loss_and_grads,
+                              prepare_diffusion_batch, prompt_to_index,
+                              save_checkpoint, time_embedding, train)
 from gencomm.errors import ConfigurationError, ContractError, TrainingError
 from gencomm.jscc import CodecConfig, make_linear_codec
 from gencomm.sampler import residual_forward
@@ -102,7 +101,7 @@ class TestAnalyticEpsilon:
         t = 300
         ab = sched.alpha_bar(t)
         z_t = rng.standard_normal(d)
-        got = analytic_epsilon(world, z_t, mu, t, GAMMA, sched)
+        got = AnalyticPredictor(world, sched, GAMMA).predict(z_t[None], mu[None], None, t)[0]
         want = (z_t - math.sqrt(ab) * mu) / math.sqrt(1.0 - ab)
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -112,7 +111,7 @@ class TestAnalyticEpsilon:
         ab = sched.alpha_bar(t)
         z0 = rng.standard_normal(4)
         z_t = rng.standard_normal(4)
-        got = analytic_epsilon(world, z_t, z0, t, GAMMA, sched)
+        got = AnalyticPredictor(world, sched, GAMMA).predict(z_t[None], z0[None], None, t)[0]
         want = (z_t - math.sqrt(ab) * z0) / math.sqrt(1.0 - ab)
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -150,7 +149,7 @@ class TestAnalyticEpsilon:
             x_p = np.concatenate([z_c_p, z_t_p, [1.0]])
             mc = x_p @ coef
             se = np.sqrt(sigma2_hat * (x_p @ xtx_inv @ x_p))
-            analytic = pred.predict(z_t_p, z_c_p, None, t)
+            analytic = pred.predict(z_t_p[None], z_c_p[None], None, t)[0]
             assert np.all(np.abs(analytic - mc) <= 3.0 * se), (
                 f"analytic {analytic} vs regression {mc} +- {se}")
 
@@ -158,7 +157,7 @@ class TestAnalyticEpsilon:
         codec = make_linear_codec(CodecConfig(k_prime=2, k=1), seed=12)
         world = GaussianWorld.ar1(codec, snr_db=10.0, rho=0.8)
         pred = AnalyticPredictor(world, sched, GAMMA)
-        z_t, z_c = rng.standard_normal((2, 4))
+        z_t, z_c = rng.standard_normal((2, 1, 4))
         first = pred.predict(z_t, z_c, None, 123)
         for _ in range(3):
             assert np.array_equal(pred.predict(z_t, z_c, None, 123), first)
@@ -212,13 +211,13 @@ class TestMlpDenoiser:
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=0)
         for name in model.params:
             model.params[name] = np.zeros_like(model.params[name])
-        out = model.predict(rng.standard_normal(4), rng.standard_normal(4),
+        out = model.predict(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)),
                             "class:1", 100)
         assert np.all(out == 0.0)
 
     def test_null_token_equivalence(self, rng):
         model = MlpDenoiser(latent_dim=4, hidden=8, n_classes=5, seed=2)
-        z_t, z_c = rng.standard_normal((2, 4))
+        z_t, z_c = rng.standard_normal((2, 1, 4))
         absent = model.predict(z_t, z_c, None, 40)
         explicit = model.predict(z_t, z_c, model.null_index, 40)
         assert np.array_equal(absent, explicit)
@@ -226,13 +225,13 @@ class TestMlpDenoiser:
     def test_golden_snapshot(self):
         model = MlpDenoiser(latent_dim=4, hidden=16, time_dim=8, prompt_dim=4,
                             n_classes=5, seed=314)
-        out = model.predict(np.array([0.5, -1.0, 2.0, 0.25]),
-                            np.array([0.4, -0.9, 1.8, 0.3]), "class:2", 250)
-        assert np.allclose(out, GOLDEN_PROBE_OUT, atol=1e-12)
+        out = model.predict(np.array([[0.5, -1.0, 2.0, 0.25]]),
+                            np.array([[0.4, -0.9, 1.8, 0.3]]), "class:2", 250)
+        assert np.allclose(out[0], GOLDEN_PROBE_OUT, atol=1e-12)
 
     def test_prediction_pure(self, rng):
         model = MlpDenoiser(latent_dim=3, seed=7)
-        z_t, z_c = rng.standard_normal((2, 3))
+        z_t, z_c = rng.standard_normal((2, 1, 3))
         a = model.predict(z_t, z_c, "class:1", 17)
         b = model.predict(z_t, z_c, "class:1", 17)
         assert np.array_equal(a, b)
@@ -257,7 +256,7 @@ class TestMlpDenoiser:
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        z_t, z_c = rng.standard_normal((2, 5))
+        z_t, z_c = rng.standard_normal((2, 1, 5))
         assert np.array_equal(loaded.predict(z_t, z_c, "class:2", 99),
                               model.predict(z_t, z_c, "class:2", 99))
 
@@ -295,16 +294,20 @@ class TestLosses:
         for name in model.params:
             model.params[name] = np.zeros_like(model.params[name])
         z0 = rng.standard_normal((20_000, d))
-        loss = loss_diffusion(model, z0, z0, np.zeros(len(z0), dtype=np.int64),
-                              sched, GAMMA, 500, rng)
+        prep = prepare_diffusion_batch(z0, z0, np.zeros(len(z0), dtype=np.int64),
+                                       sched, GAMMA, 500, 0.10, rng, model.null_index)
+        _, parts, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
+                                     want_grads=False)
+        loss = parts["diffusion"]
         assert abs(loss - d) <= 4.0 * d * math.sqrt(2.0 / len(z0))
 
     def test_stage1_reductions(self, sched, rng):
         prep = _toy_batch(sched, rng)
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=3)
-        full = loss_stage1(model, prep, sched)
-        no_latent_term = loss_stage1(model, prep, sched,
-                                     TrainConfig.stage1(lambda_d=0.0))
+        full, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
+                                    want_grads=False)
+        no_latent_term, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(lambda_d=0.0),
+                                              sched, want_grads=False)
         _, parts, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
                                      want_grads=False)
         assert full == pytest.approx(parts["diffusion"] + parts["latent_mse"])
@@ -323,10 +326,12 @@ class TestLosses:
         prep = _toy_batch(sched, rng)
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=3)
         pixmap = ToyPixelMap(4, seed=1)
-        s2 = loss_stage2(model, prep, sched, pixmap,
-                         TrainConfig(stage=2, lambda_d=1.0, lambda_m=0.0,
-                                     lambda_l=0.0))
-        s1 = loss_stage1(model, prep, sched)
+        s2, _, _ = loss_and_grads(model, prep,
+                                  TrainConfig(stage=2, lambda_d=1.0, lambda_m=0.0,
+                                              lambda_l=0.0),
+                                  sched, pixmap, want_grads=False)
+        s1, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
+                                  want_grads=False)
         assert s2 == pytest.approx(s1, rel=1e-12)
 
     def test_stage2_pixel_term_zero_for_exact_prediction(self, sched, rng):

@@ -204,6 +204,17 @@ class TestSweep:
         assert len(trials) == 4
         assert "synthetic failure" in trials[1]["error"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_exact_recovery_aggregates_without_warnings(self):
+        # Recovering z0 exactly gives mse_refined = 0 and PSNR +inf; the std
+        # of such a point is NaN, and taking it must not warn.
+        cfg = toy_config(predictor="exact-oracle", sweep_axis="snr",
+                         snr_points=(1.0, 9.0), channel=ChannelConfig("rayleigh", 10.0))
+        rows, aggregates = sweep(cfg)
+        assert any(math.isinf(r.psnr_refined) for r in rows)
+        std = [a["psnr_refined"] for a in aggregates if a["kind"] == "std"]
+        assert any(math.isnan(v) for v in std)
+
 
 def _same_fields(a, b):
     """Every RunResult field but wall_time equal; NaN equals NaN."""

@@ -233,9 +233,9 @@ class TestSample:
                 class Counting(cls):
                     calls = 0
 
-                    def predict_batch(self, *a):
+                    def predict(self, *a):
                         self.calls += 1
-                        return super().predict_batch(*a)
+                        return super().predict(*a)
 
                 Counting.uses_prompt = uses_prompt
                 pred = Counting(*args)
@@ -270,8 +270,6 @@ class TestSample:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SamplerConfig(steps=10, warm_start_step=5)
-        with pytest.raises(ConfigurationError):
-            SamplerConfig(steps=1, warm_start_step=5, eta=0.5)
         with pytest.raises(ConfigurationError):
             SamplerConfig(steps=0, warm_start_step=5)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomm.errors import ConfigurationError, DomainError
-from gencomm.schedule import (build_schedule, coeffs_from_alpha_bars, ddim_sigma,
-                              residual_weight, update_coeffs)
+from gencomm.schedule import (build_schedule, coeffs_from_alpha_bars, residual_weight,
+                              update_coeffs)
 
 # Frozen outputs of an independent plain-Python product-accumulation script
 # (loop over beta_t = bmin + (bmax-bmin)*i/(T-1), abar *= 1-beta).
@@ -120,23 +120,3 @@ class TestUpdateCoeffs:
             update_coeffs(7, 3, sched)
         with pytest.raises(DomainError):
             coeffs_from_alpha_bars(0.5, 1.0)
-
-
-class TestDdimSigma:
-    def test_eta_zero(self, sched):
-        assert ddim_sigma(100, 200, 0.0, sched) == 0.0
-
-    def test_direct_evaluation(self):
-        # engineer abar_1 = 0.8, abar_2 = 0.5
-        sched = build_schedule(T=2, beta_min=0.2, beta_max=0.375)
-        assert ddim_sigma(1, 2, 1.0, sched) == pytest.approx(0.387298, abs=1e-6)
-
-    def test_vanishing_gap_limit(self):
-        # nearly equal alpha_bars at adjacent steps -> sigma -> 0 for any eta
-        sched = build_schedule(T=2, beta_min=1e-13, beta_max=1e-12)
-        for eta in (1.0, 2.5):
-            assert ddim_sigma(1, 2, eta, sched) == pytest.approx(0.0, abs=1e-5)
-
-    def test_negative_eta_rejected(self, sched):
-        with pytest.raises(DomainError):
-            ddim_sigma(1, 2, -0.5, sched)

@@ -6,8 +6,7 @@ import pytest
 from gencomm.errors import DecodeError
 from gencomm.ldpc import ldpc_make
 from gencomm.sidechannel import (bpsk_modulate, deframe_prompt, frame_prompt,
-                                 measure_link, read_frame, send_prompt,
-                                 transmit_bits, write_frame)
+                                 measure_link, send_prompt, transmit_bits)
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +36,9 @@ class TestFraming:
 
     def test_frame_file_roundtrip(self, tmp_path):
         path = tmp_path / "prompt.frame"
-        n = write_frame("dusk over a mountain lake", path)
+        n = path.write_bytes(frame_prompt("dusk over a mountain lake"))
         assert path.stat().st_size == n
-        assert read_frame(path) == "dusk over a mountain lake"
+        assert deframe_prompt(path.read_bytes()) == "dusk over a mountain lake"
 
 
 class TestBpsk:
