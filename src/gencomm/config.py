@@ -128,6 +128,8 @@ class ExperimentConfig:
             )
         if self.peak <= 0.0:
             raise ConfigurationError(f"peak must be > 0, got {self.peak}")
+        if self.bp_iters < 0:
+            raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
         if self.prior_var <= 0.0:
             raise ConfigurationError("prior_var must be > 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
@@ -201,7 +203,10 @@ def load_config(path) -> ExperimentConfig:
     """The config a file describes; keys it does not set keep the
     ExperimentConfig defaults."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     top: dict = {}

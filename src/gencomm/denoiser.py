@@ -22,6 +22,7 @@ latent is passed as a `[None]` row.
 from __future__ import annotations
 
 import math
+import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -389,15 +390,21 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
 
 
 def load_checkpoint(path) -> MlpDenoiser:
-    with np.load(path) as data:
-        meta = data["__meta__"]
-        if int(meta[0]) != _CHECKPOINT_VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {int(meta[0])}")
-        model = MlpDenoiser(latent_dim=int(meta[1]), hidden=int(meta[2]),
-                            time_dim=int(meta[3]), prompt_dim=int(meta[4]),
-                            n_classes=int(meta[5]), seed=int(meta[6]))
-        for name in model.params:
-            model.params[name] = data[name].copy()
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data.files:
+                raise ConfigurationError(f"{path} is not an npz checkpoint with __meta__")
+            meta = data["__meta__"]
+            if int(meta[0]) != _CHECKPOINT_VERSION:
+                raise ConfigurationError(f"unsupported checkpoint version {int(meta[0])}")
+            model = MlpDenoiser(latent_dim=int(meta[1]), hidden=int(meta[2]),
+                                time_dim=int(meta[3]), prompt_dim=int(meta[4]),
+                                n_classes=int(meta[5]), seed=int(meta[6]))
+            for name in model.params:
+                model.params[name] = data[name].copy()
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from None
     return model
 
 

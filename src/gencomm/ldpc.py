@@ -3,18 +3,18 @@
 Construction draws a random stub matching between variable and check sockets
 (exactly regular for any even n), repairs duplicate edges, runs a bounded
 4-cycle reduction pass of degree-preserving edge swaps, and preprocesses a
-systematic encoder by Gaussian elimination over GF(2). Decoding is flooding
-belief propagation on dense (checks x 6) message arrays with early exit once
-all parity checks are satisfied.
+systematic encoder by Gaussian elimination over GF(2); encoding reads the
+parity of packed info bits AND each packed generator row from a byte table.
+Decoding is flooding belief propagation with early exit.
 
-Batch axis: `ldpc_decode_batch` decodes B codewords of one code as a single
-block-diagonal code of length B*n. Block b's check rows index variables
-offset by b*n and its variable edges index messages offset by b*m*6, so the
-flooding kernel runs unchanged and every block sees exactly the arithmetic
-of a lone decode. Each block stops at its own convergence iteration: its bits
-and count are frozen and the active set is compacted. Blocks are decoded in
-chunks of at most CHUNK_EDGES edges, which bounds the message arrays'
-memory whatever the batch size. `ldpc_decode` is the batch-of-one call.
+Batch axis: `ldpc_decode_batch` decodes B codewords as one block-diagonal code
+in chunks of at most CHUNK_EDGES (32768) edges. Messages are slot-major,
+(B, 6, m): edge b*6m + j*m + c is slot j of check c of block b. Each block
+gets the bits of a lone decode: left products th0*th1*... and right products
+th5*th4*... are formed a slot row at a time in `np.cumprod`'s order, and a
+variable adds its three incoming messages left to right in check order, as
+numpy's axis-1 sum of three terms does. Converged blocks are frozen and the
+rest compacted to a buffer prefix. `ldpc_decode` is the batch-of-one call.
 
 Sign convention: positive LLR means bit 0.
 """
@@ -30,7 +30,8 @@ from .errors import ConfigurationError, ConstructionError, ContractError, Format
 LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
-CHUNK_EDGES = 8192  # message-array edges per decode chunk (at least one block)
+CHUNK_EDGES = 32768  # message-array edges per decode chunk (at least one block)
+_BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1) % 2
 
 
 class LdpcCode:
@@ -47,28 +48,26 @@ class LdpcCode:
             raise ConstructionError(f"H has GF(2) rank {len(pivots)} < {m}")
         self.pivot_positions = pivots
         self.info_positions = free
-        self.parity_gen = parity_gen  # (m, k): parity bits as GF(2) map of info bits
+        self.packed_parity_gen = np.packbits(parity_gen, axis=1)  # (m, k/8): GF(2) map
 
     @property
     def k(self) -> int:
         return self.n - self.m
 
-    # Dense message-passing layout of one decode chunk, built lazily:
-    # (blocks per chunk, check_vars, var_edges) for that many stacked copies
-    # of the code. A chunk with fewer blocks uses a prefix of each array.
+    # Decode layout for the largest chunk, built lazily: (blocks per chunk,
+    # check_vars (B, 6, m): the variable of each edge, var_edges (3, B, n):
+    # each variable's edges in check order). Smaller chunks use a prefix.
     def _views(self):
         views = getattr(self, "_views_cache", None)
         if views is None:
+            m, n = self.m, self.n
             rows, cols = np.nonzero(self.H)
-            order = np.argsort(rows, kind="stable")
-            check_vars = cols[order].reshape(self.m, ROW_WEIGHT)
+            check_vars = cols[np.argsort(rows, kind="stable")].reshape(m, ROW_WEIGHT)
             by_var = np.argsort(check_vars.ravel(), kind="stable")
-            var_edges = by_var.reshape(self.n, COL_WEIGHT)
-            blocks = np.arange(max(1, CHUNK_EDGES // (self.m * ROW_WEIGHT)))
-            check_vars = check_vars[None] + (blocks * self.n)[:, None, None]
-            var_edges = var_edges[None] + (blocks * self.m * ROW_WEIGHT)[:, None, None]
-            views = (len(blocks), check_vars.reshape(-1, ROW_WEIGHT),
-                     var_edges.reshape(-1, COL_WEIGHT))
+            var_edges = (by_var % ROW_WEIGHT * m + by_var // ROW_WEIGHT).reshape(n, COL_WEIGHT).T
+            blocks = np.arange(max(1, CHUNK_EDGES // (m * ROW_WEIGHT)))
+            views = (len(blocks), np.ascontiguousarray(check_vars.T) + (blocks * n)[:, None, None],
+                     np.ascontiguousarray(var_edges)[:, None] + (blocks * m * ROW_WEIGHT)[:, None])
             self._views_cache = views
         return views
 
@@ -186,7 +185,8 @@ def ldpc_encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
         raise ContractError(f"expected {code.k} info bits, got shape {info_bits.shape}")
     codeword = np.zeros(code.n, dtype=np.uint8)
     codeword[code.info_positions] = info_bits
-    codeword[code.pivot_positions] = (code.parity_gen @ info_bits.astype(np.int64)) % 2
+    masked = code.packed_parity_gen & np.packbits(info_bits)
+    codeword[code.pivot_positions] = _BYTE_PARITY[np.bitwise_xor.reduce(masked, axis=1)]
     return codeword
 
 
@@ -220,6 +220,8 @@ def ldpc_decode_batch(
         raise ContractError(f"expected (B, {code.n}) LLRs, got shape {llrs.shape}")
     if not np.all(np.isfinite(llrs)):
         raise ContractError("LLRs must be finite (clip infinities before decoding)")
+    if max_iters < 0:
+        raise ContractError(f"max_iters must be >= 0, got {max_iters}")
     out = BatchDecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
                             converged=np.zeros(len(llrs), dtype=bool),
                             iterations=np.full(len(llrs), max_iters, dtype=np.int64))
@@ -231,43 +233,49 @@ def ldpc_decode_batch(
 
 def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
                   out: BatchDecodeResult) -> None:
-    """Flooding BP on blocks first.. of `out`, stacked block-diagonally."""
-    m, n = code.m, code.n
+    """Flooding BP on blocks first.. of `out` in prefixes of preallocated
+    buffers; v2c turns into tanh(v2c / 2) in place each iteration."""
     _, all_check_vars, all_var_edges = code._views()
     active = np.arange(first, first + len(llrs))
-    llrs = llrs.ravel()
-    check_vars = all_check_vars[: len(active) * m]
-    var_edges = all_var_edges[: len(active) * n]
-    v2c = llrs[check_vars]
-    bits = (llrs < 0).astype(np.uint8)
+    nb, llrs = len(llrs), llrs.copy()
+    v2c, bits = np.take(llrs, all_check_vars[:nb]), llrs < 0
+    c2v, odd = np.empty_like(v2c), np.empty(v2c.shape, dtype=bool)
+    total, incoming = np.empty_like(llrs), np.empty_like(llrs)
     for it in range(1, max_iters + 1):
-        th = np.tanh(np.clip(v2c, -LLR_MAX, LLR_MAX) / 2.0)
-        left = np.ones_like(th)
-        right = np.ones_like(th)
-        np.cumprod(th[:, :-1], axis=1, out=left[:, 1:])
-        np.cumprod(th[:, :0:-1], axis=1, out=right[:, -2::-1])
-        c2v = 2.0 * np.arctanh(left * right)
-        incoming = c2v.ravel()[var_edges]
-        total = llrs + incoming.sum(axis=1)
-        v2c.ravel()[var_edges.ravel()] = (total[:, None] - incoming).ravel()
-        bits = (total < 0).astype(np.uint8)
-        unsatisfied = (bits[check_vars].sum(axis=1) % 2).reshape(-1, m).any(axis=1)
+        th, c, t = v2c[:nb], c2v[:nb], total[:nb]
+        np.tanh(np.divide(np.clip(th, -LLR_MAX, LLR_MAX, out=th), 2.0, out=th), out=th)
+        # Left, then right running products in cumprod's order; slot 0 ends as th5*...*th1.
+        c[:, 1], c[:, 0] = th[:, 0], th[:, -1]
+        for j in range(2, ROW_WEIGHT):
+            np.multiply(c[:, j - 1], th[:, j - 1], out=c[:, j])
+        for j in range(ROW_WEIGHT - 2, 0, -1):
+            c[:, j] *= c[:, 0]
+            c[:, 0] *= th[:, j]
+        np.multiply(np.arctanh(c, out=c), 2.0, out=c)
+        # llrs + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order.
+        np.take(c, all_var_edges[0, :nb], out=t, mode="clip")
+        for k in range(1, COL_WEIGHT):
+            t += np.take(c, all_var_edges[k, :nb], out=incoming[:nb], mode="clip")
+        t += llrs[:nb]
+        np.take(t, all_check_vars[:nb], out=th, mode="clip")
+        np.less(th, 0, out=odd[:nb])       # bits[check_vars]
+        th -= c
+        np.less(t, 0, out=bits[:nb])
+        unsatisfied = np.bitwise_xor.reduce(odd[:nb], axis=1).any(axis=1)
         if unsatisfied.all():
             continue
-        # Freeze the blocks that converged, then compact the rest.
+        # Freeze the blocks that converged, then compact the rest to a prefix.
         done = ~unsatisfied
-        out.bits[active[done]] = bits.reshape(-1, n)[done]
+        out.bits[active[done]] = bits[:nb][done]
         out.converged[active[done]] = True
         out.iterations[active[done]] = it
         active = active[unsatisfied]
         if len(active) == 0:
             return
-        bits = bits.reshape(-1, n)[unsatisfied].ravel()
-        llrs = llrs.reshape(-1, n)[unsatisfied].ravel()
-        v2c = v2c.reshape(-1, m * ROW_WEIGHT)[unsatisfied].reshape(-1, ROW_WEIGHT)
-        check_vars = all_check_vars[: len(active) * m]
-        var_edges = all_var_edges[: len(active) * n]
-    out.bits[active] = bits.reshape(-1, n)
+        for buf in (llrs, bits, v2c):
+            buf[: len(active)] = buf[:nb][unsatisfied]
+        nb = len(active)
+    out.bits[active] = bits[:nb]
 
 
 def export_alist(code: LdpcCode, path) -> None:

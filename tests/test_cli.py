@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gencomm.cli import main
@@ -61,10 +62,41 @@ class TestExitCodes:
         "[sidechannel]\nsnr_db = loud\n",
         "[experiment]\npeak = 0\n",
         "[experiment]\nmaster_seed = -1\n",
-    ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed"])
+        "[sidechannel]\nbp_iters = -1\n",
+    ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "trials = 3\n",
+        "[experiment]\ntrials = 3\ntrials = 4\n",
+    ], ids=["no_section_header", "duplicate_key"])
+    def test_malformed_config_file_is_configuration_error(self, tmp_path, capsys, body):
+        assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None,
+        b"not a checkpoint\n",
+        b"",
+        "npz_without_meta",
+        "truncated_npz",
+    ], ids=["missing", "not_npz", "empty", "no_meta", "truncated"])
+    def test_unreadable_checkpoint_is_configuration_error(self, tmp_path, capsys, content):
+        path = tmp_path / "model.npz"
+        if content == "npz_without_meta":
+            np.savez(path, w1=np.zeros(3))
+        elif content == "truncated_npz":
+            np.savez(path, __meta__=np.arange(7), w1=np.zeros(3))
+            path.write_bytes(path.read_bytes()[:40])
+        elif content is not None:
+            path.write_bytes(content)
+        body = SMALL_SWEEP.replace("predictor = analytic",
+                                   f"predictor = mlp\nmlp_checkpoint = {path}")
+        assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "internal error" not in err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

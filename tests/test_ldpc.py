@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomm.errors import ConfigurationError, ContractError, FormatError
-from gencomm.ldpc import (CHUNK_EDGES, export_alist, import_alist, ldpc_decode,
-                          ldpc_decode_batch, ldpc_encode, ldpc_make)
+from gencomm.ldpc import (CHUNK_EDGES, LLR_MAX, ROW_WEIGHT, _systematic_form, export_alist,
+                          import_alist, ldpc_decode, ldpc_decode_batch, ldpc_encode,
+                          ldpc_make)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,15 @@ class TestEncode:
         info = rng.integers(0, 2, size=code.k).astype(np.uint8)
         word = ldpc_encode(code, info)
         assert np.array_equal(word[code.info_positions], info)
+
+    def test_parity_bits_are_the_dense_gf2_product(self, code, rng):
+        pivots, free, parity_gen = _systematic_form(code.H)
+        for _ in range(20):
+            info = rng.integers(0, 2, size=code.k).astype(np.uint8)
+            word = ldpc_encode(code, info)
+            assert np.array_equal(word[free], info)
+            assert np.array_equal(word[pivots], (parity_gen.astype(np.int64) @ info) % 2)
+            assert not np.any((code.H.astype(np.int64) @ word) % 2)
 
     def test_wrong_length_rejected(self, code):
         with pytest.raises(ContractError):
@@ -159,17 +173,52 @@ def test_alist_index_out_of_range_rejected(tmp_path):
         import_alist(path)
 
 
+def reference_decode(code, llrs, max_iters):
+    """Check-major flooding BP, one block at a time: each check row's six
+    messages are a row of a dense (m, 6) array, products come from
+    `np.cumprod` and the variable update scatters back into that array."""
+    rows, cols = np.nonzero(code.H)
+    check_vars = cols[np.argsort(rows, kind="stable")].reshape(code.m, ROW_WEIGHT)
+    var_edges = np.argsort(check_vars.ravel(), kind="stable").reshape(code.n, 3)
+    bits = np.empty(llrs.shape, dtype=np.uint8)
+    converged = np.zeros(len(llrs), dtype=bool)
+    iterations = np.full(len(llrs), max_iters)
+    for b, lam in enumerate(llrs):
+        v2c = lam[check_vars]
+        bits[b] = lam < 0
+        for it in range(1, max_iters + 1):
+            th = np.tanh(np.clip(v2c, -LLR_MAX, LLR_MAX) / 2.0)
+            left, right = np.ones_like(th), np.ones_like(th)
+            np.cumprod(th[:, :-1], axis=1, out=left[:, 1:])
+            np.cumprod(th[:, :0:-1], axis=1, out=right[:, -2::-1])
+            incoming = (2.0 * np.arctanh(left * right)).ravel()[var_edges]
+            total = lam + incoming.sum(axis=1)
+            v2c.ravel()[var_edges.ravel()] = (total[:, None] - incoming).ravel()
+            bits[b] = total < 0
+            if not np.any(bits[b][check_vars].sum(axis=1) % 2):
+                converged[b], iterations[b] = True, it
+                break
+    return bits, converged, iterations
+
+
+@functools.lru_cache(maxsize=None)
+def cached_code(n):
+    return ldpc_make(n, seed=n + 5)
+
+
 class TestBatchDecode:
     def test_matches_single_decodes_across_chunks(self, code):
         # 0-4 dB mixes blocks that converge after few iterations, after
-        # many, and not at all; 37 blocks span several decode chunks.
+        # many, and not at all; the batch spans at least three decode chunks.
+        per_chunk = CHUNK_EDGES // (code.m * ROW_WEIGHT)
+        blocks = 2 * per_chunk + 5
         rng = np.random.default_rng(21)
-        info = rng.integers(0, 2, size=(37, code.k)).astype(np.uint8)
+        info = rng.integers(0, 2, size=(blocks, code.k)).astype(np.uint8)
         words = np.stack([ldpc_encode(code, i) for i in info])
-        sigma2 = 10 ** (-rng.uniform(0.0, 4.0, size=(37, 1)) / 10.0)
+        sigma2 = 10 ** (-rng.uniform(0.0, 4.0, size=(blocks, 1)) / 10.0)
         y = 1.0 - 2.0 * words + np.sqrt(sigma2) * rng.standard_normal(words.shape)
         llrs = np.clip(2.0 * y / sigma2, -30, 30)
-        assert llrs.size * 3 > 3 * CHUNK_EDGES  # 3 edges per variable
+        assert -(-blocks // per_chunk) >= 3
         batch = ldpc_decode_batch(code, llrs, max_iters=20)
         for b, row in enumerate(llrs):
             one = ldpc_decode(code, row, max_iters=20)
@@ -178,6 +227,26 @@ class TestBatchDecode:
             assert batch.iterations[b] == one.iterations
         assert len(set(batch.iterations.tolist())) >= 4
         assert batch.converged.any() and not batch.converged.all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([24, 256, 1024]), snr_db=st.floats(-2.0, 6.0),
+           max_iters=st.sampled_from([0, 1, 7, 50]), chunks=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_kernel(self, n, snr_db, max_iters, chunks, seed):
+        code = cached_code(n)
+        per_chunk = CHUNK_EDGES // (code.m * ROW_WEIGHT)
+        rng = np.random.default_rng(seed)
+        blocks = int(rng.integers((chunks - 1) * per_chunk + 1, chunks * per_chunk + 1))
+        info = rng.integers(0, 2, size=(blocks, code.k)).astype(np.uint8)
+        words = np.stack([ldpc_encode(code, i) for i in info])
+        sigma2 = 10 ** (-snr_db / 10.0)
+        y = 1.0 - 2.0 * words + np.sqrt(sigma2) * rng.standard_normal(words.shape)
+        llrs = np.clip(2.0 * y / sigma2, -LLR_MAX, LLR_MAX)
+        res = ldpc_decode_batch(code, llrs, max_iters)
+        bits, converged, iterations = reference_decode(code, llrs, max_iters)
+        assert np.array_equal(res.bits, bits)
+        assert np.array_equal(res.converged, converged)
+        assert np.array_equal(res.iterations, iterations)
 
     def test_zero_iterations_hard_decision(self, code):
         llrs = np.random.default_rng(2).standard_normal((3, code.n))
@@ -189,6 +258,8 @@ class TestBatchDecode:
         with pytest.raises(ContractError):
             ldpc_decode_batch(code, np.zeros(code.n))
         llrs = np.zeros((2, code.n))
+        with pytest.raises(ContractError, match="max_iters"):
+            ldpc_decode_batch(code, llrs, max_iters=-1)
         llrs[1, 3] = np.nan
         with pytest.raises(ContractError):
             ldpc_decode_batch(code, llrs)
