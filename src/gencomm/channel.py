@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, NormalizationError
 
 CHANNEL_KINDS = ("awgn", "rayleigh")
-# Rows of standard normals one transmission draws (see `channel_draws`).
+# Rows of k standard normals one transmission of k symbols draws, in order:
+# AWGN noise real, imaginary parts; Rayleigh gain real, imaginary, then noise.
 DRAW_ROWS = {"awgn": 2, "rayleigh": 4}
 
 
@@ -80,17 +81,10 @@ def snr_to_sigma2(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def channel_draws(kind: str, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The standard normals one transmission of k symbols draws, in order:
-    shape (2, k) under AWGN (noise real, imaginary parts) and (4, k) under
-    Rayleigh (gain real, imaginary parts, then the noise's)."""
-    return rng.standard_normal((DRAW_ROWS[kind], k))
-
-
 def apply_channel(
     x_c: np.ndarray, draws: np.ndarray, cfg: ChannelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """y = h * x + n from `channel_draws` output; elementwise, so a (B, k)
+    """y = h * x + n from (2|4, k) `DRAW_ROWS` draws; elementwise, so a (B, k)
     batch with (B, 2|4, k) draws gives each row exactly its lone result.
     Returns (y, h)."""
     sigma2 = snr_to_sigma2(cfg.snr_db)
@@ -113,7 +107,7 @@ def transmit(
     is returned as perfect CSI for the receiver.
     """
     x_c = np.asarray(x_c, dtype=np.complex128)
-    return apply_channel(x_c, channel_draws(cfg.kind, len(x_c), rng), cfg)
+    return apply_channel(x_c, rng.standard_normal((DRAW_ROWS[cfg.kind], len(x_c))), cfg)
 
 
 def mmse_equalize(y_c: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:

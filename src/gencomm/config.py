@@ -51,12 +51,14 @@ Sections and keys, all optional with the defaults shown:
     ldpc_seed = 7070
     bp_iters = 50
 
-Unknown sections or keys are rejected.
+Unknown sections or keys are rejected. SNRs may be +inf (a noiseless
+channel) but not NaN or -inf; CBR points must be finite and > 0.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -121,6 +123,11 @@ class ExperimentConfig:
             raise ConfigurationError("snr sweep requires snr_points")
         if self.sweep_axis == "cbr" and not self.cbr_points:
             raise ConfigurationError("cbr sweep requires cbr_points")
+        snrs = (*self.snr_points, self.channel.snr_db, self.sidechannel_snr_db or 0.0)
+        if any(math.isnan(v) or v == -math.inf for v in snrs):  # +inf dB: noiseless
+            raise ConfigurationError("SNR values must be numbers or +inf dB, got NaN or -inf")
+        if not all(math.isfinite(v) and v > 0.0 for v in self.cbr_points):
+            raise ConfigurationError(f"cbr_points must be finite and > 0, got {self.cbr_points}")
         if self.warm_start is not None and self.warm_start < self.sampler_steps:
             raise ConfigurationError(
                 f"warm_start ({self.warm_start}) must be >= sampler steps "

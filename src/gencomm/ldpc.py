@@ -74,29 +74,31 @@ class LdpcCode:
 
 def _systematic_form(H: np.ndarray):
     """Reduced row echelon form over GF(2); returns (pivot cols, free cols,
-    parity generator) so that codeword[pivots] = parity_gen @ codeword[free]."""
-    work = H.astype(np.uint8).copy()
-    m, n = work.shape
-    pivots: list[int] = []
-    r = 0
+    parity generator) so that codeword[pivots] = parity_gen @ codeword[free].
+    Rows are packed in uint64 words; a pivot's row is the first unused row
+    with its bit. Rows are read out in pivot order instead of being swapped:
+    the form is unique, so this equals elimination with row swaps."""
+    m, n = H.shape
+    packed = np.packbits(np.pad(H, ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
+    work = packed.view("<u8").astype(np.uint64)  # bit c of a row: word c // 64
+    unused = np.ones(m, dtype=bool)
+    pivots, pivot_rows = [], []
     for c in range(n):
-        hits = np.nonzero(work[r:, c])[0]
-        if len(hits) == 0:
-            continue
-        lead = r + hits[0]
-        if lead != r:
-            work[[r, lead]] = work[[lead, r]]
-        others = np.nonzero(work[:, c])[0]
-        others = others[others != r]
-        work[others] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
+        hits = np.flatnonzero(work[:, c // 64] & np.uint64(1 << c % 64))
+        lead = hits[unused[hits]][:1]
+        if len(lead) == 0:
+            continue
+        work[hits[hits != lead[0]]] ^= work[lead[0]]
+        unused[lead[0]] = False
+        pivots.append(c)
+        pivot_rows.append(lead[0])
     pivot_arr = np.array(pivots, dtype=np.int64)
     free_arr = np.setdiff1d(np.arange(n), pivot_arr)
-    parity_gen = work[: len(pivots)][:, free_arr]
-    return pivot_arr, free_arr, parity_gen
+    rows = work[pivot_rows].astype("<u8").view(np.uint8)
+    reduced = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    return pivot_arr, free_arr, reduced[:, free_arr]
 
 
 def _random_regular_edges(rng: np.random.Generator, m: int, n: int):

@@ -2,18 +2,20 @@
 equalize -> decode -> warm-start diffusion refinement -> metrics, plus
 experiment sweeps and result persistence.
 
-Batch-first: `run_trials` runs a batch of one sweep point's trials. Only the
-random draws are per trial (`draw_trial`). Then the batch runs as stacked
-(B, d) arrays: `transmit_batch` (z0, codec, channel, equalizer),
+Batch-first: `run_trials` runs a batch of one sweep point's trials as
+stacked (B, d) arrays: `draw_batch` (every trial's PCG64 state computed at
+once, one normal draw per trial into one buffer, the prompt's LLRs from the
+stacked noise), `transmit_batch` (z0, codec, channel, equalizer),
 `decode_prompt_batch` (one block-diagonal BP decode of every trial's prompt
 blocks) and `refine_batch` (deframe, one sampler run per received prompt,
 metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
 become several batches, which bounds memory), and `run_trial` is a batch of
 one. A trial that fails a stage becomes an error row; the others carry on.
 
-Determinism: every trial owns an isolated random stream derived from
-(master seed, axis index, trial id), drawn in the same order in every trial
-(z0, channel noise, side-channel noise, warm-start noise). Every batched
+Determinism: every trial owns an isolated random stream, numpy's
+`default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
+drawn in the same order in every trial (z0, channel noise, side-channel
+noise, warm-start noise). Every batched
 product is a stacked matrix-vector product and every other step is
 elementwise or per row, so each row gets the bits of a lone trial. Sweep
 outputs are therefore identical across runs, batch sizes and `--threads`
@@ -22,6 +24,7 @@ values.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -31,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import (DRAW_ROWS, ZERO_POWER, ChannelConfig, apply_channel,
-                      channel_draws, mmse_equalize, pack_complex, snr_to_sigma2)
+                      mmse_equalize, pack_complex, snr_to_sigma2)
 from .channel import transmit  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .config import ExperimentConfig
 from .denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
@@ -113,9 +116,49 @@ class TrialContext:
     prior_root: np.ndarray
 
 
-def trial_rng(master_seed: int, axis_index: int, trial_id: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(axis_index, trial_id))
-    return np.random.default_rng(seq)
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def trial_states(master_seed: int, axis_index: int, trial_ids: list[int]) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of `default_rng(SeedSequence(master_seed, spawn_key=(axis_index, t)))`
+    for every trial id t at once: SeedSequence's mixing on 32-bit words in uint64 arrays, then
+    PCG64's seeding step on Python ints. The first trial is checked against numpy itself."""
+    if not 0 <= axis_index <= _MASK32 or not all(0 <= t <= _MASK32 for t in trial_ids):
+        raise ContractError("axis index and trial ids must be in [0, 2**32)")
+    const = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal const
+        v, const = v ^ const, const * mult & _MASK32
+        v = v * const & _MASK32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return v ^ v >> 16
+
+    words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [axis_index]  # the seed padded to the pool size
+    entropy = [np.array([w], dtype=np.uint64) for w in words] + [np.array(trial_ids, np.uint64)]
+    pool = [hashmix(w) for w in entropy[:4]]
+    for i, j in itertools.permutations(range(4), 2):
+        pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w, j in itertools.product(entropy[4:], range(4)):
+        pool[j] = mix(pool[j], hashmix(w))
+    const = 0x8B51F9DD  # generate_state(4, uint64): eight 32-bit words, low word first
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    halves = [(out[i] | out[i + 1] << 32).tolist() for i in (0, 2, 4, 6)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % (1 << 128), inc))
+    if states:
+        ref = np.random.PCG64(np.random.SeedSequence(
+            master_seed, spawn_key=(axis_index, trial_ids[0]))).state["state"]
+        if states[0] != (ref["state"], ref["inc"]):
+            raise ContractError("batched seeding disagrees with numpy's SeedSequence")
+    return states
 
 
 def build_context(
@@ -173,26 +216,12 @@ class TrialOutput:
 
 
 class TrialDraws(NamedTuple):
-    """A trial's random draws. In a `TrialBatch` each field is stacked on a
-    leading batch axis."""
+    """The random draws of a batch's trials, stacked on a leading batch axis."""
 
-    prior: np.ndarray                  # (d,) standard normals behind z0
-    channel: np.ndarray                # (2|4, k), see `channel_draws`
-    prompt_llrs: Optional[np.ndarray]  # (blocks, n); None without a side channel
-    warm: np.ndarray                   # (d,) warm-start noise
-
-
-def draw_trial(ctx: TrialContext, trial_id: int) -> TrialDraws:
-    """Every random draw of one trial from its own stream, in the order a
-    lone trial consumes them: z0, channel, prompt LLRs, warm-start noise."""
-    rng = trial_rng(ctx.cfg.master_seed, ctx.axis_index, trial_id)
-    prior = rng.standard_normal(ctx.world.dim)
-    chan = channel_draws(ctx.cfg.channel.kind, ctx.codec_cfg.k, rng)
-    llrs = None
-    if ctx.side_code is not None:
-        llrs = sidechannel.transmit_prompt(ctx.cfg.prompt, ctx.side_snr_db, rng,
-                                           ctx.side_code)
-    return TrialDraws(prior, chan, llrs, rng.standard_normal(ctx.world.dim))
+    prior: np.ndarray                  # (B, d) standard normals behind z0
+    channel: np.ndarray                # (B, 2|4, k), see `channel.DRAW_ROWS`
+    prompt_llrs: Optional[np.ndarray]  # (B, blocks, n); None without a side channel
+    warm: np.ndarray                   # (B, d) warm-start noise
 
 
 @dataclass
@@ -211,6 +240,35 @@ class TrialBatch:
         draws = TrialDraws(*(None if a is None else a[rows] for a in self.draws))
         return TrialBatch([self.ids[r] for r in rows], draws,
                           self.z0[rows], self.z_c[rows])
+
+
+def draw_batch(ctx: TrialContext, trial_ids: list[int], fail) -> Optional[TrialBatch]:
+    """Every trial's draws from its own stream: one `standard_normal` call per
+    trial fills its row of one buffer, split in the order a lone trial draws
+    them into z0, channel, prompt noise (real parts, then imaginary parts) and
+    warm-start noise. The prompt's LLRs are computed once for the stacked
+    noise. An error here fails the whole batch."""
+    try:
+        states = trial_states(ctx.cfg.master_seed, ctx.axis_index, trial_ids)
+        coded = (None if ctx.side_code is None
+                 else sidechannel.prompt_codeword(ctx.cfg.prompt, ctx.side_code))
+    except GencommError as exc:
+        for trial_id in trial_ids:
+            fail(trial_id, exc)
+        return None
+    d, rows, k = ctx.world.dim, DRAW_ROWS[ctx.cfg.channel.kind], ctx.codec_cfg.k
+    cuts = np.cumsum([d, rows * k, 0 if coded is None else coded.size])
+    buf = np.empty((len(trial_ids), cuts[-1] + d))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, (state, inc) in zip(buf, states):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        rng.standard_normal(out=row)
+    prior, chan, noise, warm = np.split(buf, cuts, axis=1)
+    llrs = None if coded is None else sidechannel.transmit_prompt(
+        ctx.cfg.prompt, ctx.side_snr_db, noise, ctx.side_code)
+    draws = TrialDraws(prior, chan.reshape(-1, rows, k), llrs, warm)
+    return TrialBatch(list(trial_ids), draws)
 
 
 def transmit_latents(
@@ -304,8 +362,7 @@ def refine_batch(ctx: TrialContext, batch: TrialBatch, fail) -> dict[int, TrialO
 def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialOutput:
     """An error row: NaN metrics and a single-line, comma-free note."""
     nan = math.nan
-    note = f"{type(exc).__name__}: {exc}".replace(",", ";")
-    note = " ".join(note.split())
+    note = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
     return TrialOutput(result=RunResult(
         axis_index=ctx.axis_index, trial_id=trial_id, snr_db=ctx.snr_db,
         cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
@@ -317,13 +374,11 @@ def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialO
 def run_trials(
     ctx: TrialContext, trial_ids: list[int], isolate: bool = True
 ) -> list[TrialOutput]:
-    """Run a batch of one sweep point's trials: each trial's draws, then the
-    batched stages on stacked arrays.
+    """Run a batch of one sweep point's trials, each stage once on stacked arrays.
 
     With `isolate`, a GencommError in one trial becomes an error row for that
     trial and the others carry on; without it, the error is raised. Each
-    trial's wall time is its own draws plus an equal share of the batch's
-    stages.
+    trial's wall time is an equal share of the whole batch's.
     """
     outputs: dict[int, TrialOutput] = {}
 
@@ -332,26 +387,16 @@ def run_trials(
             raise exc
         outputs[trial_id] = _failed_trial(ctx, trial_id, exc)
 
-    ids, draws, own_time = [], [], []
-    for trial_id in trial_ids:
-        start = time.perf_counter()
-        try:
-            draws.append(draw_trial(ctx, trial_id))
-        except GencommError as exc:
-            fail(trial_id, exc)
-            continue
-        ids.append(trial_id)
-        own_time.append(time.perf_counter() - start)
-    if ids:
-        start = time.perf_counter()
-        stacked = TrialDraws(*(None if f[0] is None else np.stack(f) for f in zip(*draws)))
-        batch = transmit_batch(ctx, TrialBatch(ids, stacked), fail)
+    start = time.perf_counter()
+    batch = draw_batch(ctx, trial_ids, fail)
+    if batch is not None and batch.ids:
+        drawn = batch.ids
+        batch = transmit_batch(ctx, batch, fail)
         decode_prompt_batch(ctx, batch)
         done = refine_batch(ctx, batch, fail)
-        shared = (time.perf_counter() - start) / len(ids)
-        for trial_id, own in zip(ids, own_time):
-            if trial_id in done:
-                done[trial_id].result.wall_time = own + shared
+        shared = (time.perf_counter() - start) / len(drawn)
+        for out in done.values():
+            out.result.wall_time = shared
         outputs.update(done)
     return [outputs[i] for i in trial_ids]
 
@@ -545,13 +590,9 @@ def make_training_set(
     Class labels bucket the first latent coordinate by its prior quantile, so
     the prompt genuinely carries information about the clean latent.
     """
-    kind, d, k = ctx.cfg.channel.kind, ctx.world.dim, ctx.codec_cfg.k
-    prior = np.empty((n, d))
-    chan = np.empty((n, DRAW_ROWS[kind], k))
-    for i in range(n):  # one stream: each sample's z0 draw, then its channel draws
-        prior[i] = rng.standard_normal(d)
-        chan[i] = channel_draws(kind, k, rng)
-    z0s, z_cs, ok = transmit_latents(ctx, prior, chan)
+    d, rows, k = ctx.world.dim, DRAW_ROWS[ctx.cfg.channel.kind], ctx.codec_cfg.k
+    draws = rng.standard_normal((n, d + rows * k))  # per sample: z0, then channel draws
+    z0s, z_cs, ok = transmit_latents(ctx, draws[:, :d], draws[:, d:].reshape(n, rows, k))
     if not ok.all():
         raise NormalizationError(ZERO_POWER)
     spread = math.sqrt(max(ctx.world.sigma0[0, 0], 1e-12))

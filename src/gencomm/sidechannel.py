@@ -13,11 +13,12 @@ are 2y/sigma_dim^2, clipped to +/-30. CRC-32 uses the reflected polynomial
 the pipeline then samples unconditionally.
 
 The round trip is split so that trials can share the expensive parts:
-`transmit_prompt` draws one trial's noisy LLRs, shape (blocks, n);
-`decode_prompts` stacks the (trials, blocks, n) LLRs of many trials on the
-batch axis of `ldpc_decode_batch` (one block-diagonal BP decode, chunked
-there to bound memory); `receive_prompt` deframes one trial's decoded bits.
-`send_prompt` is the three in a row for one trial. Framing is pure, so it is cached:
+`transmit_prompt` turns the stacked noise draws of many trials, shape
+(trials, blocks*n), into their LLRs, shape (trials, blocks, n), in one set
+of array operations; `decode_prompts` puts those LLRs on the batch axis of
+`ldpc_decode_batch` (one block-diagonal BP decode, chunked there to bound
+memory); `receive_prompt` deframes one trial's decoded bits. `send_prompt`
+is the three in a row for one trial. Framing is pure, so it is cached:
 `frame_prompt` per text, the LDPC codeword blocks per (text, code), and
 `deframe_prompt` per received byte string. Only the noise, BP and the CRC
 of a byte string not seen before cost anything per trial.
@@ -96,27 +97,27 @@ def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
     return symbols[0::2] + 1j * symbols[1::2]
 
 
-def bpsk_llrs(y: np.ndarray, snr_db: float) -> np.ndarray:
-    sigma_dim2 = 10.0 ** (-snr_db / 10.0)
-    dims = np.empty(2 * len(y))
-    dims[0::2] = y.real
-    dims[1::2] = y.imag
+def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
+    """LLRs (I then Q per symbol) of BPSK symbols x (s,) received over AWGN
+    whose standard normals are `normals` (..., 2s): the s real parts, then the
+    s imaginary parts. Elementwise, so each row gets a lone call's LLRs."""
+    s = x.shape[-1]
+    y = x + 10.0 ** (-snr_db / 20.0) * (normals[..., :s] + 1j * normals[..., s:])
+    dims = np.empty(normals.shape)
+    dims[..., 0::2] = y.real
+    dims[..., 1::2] = y.imag
     with np.errstate(divide="ignore", invalid="ignore"):
-        llr = 2.0 * dims / sigma_dim2
+        llr = 2.0 * dims / 10.0 ** (-snr_db / 10.0)
     llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
     return np.clip(llr, -LLR_MAX, LLR_MAX)
 
 
-def transmit_bits(
-    bits: np.ndarray, snr_db: float, rng: np.random.Generator
-) -> np.ndarray:
+def transmit_bits(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """BPSK over AWGN; returns received LLRs for the coded bits."""
     if len(bits) % 2 != 0:
         bits = np.concatenate([bits, np.zeros(1, dtype=bits.dtype)])
     x = bpsk_modulate(bits)
-    sigma_dim = 10.0 ** (-snr_db / 20.0)
-    noise = sigma_dim * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-    return bpsk_llrs(x + noise, snr_db)
+    return awgn_llrs(x, rng.standard_normal(2 * len(x)), snr_db)
 
 
 class PromptBits(NamedTuple):
@@ -127,7 +128,7 @@ class PromptBits(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
+def prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
     """LDPC blocks of the zero-padded frame, shape (blocks, n), read-only."""
     frame_bits = np.unpackbits(np.frombuffer(frame_prompt(text), dtype=np.uint8))
     n_blocks = math.ceil(len(frame_bits) / code.k)
@@ -138,19 +139,18 @@ def _prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
     return coded
 
 
-def transmit_prompt(
-    text: str, snr_db: float, rng: np.random.Generator, code: LdpcCode
-) -> np.ndarray:
-    """Received LLRs of the coded prompt, shape (blocks, n)."""
-    coded = _prompt_codeword(text, code)
-    return transmit_bits(coded.ravel(), snr_db, rng).reshape(coded.shape)
+def transmit_prompt(text: str, snr_db: float, normals: np.ndarray, code: LdpcCode) -> np.ndarray:
+    """Received LLRs of the coded prompt, shape (..., blocks, n), from the
+    noise draws `normals` (..., blocks*n) in `transmit_bits` order."""
+    coded = prompt_codeword(text, code)
+    llrs = awgn_llrs(bpsk_modulate(coded.ravel()), normals, snr_db)
+    return llrs.reshape(normals.shape[:-1] + coded.shape)
 
 
 def decode_prompts(
     code: LdpcCode, llrs: np.ndarray, max_iters: int = DEFAULT_BP_ITERS
 ) -> list[PromptBits]:
-    """One batched BP decode of every trial's blocks; `llrs` is
-    (trials, blocks, n)."""
+    """One batched BP decode of every trial's blocks, `llrs` (trials, blocks, n)."""
     trials, blocks, _ = llrs.shape
     res = ldpc_decode_batch(code, llrs.reshape(-1, code.n), max_iters)
     info = res.bits[:, code.info_positions].reshape(trials, -1)
@@ -180,7 +180,8 @@ def send_prompt(
 ) -> SideChannelReport:
     """Full coded round trip of one prompt; failures are report states."""
     code = code or default_code()
-    llrs = transmit_prompt(text, snr_db, rng, code)
+    normals = rng.standard_normal(prompt_codeword(text, code).size)
+    llrs = transmit_prompt(text, snr_db, normals, code)
     return receive_prompt(text, decode_prompts(code, llrs[None], max_iters)[0], code)
 
 

@@ -8,6 +8,7 @@ invariants at full acceptance sizes.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
@@ -33,14 +34,9 @@ from .sampler import (SamplerConfig, cfg_combine, predict_z0, residual_forward,
                       sample, sampler_step, step_grid, warm_start)
 from .schedule import build_schedule, residual_weight, update_coeffs
 
-_SCHED = None
-
-
+@functools.cache
 def _default_schedule():
-    global _SCHED
-    if _SCHED is None:
-        _SCHED = build_schedule()
-    return _SCHED
+    return build_schedule()
 
 
 def check_schedule_tables(rng):

@@ -216,16 +216,16 @@ class TestRowFailures:
     def test_one_zero_power_row_gives_one_error_row(self, monkeypatch):
         cfg = _sweep_cfg("mlp", "awgn", 4, 5)
         clean, _ = sweep(cfg)
-        real = pipeline_mod.draw_trial
+        real = pipeline_mod.draw_batch
 
-        def zero_latent(ctx, trial_id):
-            draws = real(ctx, trial_id)
-            if trial_id == 3 and ctx.axis_index == 1:
+        def zero_latent(ctx, trial_ids, fail):
+            batch = real(ctx, trial_ids, fail)
+            if 3 in batch.ids and ctx.axis_index == 1:
                 # mu0 = 0, so zero prior draws give z0 = 0 and an all-zero codeword
-                draws = draws._replace(prior=np.zeros_like(draws.prior))
-            return draws
+                batch.draws.prior[batch.ids.index(3)] = 0.0
+            return batch
 
-        monkeypatch.setattr(pipeline_mod, "draw_trial", zero_latent)
+        monkeypatch.setattr(pipeline_mod, "draw_batch", zero_latent)
         rows, aggregates = sweep(cfg)
         failed = [r for r in rows if r.error]
         assert [(r.axis_index, r.trial_id) for r in failed] == [(1, 3)]

@@ -63,10 +63,27 @@ class TestExitCodes:
         "[experiment]\npeak = 0\n",
         "[experiment]\nmaster_seed = -1\n",
         "[sidechannel]\nbp_iters = -1\n",
-    ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters"])
+        "[experiment]\nsnr_points = 1 nan\n",
+        "[experiment]\nsnr_points = -inf 3\n",
+        "[channel]\nsnr_db = nan\n",
+        "[sidechannel]\nsnr_db = -inf\n",
+        "[experiment]\ncbr_points = 0.002 nan\n",
+        "[experiment]\ncbr_points = inf\n",
+        "[experiment]\ncbr_points = -1\n",
+        "[experiment]\ncbr_points = 0\n",
+    ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters",
+            "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
+            "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
+        body = "[experiment]\ntrials = 2\nsnr_points = inf\n[sidechannel]\nenabled = false\n"
+        out = tmp_path / "inf.csv"
+        assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
+                     "--quiet"]) == 0
+        assert ",inf," in out.read_text() and "Error" not in out.read_text()
 
     @pytest.mark.parametrize("body", [
         "trials = 3\n",

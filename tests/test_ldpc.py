@@ -52,6 +52,55 @@ class TestConstruction:
         assert rank == code.m
 
 
+def reference_systematic_form(H):
+    """Column-by-column elimination with row swaps, the construction before
+    the packed-row form; kept as the reference."""
+    work = H.astype(np.uint8).copy()
+    m, n = work.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        hits = np.nonzero(work[r:, c])[0]
+        if len(hits) == 0:
+            continue
+        lead = r + hits[0]
+        if lead != r:
+            work[[r, lead]] = work[[lead, r]]
+        others = np.nonzero(work[:, c])[0]
+        others = others[others != r]
+        work[others] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    pivot_arr = np.array(pivots, dtype=np.int64)
+    free_arr = np.setdiff1d(np.arange(n), pivot_arr)
+    return pivot_arr, free_arr, work[: len(pivots)][:, free_arr]
+
+
+class TestSystematicForm:
+    @pytest.mark.parametrize("n", [24, 256, 1024, 2048])
+    @pytest.mark.parametrize("seed", [0, 1, 7070])
+    def test_matches_reference_elimination(self, n, seed):
+        code = ldpc_make(n, seed)
+        pivots, free, parity_gen = reference_systematic_form(code.H)
+        assert np.array_equal(code.pivot_positions, pivots)
+        assert np.array_equal(code.info_positions, free)
+        assert np.array_equal(code.packed_parity_gen, np.packbits(parity_gen, axis=1))
+        assert code.packed_parity_gen.dtype == np.uint8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_and_odd_shapes(self, seed):
+        # Random dense matrices, some with dependent rows and widths that are
+        # not a multiple of 64: the same pivots and reduced rows.
+        rng = np.random.default_rng(seed)
+        m, n = 5 + 7 * seed, 70 + 13 * seed
+        H = (rng.random((m, n)) < 0.3).astype(np.uint8)
+        H[-1] = H[0] ^ H[1]
+        for got, want in zip(_systematic_form(H), reference_systematic_form(H)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestEncode:
     def test_codewords_satisfy_every_check(self, code, rng):
         for _ in range(50):

@@ -180,15 +180,15 @@ class TestSweep:
         import gencomm.pipeline as pipeline_mod
         from gencomm.errors import NormalizationError
 
-        real = pipeline_mod.draw_trial
+        real = pipeline_mod.draw_batch
 
-        def flaky(ctx, trial_id):
-            if trial_id == 1:
+        def flaky(ctx, trial_ids, fail):
+            if 1 in trial_ids:
                 # commas and newlines must not corrupt the CSV layout
-                raise NormalizationError("synthetic failure, shape (3, 4)\nboom")
-            return real(ctx, trial_id)
+                fail(1, NormalizationError("synthetic failure, shape (3, 4)\nboom"))
+            return real(ctx, [t for t in trial_ids if t != 1], fail)
 
-        monkeypatch.setattr(pipeline_mod, "draw_trial", flaky)
+        monkeypatch.setattr(pipeline_mod, "draw_batch", flaky)
         rows, aggregates = sweep(toy_config(trials=4))
         assert len(rows) == 4
         failed = [r for r in rows if r.error]
@@ -251,18 +251,15 @@ class TestBatchedSideChannel:
         cfg = self._cfg()
         ctx = build_context(cfg, 0, 1.0)
         direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
-        real = pipeline_mod.sidechannel.transmit_prompt
-        calls = []
+        real = pipeline_mod.draw_batch
 
-        def poisoned(*args):
-            llrs = real(*args)
-            calls.append(args)
-            if len(calls) == 3:  # trials are transmitted in id order
-                llrs = llrs.copy()
-                llrs[0, 5] = np.nan
-            return llrs
+        def poisoned(ctx, trial_ids, fail):
+            batch = real(ctx, trial_ids, fail)
+            if 2 in batch.ids:
+                batch.draws.prompt_llrs[batch.ids.index(2), 0, 5] = np.nan
+            return batch
 
-        monkeypatch.setattr(pipeline_mod.sidechannel, "transmit_prompt", poisoned)
+        monkeypatch.setattr(pipeline_mod, "draw_batch", poisoned)
         rows, aggregates = sweep(cfg)
         assert [r.trial_id for r in rows if r.error] == [2]
         assert "ContractError" in rows[2].error
