@@ -144,6 +144,8 @@ def cmd_train_denoiser(args) -> int:
     cfg = _load(args)
     if not args.out:
         raise ConfigurationError("train-denoiser requires --out for the checkpoint")
+    if args.steps < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
     ctx = build_context(cfg)
     rng = np.random.default_rng(cfg.master_seed)
     dataset = make_training_set(ctx, n=4096, rng=rng)

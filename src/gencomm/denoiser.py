@@ -282,18 +282,16 @@ def prompt_to_index(prompt, n_classes: int) -> int:
     the trailing null token, 'class:k' to k, other text to a stable hash."""
     if prompt is None or prompt == NULL_PROMPT:
         return n_classes
+    text = str(prompt)
     if isinstance(prompt, (int, np.integer)):
         idx = int(prompt)
-        if not 0 <= idx <= n_classes:
-            raise ContractError(f"prompt class {idx} outside [0, {n_classes}]")
-        return idx
-    text = str(prompt)
-    if text.startswith("class:"):
+    elif text.startswith("class:"):
         idx = int(text.split(":", 1)[1])
-        if not 0 <= idx <= n_classes:
-            raise ContractError(f"prompt class {idx} outside [0, {n_classes}]")
-        return idx
-    return zlib.crc32(text.encode("utf-8")) % n_classes
+    else:
+        return zlib.crc32(text.encode("utf-8")) % n_classes
+    if not 0 <= idx <= n_classes:
+        raise ContractError(f"prompt class {idx} outside [0, {n_classes}]")
+    return idx
 
 
 class MlpDenoiser:
@@ -331,23 +329,30 @@ class MlpDenoiser:
             "b3": np.zeros(latent_dim),
             "emb": rng.standard_normal((n_classes + 1, prompt_dim)) * 0.1,
         }
+        self._temb = np.empty((0, time_dim))
 
     @property
     def null_index(self) -> int:
         return self.n_classes
 
     def _assemble(self, z_t, z_c, class_idx, ts):
-        temb = time_embedding(ts, self.time_dim)
-        pemb = self.params["emb"][class_idx]
-        return np.concatenate([z_t, z_c, temb, pemb], axis=1)
+        """concat(z_t, z_c, time emb, prompt emb). The time embedding is a row
+        lookup in a cached table of `time_embedding` over the integer steps."""
+        top = np.max(ts, initial=0)
+        if top >= len(self._temb):  # grow on demand
+            self._temb = time_embedding(np.arange(2 * top + 1), self.time_dim)
+        return np.concatenate([z_t, z_c, self._temb[ts], self.params["emb"][class_idx]], axis=1)
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
         """Returns (output (B, d), cache for backward)."""
         x = self._assemble(z_t, z_c, class_idx, ts)
         p = self.params
-        h1 = np.tanh(x @ p["w1"].T + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
-        out = h2 @ p["w3"].T + p["b3"]
+        h1 = x @ p["w1"].T
+        np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
+        h2 = h1 @ p["w2"].T
+        np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
+        out = h2 @ p["w3"].T
+        out += p["b3"]
         return out, (x, h1, h2, class_idx)
 
     def backward_batch(self, cache, dout):
@@ -355,16 +360,18 @@ class MlpDenoiser:
         x, h1, h2, class_idx = cache
         p = self.params
         grads = {"w3": dout.T @ h2, "b3": dout.sum(axis=0)}
-        dh2 = (dout @ p["w3"]) * (1.0 - h2**2)
+        dh2 = dout @ p["w3"]
+        dh2 *= 1.0 - h2**2
         grads["w2"] = dh2.T @ h1
         grads["b2"] = dh2.sum(axis=0)
-        dh1 = (dh2 @ p["w2"]) * (1.0 - h1**2)
+        dh1 = dh2 @ p["w2"]
+        dh1 *= 1.0 - h1**2
         grads["w1"] = dh1.T @ x
         grads["b1"] = dh1.sum(axis=0)
-        dx = dh1 @ p["w1"]
-        demb = np.zeros_like(p["emb"])
-        np.add.at(demb, class_idx, dx[:, -self.prompt_dim:])
-        grads["emb"] = demb
+        dprompt = dh1 @ p["w1"][:, -self.prompt_dim:]  # the only input columns with a parameter
+        slots = class_idx[:, None] * self.prompt_dim + np.arange(self.prompt_dim)
+        grads["emb"] = np.bincount(slots.ravel(), dprompt.ravel(),
+                                   p["emb"].size).reshape(p["emb"].shape)
         return grads
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
@@ -372,7 +379,8 @@ class MlpDenoiser:
 
         Each layer is a stacked row-times-matrix product, not the one gemm of
         `forward_batch`: a gemm's summation order depends on the batch size,
-        so only the stacked form gives every row the bits of a lone call.
+        so only the stacked form gives every row the bits of a lone call. The
+        time embedding is `_assemble`'s cached row of the same formula.
         """
         n = len(z_t)
         idx = prompt_to_index(prompt, self.n_classes)
@@ -430,6 +438,10 @@ class TrainConfig:
             raise ConfigurationError("dropout_rate must be in [0, 1)")
         if self.stage not in (1, 2):
             raise ConfigurationError("stage must be 1 or 2")
+        if self.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @classmethod
     def stage1(cls, **kw) -> "TrainConfig":
@@ -584,7 +596,8 @@ def train(
         if not math.isfinite(total):
             raise TrainingError(f"loss diverged at step {step}: {parts}")
         for name, g in grads.items():
-            model.params[name] -= cfg.learning_rate * g
+            g *= cfg.learning_rate
+            model.params[name] -= g
         history.append({"step": step, **parts})
     return history
 

@@ -115,6 +115,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_train_denoiser_rejects_steps_below_one(self, tmp_path, capsys, steps):
+        out = tmp_path / "model.npz"
+        assert main(["train-denoiser", "--config", str(CONFIGS / "budget.cfg"),
+                     "--steps", steps, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--steps" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

@@ -439,3 +439,135 @@ class TestTraining:
                 train(model, data,
                       TrainConfig.stage1(learning_rate=1e6, steps=200),
                       sched, rng, gamma=GAMMA)
+
+    @pytest.mark.parametrize("kw", [{"steps": -1}, {"batch_size": 0}, {"batch_size": -4}],
+                             ids=["negative_steps", "zero_batch", "negative_batch"])
+    def test_config_rejects_bad_steps_and_batch_size(self, kw):
+        with pytest.raises(ConfigurationError, match=next(iter(kw))):
+            TrainConfig.stage1(**kw)
+
+
+class _ReferenceMlp(MlpDenoiser):
+    """The training step as first written: the time embedding recomputed per
+    call, the full input gradient scattered with np.add.at, and a fresh array
+    for every bias add, tanh and tanh derivative."""
+
+    def forward_batch(self, z_t, z_c, class_idx, ts):
+        x = np.concatenate([z_t, z_c, time_embedding(ts, self.time_dim),
+                            self.params["emb"][class_idx]], axis=1)
+        p = self.params
+        h1 = np.tanh(x @ p["w1"].T + p["b1"])
+        h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
+        return h2 @ p["w3"].T + p["b3"], (x, h1, h2, class_idx)
+
+    def backward_batch(self, cache, dout):
+        x, h1, h2, class_idx = cache
+        p = self.params
+        grads = {"w3": dout.T @ h2, "b3": dout.sum(axis=0)}
+        dh2 = (dout @ p["w3"]) * (1.0 - h2**2)
+        grads["w2"] = dh2.T @ h1
+        grads["b2"] = dh2.sum(axis=0)
+        dh1 = (dh2 @ p["w2"]) * (1.0 - h1**2)
+        grads["w1"] = dh1.T @ x
+        grads["b1"] = dh1.sum(axis=0)
+        dx = dh1 @ p["w1"]
+        demb = np.zeros_like(p["emb"])
+        np.add.at(demb, class_idx, dx[:, -self.prompt_dim:])
+        grads["emb"] = demb
+        return grads
+
+
+def _reference_train(model, dataset, cfg, sched, rng, gamma, pixel_map=None):
+    z0s, z_cs, labels = dataset
+    n = len(z0s)
+    history = []
+    for step in range(cfg.steps):
+        pick = rng.integers(0, n, size=min(cfg.batch_size, n))
+        prep = prepare_diffusion_batch(z0s[pick], z_cs[pick], labels[pick], sched,
+                                       gamma, min(cfg.warm_start_step, sched.T),
+                                       cfg.dropout_rate, rng, model.null_index)
+        total, parts, grads = loss_and_grads(model, prep, cfg, sched, pixel_map)
+        for name, g in grads.items():
+            model.params[name] -= cfg.learning_rate * g
+        history.append({"step": step, **parts})
+    return history
+
+
+def _training_set(d=16, n=512, seed=21):
+    rng = np.random.default_rng(seed)
+    z0 = rng.standard_normal((n, d))
+    return z0, z0 + 0.3 * rng.standard_normal((n, d)), rng.integers(0, 10, size=n)
+
+
+class TestTrainingStepIdentity:
+    """The trimmed training step keeps every bit of the step it replaced."""
+
+    def test_cached_time_rows_equal_the_formula(self):
+        model = MlpDenoiser(latent_dim=2, time_dim=32, seed=0)
+        z = np.zeros((1, 2))
+        temb_cols = slice(4, 4 + 32)  # after z_t and z_c
+
+        def row(t):
+            return model._assemble(z, z, np.zeros(1, dtype=np.int64),
+                                   np.array([t]))[0, temb_cols]
+
+        before = [row(t) for t in range(11)]
+        small = len(model._temb)
+        grown = [row(t) for t in range(1001)]
+        assert small < len(model._temb)
+        for t in range(1001):
+            want = time_embedding(np.array([t]), 32)[0]
+            assert np.array_equal(grown[t], want), t
+            assert t > 10 or np.array_equal(before[t], want), t
+        ts = np.array([999, 3, 3, 0, 1000, 517])
+        batch = model._assemble(np.zeros((6, 2)), np.zeros((6, 2)),
+                                np.zeros(6, dtype=np.int64), ts)[:, temb_cols]
+        assert np.array_equal(batch, time_embedding(ts, 32))
+
+    def test_prompt_columns_of_the_input_gradient(self):
+        rng = np.random.default_rng(3)
+        model = MlpDenoiser(latent_dim=16, seed=3)
+        dh1 = rng.standard_normal((128, model.hidden))
+        w1 = model.params["w1"]
+        assert np.array_equal(dh1 @ w1[:, -model.prompt_dim:],
+                              (dh1 @ w1)[:, -model.prompt_dim:])
+
+    def test_backward_matches_add_at_scatter(self):
+        rng = np.random.default_rng(4)
+        model = MlpDenoiser(latent_dim=16, n_classes=10, seed=4)
+        ref = _ReferenceMlp(latent_dim=16, n_classes=10, seed=4)
+        # Repeated classes, the null token, and classes 0 and 1 never drawn.
+        class_idx = np.concatenate([np.full(40, 2), np.full(30, model.null_index),
+                                    rng.integers(3, 10, size=58)])
+        rng.shuffle(class_idx)
+        z_t, z_c = rng.standard_normal((2, 128, 16))
+        ts = rng.integers(1, 600, size=128)
+        dout = rng.standard_normal((128, 16))
+        out, cache = model.forward_batch(z_t, z_c, class_idx, ts)
+        ref_out, ref_cache = ref.forward_batch(z_t, z_c, class_idx, ts)
+        assert np.array_equal(out, ref_out)
+        grads = model.backward_batch(cache, dout)
+        ref_grads = ref.backward_batch(ref_cache, dout)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert np.all(grads["emb"][[0, 1]] == 0.0)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_train_matches_reference_loop(self, sched, stage):
+        data = _training_set()
+        if stage == 1:
+            cfg, pixmap = TrainConfig.stage1(steps=50, warm_start_step=500), None
+        else:
+            cfg = TrainConfig.stage2(learning_rate=2.5e-3, steps=50, warm_start_step=300)
+            pixmap = ToyPixelMap(16)
+        model = MlpDenoiser(latent_dim=16, seed=5)
+        ref = _ReferenceMlp(latent_dim=16, seed=5)
+        history = train(model, data, cfg, sched, np.random.default_rng(8), GAMMA,
+                        pixel_map=pixmap)
+        ref_history = _reference_train(ref, data, cfg, sched, np.random.default_rng(8),
+                                       GAMMA, pixel_map=pixmap)
+        assert len(history) == 50
+        assert history == ref_history
+        for name in ref.params:
+            assert np.array_equal(model.params[name], ref.params[name]), name
