@@ -3,7 +3,9 @@
 
 Stage 1 optimizes the noise-prediction objective (latent-MSE reported as a
 diagnostic); stage 2 adds the pixel-domain term through the fixed toy
-decoder. Writes a checkpoint and a loss curve CSV.
+decoder. Writes a checkpoint and a loss curve CSV. Exits 1 on a configuration
+error and 2 on any other gencomm error (e.g. a diverged loss), with the CLI's
+one-line message.
 """
 
 import argparse
@@ -12,15 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
+from gencomm.cli import report_error
 from gencomm.config import load_config
 from gencomm.denoiser import (MlpDenoiser, ToyPixelMap, TrainConfig,
                               save_checkpoint, train)
+from gencomm.errors import GencommError
 from gencomm.pipeline import build_context, make_training_set
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
+def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(ROOT / "configs" / "budget.cfg"))
     parser.add_argument("--out", default="results/denoiser.npz")
@@ -67,6 +71,13 @@ def main() -> int:
                          f"{rec.get('pixel_mse', float('nan')):.17g}\n")
     print(f"checkpoint {out}; loss curve {out}.loss.csv")
     return 0
+
+
+def main() -> int:
+    try:
+        return run()
+    except GencommError as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

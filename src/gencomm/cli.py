@@ -201,23 +201,27 @@ _COMMANDS = {
 }
 
 
+def report_error(exc: GencommError) -> int:
+    """Write the one-line message for a typed error; returns its exit code."""
+    if isinstance(exc, ConfigurationError):
+        sys.stderr.write(f"configuration error: {exc}\n")
+        return 1
+    sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except ConfigurationError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
+        return report_error(exc)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
     except GencommError as exc:
-        sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")
-        return 2
+        return report_error(exc)
     except Exception as exc:  # never leave an exception uncaught
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 2

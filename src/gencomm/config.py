@@ -111,8 +111,9 @@ class ExperimentConfig:
     bp_iters: int = 50
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name in ("master_seed", "codec_seed", "ldpc_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.predictor not in PREDICTOR_CHOICES:
@@ -133,11 +134,11 @@ class ExperimentConfig:
                 f"warm_start ({self.warm_start}) must be >= sampler steps "
                 f"({self.sampler_steps})"
             )
-        if self.peak <= 0.0:
+        if not self.peak > 0.0:  # written so that NaN fails too
             raise ConfigurationError(f"peak must be > 0, got {self.peak}")
         if self.bp_iters < 0:
             raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
-        if self.prior_var <= 0.0:
+        if not self.prior_var > 0.0:
             raise ConfigurationError("prior_var must be > 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
             raise ConfigurationError("prior_ar1_rho must be in [0, 1)")

@@ -25,11 +25,13 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, RankError, TrainingError
+from .metrics import psd_sqrt
+from .sampler import DEFAULT_SINGULAR_GUARD
 from .schedule import NoiseSchedule
 
 NULL_PROMPT = "<null>"
@@ -39,11 +41,6 @@ _CHECKPOINT_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # Gaussian verification world
-
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -122,9 +119,10 @@ class GaussianWorld:
         kind: str = "awgn",
         prior_var: float = 1.0,
         rho: float = 0.9,
-        mu0: Optional[np.ndarray] = None,
     ) -> "GaussianWorld":
-        """Correlated source prior sigma0[i,j] = prior_var * rho^|i-j|.
+        """Zero-mean correlated source prior sigma0[i,j] = prior_var * rho^|i-j|,
+        observed through the projection codec + channel + MMSE equalizer +
+        decode.
 
         Refinement only has something to recover when the prior carries
         structure the bandwidth-limited decode cannot: under an isotropic
@@ -134,28 +132,12 @@ class GaussianWorld:
         if not 0.0 <= rho < 1.0:
             raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
         d = codec.n_in
-        mu0 = np.zeros(d) if mu0 is None else np.asarray(mu0, dtype=np.float64)
         idx = np.arange(d)
         sigma0 = prior_var * rho ** np.abs(idx[:, None] - idx[None, :])
-        return cls.from_codec_channel(mu0, sigma0, codec, snr_db, kind)
-
-    @classmethod
-    def from_codec_channel(
-        cls,
-        mu0: np.ndarray,
-        sigma0: np.ndarray,
-        codec,
-        snr_db: float,
-        kind: str = "awgn",
-    ) -> "GaussianWorld":
-        """Build the observation model induced by projection codec + channel
-        + MMSE equalizer + decode."""
-        mu0 = np.asarray(mu0, dtype=np.float64)
-        sigma0 = np.asarray(sigma0, dtype=np.float64)
         P = codec.projection
         k = P.shape[0] // 2
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        sym_power = (np.trace(P @ sigma0 @ P.T) + np.dot(P @ mu0, P @ mu0)) / k
+        sym_power = np.trace(P @ sigma0 @ P.T) / k
         if sym_power <= 0.0:
             raise ConfigurationError("prior gives zero transmit power")
         scale = 1.0 / math.sqrt(sym_power)
@@ -175,7 +157,7 @@ class GaussianWorld:
             raise ConfigurationError(f"unknown channel kind {kind!r}")
         obs_matrix = gain * gram
         obs_noise_cov = (shrink**2) * (noise_dim_var / scale**2) * gram
-        return cls(mu0=mu0, sigma0=sigma0, obs_matrix=obs_matrix,
+        return cls(mu0=np.zeros(d), sigma0=sigma0, obs_matrix=obs_matrix,
                    obs_noise_cov=obs_noise_cov, nominal_scale=scale)
 
     def sample_pair(self, rng: np.random.Generator, n: Optional[int] = None):
@@ -428,10 +410,8 @@ class TrainConfig:
     dropout_rate: float = 0.10
     lambda_d: float = 1.0
     lambda_m: float = 0.0
-    lambda_l: float = 0.0
     stage: int = 1
     warm_start_step: int = 500
-    singular_guard: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -445,13 +425,13 @@ class TrainConfig:
 
     @classmethod
     def stage1(cls, **kw) -> "TrainConfig":
-        # Stage-1 weights: pixel and perceptual terms off, latent MSE on.
-        kw = {"lambda_d": 1.0, "lambda_m": 0.0, "lambda_l": 0.0, **kw}
+        # Stage-1 weights: pixel term off, latent MSE on.
+        kw = {"lambda_d": 1.0, "lambda_m": 0.0, **kw}
         return cls(stage=1, **kw)
 
     @classmethod
     def stage2(cls, **kw) -> "TrainConfig":
-        kw = {"lambda_d": 1.0, "lambda_m": 10.0, "lambda_l": 1.0, **kw}
+        kw = {"lambda_d": 1.0, "lambda_m": 10.0, **kw}
         return cls(stage=2, **kw)
 
 
@@ -497,21 +477,12 @@ def prepare_diffusion_batch(
                          z_t=z_t, n_dropped=int(dropped.sum()), gamma=gamma)
 
 
-PerceptualHook = Callable[[np.ndarray, np.ndarray], tuple[float, Optional[np.ndarray]]]
-
-
-def zero_perceptual_hook(s: np.ndarray, s_tilde: np.ndarray) -> tuple[float, None]:
-    """Placeholder for a perceptual distance; contributes nothing."""
-    return 0.0, None
-
-
 def loss_and_grads(
     model: MlpDenoiser,
     prep: PreparedBatch,
     cfg: TrainConfig,
     sched: NoiseSchedule,
     pixel_map: Optional["ToyPixelMap"] = None,
-    perceptual_hook: PerceptualHook = zero_perceptual_hook,
     want_grads: bool = True,
 ):
     """Stage-aware training loss and its parameter gradients.
@@ -537,25 +508,19 @@ def loss_and_grads(
         ab = sched.alpha_bars[prep.ts]
         c = np.sqrt(1.0 - ab)
         denom = np.sqrt(ab) - c * prep.gamma
-        safe = np.abs(denom) > cfg.singular_guard
+        safe = np.abs(denom) > DEFAULT_SINGULAR_GUARD
         z0_hat = np.where(
             safe[:, None],
             (prep.z_t - c[:, None] * (prep.gamma * prep.z_c + out))
             / np.where(safe, denom, 1.0)[:, None],
             prep.z_c,
         )
-        s = pixel_map(prep.z0)
-        s_tilde = pixel_map(z0_hat)
-        pix_resid = s_tilde - s
+        pix_resid = pixel_map(z0_hat) - pixel_map(prep.z0)
         pixel_mse = float(np.mean(pix_resid**2))
-        perc, perc_grad = perceptual_hook(s, s_tilde)
         parts["pixel_mse"] = pixel_mse
-        parts["perceptual"] = float(perc)
-        total += cfg.lambda_m * pixel_mse + cfg.lambda_l * float(perc)
+        total += cfg.lambda_m * pixel_mse
         if want_grads:
             ds_tilde = cfg.lambda_m * (2.0 / pix_resid.size) * pix_resid
-            if perc_grad is not None:
-                ds_tilde = ds_tilde + cfg.lambda_l * perc_grad
             dz0_hat = ds_tilde @ pixel_map.matrix
             chain = np.where(safe, -c / np.where(safe, denom, 1.0), 0.0)
             dout = dout + chain[:, None] * dz0_hat
@@ -574,7 +539,6 @@ def train(
     rng: np.random.Generator,
     gamma: float,
     pixel_map: Optional["ToyPixelMap"] = None,
-    perceptual_hook: PerceptualHook = zero_perceptual_hook,
 ) -> list[dict]:
     """Gradient-descent training, mutating the model in place.
 
@@ -591,8 +555,7 @@ def train(
         prep = prepare_diffusion_batch(z0s[pick], z_cs[pick], labels[pick],
                                        sched, gamma, warm_step,
                                        cfg.dropout_rate, rng, model.null_index)
-        total, parts, grads = loss_and_grads(model, prep, cfg, sched,
-                                             pixel_map, perceptual_hook)
+        total, parts, grads = loss_and_grads(model, prep, cfg, sched, pixel_map)
         if not math.isfinite(total):
             raise TrainingError(f"loss diverged at step {step}: {parts}")
         for name, g in grads.items():

@@ -12,15 +12,12 @@ bits do not depend on the batch it sits in.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ZERO_POWER, power_scales
 from .errors import ConfigurationError, ContractError, NormalizationError
-
-_CODEC_MAGIC = b"LCOD1\n"
 
 
 @dataclass(frozen=True)
@@ -51,19 +48,19 @@ class LinearCodec:
     shrinks by 1/(1 + lambda*sigma2).
     """
 
-    def __init__(self, projection: np.ndarray, seed: int, tikhonov_lambda: float = 0.0):
-        # Fixed C layout so exported/imported codecs reproduce bit-identical
-        # arithmetic (BLAS picks summation order by memory layout).
+    def __init__(self, projection: np.ndarray, tikhonov_lambda: float = 0.0):
+        # Fixed C layout: BLAS picks its summation order by memory layout, and
+        # make_linear_codec passes an F-ordered q.T, so every result's bits
+        # depend on this copy.
         projection = np.ascontiguousarray(projection, dtype=np.float64)
         if projection.ndim != 2:
             raise ConfigurationError("projection must be a 2-d matrix")
         gram = projection @ projection.T
         if not np.allclose(gram, np.eye(projection.shape[0]), atol=1e-10):
             raise ConfigurationError("projection rows must be orthonormal")
-        if tikhonov_lambda < 0.0:
+        if not tikhonov_lambda >= 0.0:
             raise ConfigurationError("tikhonov_lambda must be >= 0")
         self.projection = projection
-        self.seed = seed
         self.tikhonov_lambda = tikhonov_lambda
 
     @property
@@ -113,30 +110,9 @@ def make_linear_codec(cfg: CodecConfig, seed: int, tikhonov_lambda: float = 0.0)
     q, r = np.linalg.qr(raw)
     # Fix the sign convention so the factorization (hence the codec) is unique.
     q = q * np.sign(np.diag(r))
-    return LinearCodec(q.T, seed=seed, tikhonov_lambda=tikhonov_lambda)
+    return LinearCodec(q.T, tikhonov_lambda=tikhonov_lambda)
 
 
 def cbr(cfg: CodecConfig) -> float:
     """Channel bandwidth ratio: complex channel uses per source dimension."""
     return cfg.k / (cfg.channels * cfg.height * cfg.width)
-
-
-def export_codec(codec: LinearCodec, path) -> None:
-    """Dimension-headed binary dump for reproducibility audits."""
-    rows, cols = codec.projection.shape
-    with open(path, "wb") as fh:
-        fh.write(_CODEC_MAGIC)
-        fh.write(struct.pack("<qqqd", rows, cols, codec.seed, codec.tikhonov_lambda))
-        fh.write(codec.projection.astype("<f8").tobytes())
-
-
-def import_codec(path) -> LinearCodec:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CODEC_MAGIC))
-        if magic != _CODEC_MAGIC:
-            raise ConfigurationError(f"not a codec file: bad magic {magic!r}")
-        rows, cols, seed, lam = struct.unpack("<qqqd", fh.read(32))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if len(data) != rows * cols:
-            raise ConfigurationError("codec file truncated")
-    return LinearCodec(data.reshape(rows, cols), seed=int(seed), tikhonov_lambda=lam)

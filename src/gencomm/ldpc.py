@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstructionError, ContractError, FormatError
+from .errors import ConfigurationError, ConstructionError, ContractError
 
 LLR_MAX = 30.0
 COL_WEIGHT = 3
@@ -35,13 +35,12 @@ _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).su
 
 
 class LdpcCode:
-    def __init__(self, H: np.ndarray, seed: int):
+    def __init__(self, H: np.ndarray):
         H = np.asarray(H, dtype=np.uint8)
         m, n = H.shape
         self.H = H
         self.m = m
         self.n = n
-        self.seed = seed
         self.rate = (n - m) / n
         pivots, free, parity_gen = _systematic_form(H)
         if len(pivots) != m:
@@ -175,7 +174,7 @@ def ldpc_make(n: int, seed: int, max_attempts: int = 20) -> LdpcCode:
         H = np.zeros((m, n), dtype=np.uint8)
         H[rows, cols] = 1
         try:
-            return LdpcCode(H, seed=seed)
+            return LdpcCode(H)
         except ConstructionError:
             continue
     raise ConstructionError(f"no full-rank (3,6) code found in {max_attempts} attempts")
@@ -278,52 +277,3 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
             buf[: len(active)] = buf[:nb][unsatisfied]
         nb = len(active)
     out.bits[active] = bits[:nb]
-
-
-def export_alist(code: LdpcCode, path) -> None:
-    """Standard alist layout (1-based indices, zero padding)."""
-    H = code.H
-    m, n = H.shape
-    col_w = H.sum(axis=0)
-    row_w = H.sum(axis=1)
-    lines = [f"{n} {m}", f"{col_w.max()} {row_w.max()}",
-             " ".join(str(w) for w in col_w), " ".join(str(w) for w in row_w)]
-    for c in range(n):
-        idx = np.nonzero(H[:, c])[0] + 1
-        idx = np.concatenate([idx, np.zeros(col_w.max() - len(idx), dtype=np.int64)])
-        lines.append(" ".join(str(i) for i in idx))
-    for r in range(m):
-        idx = np.nonzero(H[r])[0] + 1
-        idx = np.concatenate([idx, np.zeros(row_w.max() - len(idx), dtype=np.int64)])
-        lines.append(" ".join(str(i) for i in idx))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def import_alist(path, seed: int = -1) -> LdpcCode:
-    """Parse an alist file. The column and the row lists must agree, so a
-    truncated or malformed file raises FormatError."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    try:
-        n, m = (int(v) for v in lines[0].split())
-        H = np.zeros((m, n), dtype=np.uint8)
-        by_rows = np.zeros((m, n), dtype=np.uint8)
-        for c in range(n):
-            H[_alist_indices(lines[4 + c], m), c] = 1
-        for r in range(m):
-            by_rows[r, _alist_indices(lines[4 + n + r], n)] = 1
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"malformed alist file {path}: {exc}") from None
-    if not np.array_equal(H, by_rows):
-        raise FormatError(f"alist file {path}: column and row lists disagree")
-    return LdpcCode(H, seed=seed)
-
-
-def _alist_indices(line: str, bound: int) -> np.ndarray:
-    """0-based positions from one 1-based, zero-padded alist line."""
-    idx = np.array(line.split(), dtype=np.int64)
-    idx = idx[idx != 0]
-    if np.any((idx < 1) | (idx > bound)):
-        raise ValueError(f"index outside 1..{bound}")
-    return idx - 1

@@ -11,6 +11,13 @@ from .errors import ContractError
 FRECHET_JITTER = 1e-8
 
 
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix; negative rounding
+    residue in its eigenvalues is clipped to 0."""
+    vals, vecs = np.linalg.eigh(mat)
+    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def mse(a: np.ndarray, b: np.ndarray):
     """Mean squared error over the last axis: a float for two vectors, one
     value per row for two (B, d) batches (each equal to the rows' lone mse)."""
@@ -56,8 +63,7 @@ def frechet_gauss(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
         cov_b = cov_b + FRECHET_JITTER * np.eye(d)
 
     # tr((S_a S_b)^(1/2)) via the symmetric similar matrix A^(1/2) S_b A^(1/2).
-    vals_a, vecs_a = np.linalg.eigh(cov_a)
-    root_a = vecs_a @ np.diag(np.sqrt(np.clip(vals_a, 0.0, None))) @ vecs_a.T
+    root_a = psd_sqrt(cov_a)
     inner = root_a @ cov_b @ root_a
     inner_vals = np.linalg.eigvalsh(inner)
     trace_root = float(np.sum(np.sqrt(np.clip(inner_vals, 0.0, None))))

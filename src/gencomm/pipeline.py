@@ -38,10 +38,10 @@ from .channel import (DRAW_ROWS, ZERO_POWER, ChannelConfig, apply_channel,
 from .channel import transmit  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .config import ExperimentConfig
 from .denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
-                       MlpDenoiser, load_checkpoint, psd_sqrt)
+                       MlpDenoiser, load_checkpoint)
 from .errors import ConfigurationError, ContractError, GencommError, NormalizationError
 from .jscc import CodecConfig, cbr, make_linear_codec
-from .metrics import frechet_gauss, mse, psnr
+from .metrics import frechet_gauss, mse, psd_sqrt, psnr
 from .sampler import SamplerConfig, sample_batch
 from .sampler import sample  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .schedule import build_schedule, residual_weight
@@ -60,17 +60,12 @@ DEFAULT_WARM_START_TABLE: tuple[tuple[float, int], ...] = (
 )
 
 
-def warm_start_for_cbr(
-    cbr_value: float,
-    table: tuple[tuple[float, int], ...] = DEFAULT_WARM_START_TABLE,
-) -> int:
-    if not table:
-        raise ConfigurationError("warm-start table is empty")
+def warm_start_for_cbr(cbr_value: float) -> int:
     if cbr_value <= 0.0:
         raise ContractError(f"cbr must be > 0, got {cbr_value}")
-    best_step = table[0][1]
-    best_dist = abs(cbr_value - table[0][0])
-    for point, step in table[1:]:
+    best_step = DEFAULT_WARM_START_TABLE[0][1]
+    best_dist = abs(cbr_value - DEFAULT_WARM_START_TABLE[0][0])
+    for point, step in DEFAULT_WARM_START_TABLE[1:]:
         dist = abs(cbr_value - point)
         if dist < best_dist:  # strict: ties keep the earlier (larger) step
             best_dist = dist

@@ -60,9 +60,9 @@ class SamplerConfig:
             raise ConfigurationError(
                 f"warm_start_step ({self.warm_start_step}) must be >= steps ({self.steps})"
             )
-        if self.guidance < 0.0:
+        if not self.guidance >= 0.0:  # written so that NaN fails too
             raise ConfigurationError(f"guidance must be >= 0, got {self.guidance}")
-        if self.singular_guard <= 0.0:
+        if not self.singular_guard > 0.0:
             raise ConfigurationError("singular_guard must be > 0")
 
 

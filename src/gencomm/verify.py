@@ -398,9 +398,9 @@ ALL_CHECKS = [
 ]
 
 
-def run_verification(seed: int = 7, quiet: bool = False, stream=None) -> tuple[int, int, str]:
-    """Run every invariant suite; returns (passed, failed, report text)."""
-    stream = stream if stream is not None else sys.stderr
+def run_verification(seed: int = 7, quiet: bool = False) -> tuple[int, int, str]:
+    """Run every invariant suite; returns (passed, failed, report text), and
+    writes the report to stderr unless quiet."""
     buf = io.StringIO()
     passed = failed = 0
     for name, fn in ALL_CHECKS:
@@ -421,5 +421,5 @@ def run_verification(seed: int = 7, quiet: bool = False, stream=None) -> tuple[i
     buf.write(f"{passed} passed, {failed} failed\n")
     report = buf.getvalue()
     if not quiet:
-        stream.write(report)
+        sys.stderr.write(report)
     return passed, failed, report

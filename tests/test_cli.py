@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 
 from gencomm.cli import main
 from gencomm.denoiser import load_checkpoint
+from gencomm.errors import ConfigurationError, TrainingError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TOY_SCRIPT = CONFIGS.parent / "scripts" / "train_toy_denoiser.py"
 
 
 def write_cfg(tmp_path, body):
@@ -71,9 +75,17 @@ class TestExitCodes:
         "[experiment]\ncbr_points = inf\n",
         "[experiment]\ncbr_points = -1\n",
         "[experiment]\ncbr_points = 0\n",
+        "[codec]\nseed = -1\n",
+        "[sidechannel]\nldpc_seed = -5\n",
+        "[experiment]\npeak = nan\n",
+        "[sampler]\nguidance = nan\n",
+        "[codec]\ntikhonov_lambda = nan\n",
+        "[sampler]\nsingular_guard = nan\n",
     ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters",
             "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
-            "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero"])
+            "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero", "codec_seed_negative",
+            "ldpc_seed_negative", "peak_nan", "guidance_nan", "tikhonov_lambda_nan",
+            "singular_guard_nan"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -122,6 +134,28 @@ class TestExitCodes:
                      "--steps", steps, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "--steps" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (TrainingError("loss diverged at step 48"), 2, "runtime error: TrainingError: "),
+        (ConfigurationError("stage-2 loss requires a pixel map"), 1, "configuration error: "),
+    ], ids=["training_error", "configuration_error"])
+    def test_toy_training_script_maps_errors_to_exit_codes(self, tmp_path, monkeypatch,
+                                                           capsys, error, code, prefix):
+        spec = importlib.util.spec_from_file_location("train_toy_denoiser", TOY_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def failing_train(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(script, "train", failing_train)
+        out = tmp_path / "d.npz"
+        monkeypatch.setattr(sys, "argv", ["train_toy_denoiser.py", "--out", str(out),
+                                          "--samples", "16"])
+        assert script.main() == code
+        err = capsys.readouterr().err
+        assert err == f"{prefix}{error}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):

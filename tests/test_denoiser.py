@@ -312,9 +312,9 @@ class TestLosses:
                                      want_grads=False)
         assert full == pytest.approx(parts["diffusion"] + parts["latent_mse"])
         assert no_latent_term == pytest.approx(parts["diffusion"])
-        # stage-1 weighting: pixel and perceptual terms off
+        # stage-1 weighting: pixel term off
         cfg = TrainConfig.stage1()
-        assert (cfg.lambda_m, cfg.lambda_l, cfg.lambda_d) == (0.0, 0.0, 1.0)
+        assert (cfg.lambda_m, cfg.lambda_d) == (0.0, 1.0)
 
     def test_stage1_latent_term_vanishes_for_perfect_decode(self, sched, rng):
         prep = _toy_batch(sched, rng, decode_noise=0.0)
@@ -327,8 +327,7 @@ class TestLosses:
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=3)
         pixmap = ToyPixelMap(4, seed=1)
         s2, _, _ = loss_and_grads(model, prep,
-                                  TrainConfig(stage=2, lambda_d=1.0, lambda_m=0.0,
-                                              lambda_l=0.0),
+                                  TrainConfig(stage=2, lambda_d=1.0, lambda_m=0.0),
                                   sched, pixmap, want_grads=False)
         s1, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
                                   want_grads=False)
@@ -346,10 +345,9 @@ class TestLosses:
                       - np.sqrt(1 - sched.alpha_bars[prep.ts]) * GAMMA) > 1e-8
         if np.all(safe):
             assert parts["pixel_mse"] <= 1e-20
-        assert parts["perceptual"] == 0.0
         # stage-2 weighting
         cfg = TrainConfig.stage2()
-        assert (cfg.lambda_m, cfg.lambda_l, cfg.lambda_d) == (10.0, 1.0, 1.0)
+        assert (cfg.lambda_m, cfg.lambda_d) == (10.0, 1.0)
 
     def test_prompt_dropout_rate(self, sched, rng):
         n = 100_000

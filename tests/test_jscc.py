@@ -3,8 +3,7 @@ import pytest
 
 from gencomm.channel import snr_to_sigma2
 from gencomm.errors import ConfigurationError, ContractError, NormalizationError
-from gencomm.jscc import (CodecConfig, cbr, export_codec, import_codec,
-                          make_linear_codec)
+from gencomm.jscc import CodecConfig, cbr, make_linear_codec
 
 
 @pytest.fixture(scope="module")
@@ -101,21 +100,3 @@ class TestCbr:
         hi = CodecConfig(k_prime=640, k=640, height=512, width=512, channels=3)
         assert cbr(hi) == pytest.approx(cbr(lo) / 4.0, rel=1e-12)
 
-
-def test_export_import_roundtrip(tmp_path, wide_codec, rng):
-    path = tmp_path / "codec.bin"
-    export_codec(wide_codec, path)
-    loaded = import_codec(path)
-    assert np.array_equal(loaded.projection, wide_codec.projection)
-    assert loaded.seed == wide_codec.seed
-    z = rng.standard_normal(16)
-    x, scale = wide_codec.encode(z)
-    assert np.array_equal(loaded.decode(x, 0.1, scale),
-                          wide_codec.decode(x, 0.1, scale))
-
-
-def test_import_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a codec at all")
-    with pytest.raises(ConfigurationError):
-        import_codec(path)

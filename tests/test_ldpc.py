@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencomm.errors import ConfigurationError, ContractError, FormatError
-from gencomm.ldpc import (CHUNK_EDGES, LLR_MAX, ROW_WEIGHT, _systematic_form, export_alist,
-                          import_alist, ldpc_decode, ldpc_decode_batch, ldpc_encode,
-                          ldpc_make)
+from gencomm.errors import ConfigurationError, ContractError
+from gencomm.ldpc import (CHUNK_EDGES, LLR_MAX, ROW_WEIGHT, _systematic_form, ldpc_decode,
+                          ldpc_decode_batch, ldpc_encode, ldpc_make)
 
 
 @pytest.fixture(scope="module")
@@ -175,51 +174,6 @@ class TestDecode:
                 errs += int(np.count_nonzero(res.bits[code.info_positions] != info))
             errors.append(errs)
         assert errors[1] < errors[0]
-
-
-def test_alist_roundtrip(tmp_path, code):
-    path = tmp_path / "code.alist"
-    export_alist(code, path)
-    loaded = import_alist(path, seed=code.seed)
-    assert np.array_equal(loaded.H, code.H)
-    first = path.read_text().splitlines()
-    assert first[0] == "256 128"
-    assert first[1] == "3 6"
-
-
-def test_alist_layout_is_one_based(tmp_path):
-    code = ldpc_make(24, seed=3)
-    path = tmp_path / "small.alist"
-    export_alist(code, path)
-    lines = path.read_text().splitlines()
-    col0 = [int(v) for v in lines[4].split()]
-    assert sorted(np.nonzero(code.H[:, 0])[0] + 1) == sorted(v for v in col0 if v)
-
-
-def test_truncated_alist_raises_typed_error(tmp_path):
-    code = ldpc_make(24, seed=3)
-    path = tmp_path / "small.alist"
-    export_alist(code, path)
-    text = path.read_text()
-    cut_path = tmp_path / "cut.alist"
-    # every cut short of dropping only the final newline loses information
-    for cut in range(len(text) - 1):
-        cut_path.write_text(text[:cut])
-        with pytest.raises(FormatError):
-            import_alist(cut_path)
-    cut_path.write_text(text[:-1])
-    assert np.array_equal(import_alist(cut_path).H, code.H)
-
-
-def test_alist_index_out_of_range_rejected(tmp_path):
-    code = ldpc_make(24, seed=3)
-    path = tmp_path / "small.alist"
-    export_alist(code, path)
-    lines = path.read_text().splitlines()
-    lines[4] = "13 " + lines[4].split(" ", 1)[1]  # row 13 of 12
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError):
-        import_alist(path)
 
 
 def reference_decode(code, llrs, max_iters):

@@ -37,10 +37,6 @@ class TestWarmStartTable:
         assert warm_start_for_cbr(0.00265) == 600
         assert warm_start_for_cbr(0.0027) == 500
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ConfigurationError):
-            warm_start_for_cbr(0.001, table=())
-
     def test_nonpositive_cbr_rejected(self):
         with pytest.raises(ContractError):
             warm_start_for_cbr(0.0)
