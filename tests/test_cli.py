@@ -199,6 +199,15 @@ class TestSimulateAndSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_mlp_sweep_matches_golden(self, tmp_path):
+        # The MLP predictor's path, pinned byte for byte like the analytic
+        # golden of acceptance criterion 11.
+        out = tmp_path / "budget.csv"
+        assert main(["sweep-snr", "--config", str(CONFIGS / "budget.cfg"), "--seed", "7",
+                     "--trials", "8", "--out", str(out), "--quiet"]) == 0
+        golden = Path(__file__).resolve().parent / "data" / "golden_budget_sweep.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_sweep_cbr_runs(self, tmp_path):
         cfg = str(CONFIGS / "cbr_sweep.cfg")
         out = tmp_path / "cbr.csv"
