@@ -51,8 +51,8 @@ Sections and keys, all optional with the defaults shown:
     ldpc_seed = 7070
     bp_iters = 50
 
-Unknown sections or keys are rejected. SNRs may be +inf (a noiseless
-channel) but not NaN or -inf; CBR points must be finite and > 0.
+Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
+but not NaN or -inf; CBR points must be > 0 and every other float finite.
 """
 
 from __future__ import annotations
@@ -134,8 +134,11 @@ class ExperimentConfig:
                 f"warm_start ({self.warm_start}) must be >= sampler steps "
                 f"({self.sampler_steps})"
             )
-        if not self.peak > 0.0:  # written so that NaN fails too
-            raise ConfigurationError(f"peak must be > 0, got {self.peak}")
+        for name in ("peak", "guidance", "tikhonov_lambda", "singular_guard", "prior_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.peak > 0.0 and 0.0 < self.peak * self.peak < math.inf):
+            raise ConfigurationError(f"peak must be > 0 with peak^2 in (0, inf), got {self.peak}")
         if self.bp_iters < 0:
             raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
         if not self.prior_var > 0.0:

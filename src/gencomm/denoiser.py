@@ -137,9 +137,10 @@ class GaussianWorld:
         P = codec.projection
         k = P.shape[0] // 2
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        sym_power = np.trace(P @ sigma0 @ P.T) / k
-        if sym_power <= 0.0:
-            raise ConfigurationError("prior gives zero transmit power")
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            sym_power = np.trace(P @ sigma0 @ P.T) / k
+        if not 0.0 < sym_power < math.inf:
+            raise ConfigurationError(f"prior gives transmit power {sym_power}")
         scale = 1.0 / math.sqrt(sym_power)
         shrink = 1.0 / (1.0 + codec.tikhonov_lambda * sigma2)
         gram = P.T @ P

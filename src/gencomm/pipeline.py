@@ -9,17 +9,18 @@ stacked noise), `transmit_batch` (z0, codec, channel, equalizer),
 `decode_prompt_batch` (one block-diagonal BP decode of every trial's prompt
 blocks) and `refine_batch` (deframe, one sampler run per received prompt,
 metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
-become several batches, which bounds memory), and `run_trial` is a batch of
-one. A trial that fails a stage becomes an error row; the others carry on.
+become several batches, which bounds memory), and `run_trial` is a batch of one.
+A sweep builds the parts of its points' contexts that do not depend on the point
+(schedule, codec, MLP, side-channel code) only once. A trial that fails a stage
+becomes an error row; the others carry on.
 
 Determinism: every trial owns an isolated random stream, numpy's
 `default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
 drawn in the same order in every trial (z0, channel noise, side-channel
-noise, warm-start noise). Every batched
-product is a stacked matrix-vector product and every other step is
-elementwise or per row, so each row gets the bits of a lone trial. Sweep
-outputs are therefore identical across runs, batch sizes and `--threads`
-values.
+noise, warm-start noise). Every batched product is a stacked matrix-vector
+product and every other step is elementwise or per row, so each row gets the
+bits of a lone trial. Sweep outputs are therefore identical across runs,
+batch sizes and `--threads` values.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -162,13 +164,19 @@ def build_context(
     snr_db: Optional[float] = None,
     codec_cfg: Optional[CodecConfig] = None,
 ) -> TrialContext:
+    return _point_context(cfg, axis_index, snr_db, codec_cfg, None)
+
+
+def _point_context(cfg, axis_index, snr_db, codec_cfg, prev: Optional[TrialContext]):
+    """A sweep point's context; `prev`, the same sweep's previous point, lends it the
+    schedule, side-channel code, codec (same config), MLP (same k') and prior root."""
     snr_db = cfg.channel.snr_db if snr_db is None else snr_db
     codec_cfg = cfg.codec if codec_cfg is None else codec_cfg
-    sched = build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max,
-                           cfg.schedule_kind)
-    codec = make_linear_codec(codec_cfg, cfg.codec_seed, cfg.tikhonov_lambda)
-    cbr_value = cbr(codec_cfg)
-    warm = cfg.warm_start if cfg.warm_start is not None else warm_start_for_cbr(cbr_value)
+    sched = prev.sched if prev else build_schedule(cfg.schedule_steps, cfg.beta_min,
+                                                   cfg.beta_max, cfg.schedule_kind)
+    codec = (prev.codec if prev and prev.codec_cfg == codec_cfg
+             else make_linear_codec(codec_cfg, cfg.codec_seed, cfg.tikhonov_lambda))
+    warm = cfg.warm_start if cfg.warm_start is not None else warm_start_for_cbr(cbr(codec_cfg))
     if warm > sched.T:
         raise ConfigurationError(f"warm-start step {warm} exceeds schedule T={sched.T}")
     sampler_cfg = SamplerConfig(steps=cfg.sampler_steps, warm_start_step=warm,
@@ -179,6 +187,8 @@ def build_context(
                               prior_var=cfg.prior_var, rho=cfg.prior_ar1_rho)
     if cfg.predictor == "analytic":
         predictor = AnalyticPredictor(world, sched, gamma)
+    elif cfg.predictor == "mlp" and prev and prev.codec_cfg.k_prime == codec_cfg.k_prime:
+        predictor = prev.predictor
     elif cfg.predictor == "mlp":
         if cfg.mlp_checkpoint:
             predictor = load_checkpoint(cfg.mlp_checkpoint)
@@ -192,15 +202,16 @@ def build_context(
                                     seed=cfg.master_seed)
     else:
         predictor = None  # exact-oracle, built per trial around the drawn z0
-    side_code = None
-    if cfg.prompt is not None and cfg.sidechannel_enabled:
-        side_code = sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
+    side_code = prev.side_code if prev else (
+        sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
+        if cfg.prompt is not None and cfg.sidechannel_enabled else None)
     side_snr = cfg.sidechannel_snr_db if cfg.sidechannel_snr_db is not None else snr_db
+    prior_root = (prev.prior_root if prev and prev.world.dim == world.dim
+                  else psd_sqrt(world.sigma0))
     return TrialContext(cfg=cfg, axis_index=axis_index, snr_db=snr_db,
                         codec_cfg=codec_cfg, codec=codec, sched=sched, world=world,
                         sampler_cfg=sampler_cfg, gamma=gamma, predictor=predictor,
-                        side_code=side_code, side_snr_db=side_snr,
-                        prior_root=psd_sqrt(world.sigma0))
+                        side_code=side_code, side_snr_db=side_snr, prior_root=prior_root)
 
 
 @dataclass
@@ -431,8 +442,9 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
     """
     all_rows: list[RunResult] = []
     aggregates: list[dict] = []
+    ctx = None
     for axis_index, snr_db, codec_cfg in _axis_points(cfg):
-        ctx = build_context(cfg, axis_index, snr_db, codec_cfg)
+        ctx = _point_context(cfg, axis_index, snr_db, codec_cfg, ctx)
         ids = list(range(cfg.trials))
         outputs: list[TrialOutput] = []
         for lo in range(0, len(ids), TRIALS_PER_BATCH):
@@ -453,15 +465,16 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
 
 def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
     ok = [r for r in rows if not r.error]
+    # Fortran order: each column is contiguous, so its mean and std are a list's.
+    table = np.array(list(map(attrgetter(*_AGGREGATE_FIELDS), ok)), np.float64, order="F")
     out = []
     for kind, fn in (("mean", np.mean), ("std", np.std)):
         rec: dict = {"kind": kind, "axis_index": axis_index,
                      "n_trials": len(rows), "n_failed": len(rows) - len(ok)}
-        for name in _AGGREGATE_FIELDS:
-            values = [float(getattr(r, name)) for r in ok]
+        for j, name in enumerate(_AGGREGATE_FIELDS):
             # An exactly recovered latent has PSNR +inf; its std is NaN.
             with np.errstate(invalid="ignore"):
-                rec[name] = float(fn(values)) if values else math.nan
+                rec[name] = float(fn(table[:, j])) if ok else math.nan
         out.append(rec)
     return out
 
@@ -474,6 +487,10 @@ _TRIAL_COLUMNS = ["kind", "axis_index", "trial_id", "snr_db", "cbr", "warm_start
                   "psnr_refined", "frechet_gauss", "prompt_ok", "error"]
 _INT_COLUMNS = {"axis_index", "trial_id", "warm_start", "k", "k_o", "n_trials",
                 "n_failed"}
+# A trial row's cells as `_fmt` writes them, with prompt_ok passed as "true"/"false".
+_TRIAL_ROW = "trial," + ",".join(
+    "%d" if c in _INT_COLUMNS else "%s" if c in ("prompt_ok", "error") else "%.17g"
+    for c in _TRIAL_COLUMNS[1:])
 
 
 def _fmt(value) -> str:
@@ -499,7 +516,8 @@ def write_results(
     if fmt == "json":
         payload = {
             "metadata": {k: _fmt(v) for k, v in metadata.items()},
-            "trials": [_row_dict(r, include_timing) for r in rows],
+            "trials": [{k: v for k, v in {"kind": "trial", **asdict(r)}.items()
+                        if include_timing or k != "wall_time"} for r in rows],
             "aggregates": [{k: v for k, v in rec.items()
                             if include_timing or k != "wall_time"}
                            for rec in aggregates],
@@ -514,23 +532,16 @@ def write_results(
     agg_columns = ["kind", "axis_index", "n_trials", "n_failed", *agg_fields]
     lines = [f"# {key} = {_fmt(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
+    template = _TRIAL_ROW + (",%.17g" if include_timing else "")
+    head = attrgetter(*_TRIAL_COLUMNS[1:-2])
     for r in rows:
-        rec = _row_dict(r, include_timing)
-        lines.append(",".join(_fmt(rec[c]) for c in columns))
+        cells = (*head(r), "true" if r.prompt_ok else "false", r.error)
+        lines.append(template % (cells + (r.wall_time,) if include_timing else cells))
     lines.append(",".join(agg_columns))
     for rec in aggregates:
         lines.append(",".join(_fmt(rec[c]) for c in agg_columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _row_dict(r: RunResult, include_timing: bool) -> dict:
-    rec = {"kind": "trial"}
-    for f in fields(RunResult):
-        rec[f.name] = getattr(r, f.name)
-    if not include_timing:
-        rec.pop("wall_time")
-    return rec
 
 
 def read_results(path, fmt: str = "csv") -> tuple[dict, list[dict], list[dict]]:

@@ -81,11 +81,21 @@ class TestExitCodes:
         "[sampler]\nguidance = nan\n",
         "[codec]\ntikhonov_lambda = nan\n",
         "[sampler]\nsingular_guard = nan\n",
+        "[experiment]\npeak = inf\n",
+        "[experiment]\npeak = 1e200\n",
+        "[experiment]\npeak = 1e-200\n",
+        "[sampler]\nguidance = inf\n",
+        "[codec]\ntikhonov_lambda = inf\n",
+        "[sampler]\nsingular_guard = inf\n",
+        "[world]\nprior_var = inf\n",
+        "[world]\nprior_var = 1e308\n",
     ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters",
             "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
             "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero", "codec_seed_negative",
             "ldpc_seed_negative", "peak_nan", "guidance_nan", "tikhonov_lambda_nan",
-            "singular_guard_nan"])
+            "singular_guard_nan", "peak_inf", "peak_square_overflows", "peak_square_underflows",
+            "guidance_inf", "tikhonov_lambda_inf", "singular_guard_inf", "prior_var_inf",
+            "prior_var_power_overflows"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err

@@ -276,6 +276,92 @@ class TestBatchedSideChannel:
         assert [a["mse_refined"] for a in agg] == [a["mse_refined"] for a in agg3]
 
 
+def _counting(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper that counts its calls."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepSharing:
+    """A sweep builds what does not depend on the point once; each point
+    still gets the rows a fresh `build_context` gives."""
+
+    SNR_POINTS = (1.0, 4.0, 7.0, 10.0, 13.0)
+    # 8x8x1 source: k = round(cbr * 64) = 1, 1, 2, 3
+    CBR_POINTS = (0.015, 0.02, 0.03, 0.05)
+
+    def test_snr_sweep_builds_model_codec_and_schedule_once(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        counts = {name: _counting(monkeypatch, pipeline_mod, name)
+                  for name in ("MlpDenoiser", "make_linear_codec", "build_schedule")}
+        rows, _ = sweep(toy_config(predictor="mlp", sweep_axis="snr",
+                                   snr_points=self.SNR_POINTS, trials=2))
+        assert len(rows) == 10
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "MlpDenoiser": 1, "make_linear_codec": 1, "build_schedule": 1}
+
+    def test_cbr_sweep_builds_one_codec_per_k(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        codecs = _counting(monkeypatch, pipeline_mod, "make_linear_codec")
+        rows, _ = sweep(toy_config(sweep_axis="cbr", cbr_points=self.CBR_POINTS, trials=2))
+        assert [r.k for r in rows] == [1, 1, 1, 1, 2, 2, 3, 3]
+        assert [c[0].k for c in codecs] == [1, 2, 3]
+
+    @pytest.mark.parametrize("axis", ["snr", "cbr"])
+    @pytest.mark.parametrize("predictor", ["analytic", "mlp", "mlp-checkpoint",
+                                           "exact-oracle"])
+    def test_points_equal_fresh_contexts(self, tmp_path, axis, predictor):
+        from gencomm.denoiser import MlpDenoiser, save_checkpoint
+        from gencomm.pipeline import _axis_points, run_trials
+
+        extra = {}
+        if predictor == "mlp-checkpoint":
+            path = tmp_path / "model.npz"
+            save_checkpoint(MlpDenoiser(latent_dim=8, hidden=16, seed=4), path)
+            predictor, extra = "mlp", {"mlp_checkpoint": str(path)}
+        # trials <= latent dim keeps frechet_gauss NaN in sweep rows too
+        cfg = toy_config(predictor=predictor, sweep_axis=axis, snr_points=self.SNR_POINTS,
+                         cbr_points=self.CBR_POINTS, trials=4,
+                         channel=ChannelConfig("rayleigh", 10.0), **extra)
+        rows, _ = sweep(cfg)
+        points = _axis_points(cfg)
+        assert len(rows) == 4 * len(points)
+        for (axis_index, snr_db, codec_cfg), lo in zip(points, range(0, len(rows), 4)):
+            fresh = run_trials(build_context(cfg, axis_index, snr_db, codec_cfg), list(range(4)))
+            for row, want in zip(rows[lo:lo + 4], fresh):
+                assert _same_fields(row, want.result), (row, want.result)
+
+    def test_sweeps_share_no_model(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        contexts = []
+        real = pipeline_mod.run_trials
+
+        def recording(ctx, trial_ids, isolate=True):
+            contexts.append(ctx)
+            return real(ctx, trial_ids, isolate)
+
+        monkeypatch.setattr(pipeline_mod, "run_trials", recording)
+        for seed in (1, 2):
+            sweep(toy_config(predictor="mlp", sweep_axis="snr", snr_points=(1.0, 9.0),
+                             trials=2, master_seed=seed))
+        first, second = contexts[:2], contexts[2:]
+        assert first[0].predictor is first[1].predictor
+        assert second[0].predictor is second[1].predictor
+        assert first[0].predictor is not second[0].predictor
+        assert first[0].codec is not second[0].codec
+        assert not np.array_equal(first[0].predictor.params["w1"],
+                                  second[0].predictor.params["w1"])
+
+
 class TestPersistence:
     def _sweep(self):
         cfg = toy_config(trials=10, prompt="class:2", sidechannel_enabled=True,
