@@ -8,13 +8,13 @@ parity of packed info bits AND each packed generator row from a byte table.
 Decoding is flooding belief propagation with early exit.
 
 Batch axis: `ldpc_decode_batch` decodes B codewords as one block-diagonal code
-in chunks of at most CHUNK_EDGES (32768) edges. Messages are slot-major,
-(B, 6, m): edge b*6m + j*m + c is slot j of check c of block b. Each block
-gets the bits of a lone decode: left products th0*th1*... and right products
-th5*th4*... are formed a slot row at a time in `np.cumprod`'s order, and a
-variable adds its three incoming messages left to right in check order, as
-numpy's axis-1 sum of three terms does. Converged blocks are frozen and the
-rest compacted to a buffer prefix. `ldpc_decode` is the batch-of-one call.
+in chunks of at most CHUNK_EDGES (32768) edges. Messages are slot-outer with
+the block innermost, (6, m, nb): edge (j*m + c)*nb + b is slot j of check c of
+active block b, so a slot is one contiguous run and the gathers move rows of nb
+values. Each block gets a lone decode's bits: left products th0*th1*... and
+right products th5*th4*... are formed a slot at a time in `np.cumprod`'s order,
+and a variable adds its three messages left to right in check order, as numpy's
+axis-1 sum does. Converged blocks are frozen and their columns dropped.
 
 Sign convention: positive LLR means bit 0.
 """
@@ -53,20 +53,17 @@ class LdpcCode:
     def k(self) -> int:
         return self.n - self.m
 
-    # Decode layout for the largest chunk, built lazily: (blocks per chunk,
-    # check_vars (B, 6, m): the variable of each edge, var_edges (3, B, n):
-    # each variable's edges in check order). Smaller chunks use a prefix.
+    # Decode layout, built lazily: (blocks per chunk, slot_vars (6m,): the
+    # variable of message row j*m + c, var_edges (3, n): each variable's
+    # message rows in check order). Rows hold one value per active block.
     def _views(self):
         views = getattr(self, "_views_cache", None)
         if views is None:
-            m, n = self.m, self.n
             rows, cols = np.nonzero(self.H)
-            check_vars = cols[np.argsort(rows, kind="stable")].reshape(m, ROW_WEIGHT)
-            by_var = np.argsort(check_vars.ravel(), kind="stable")
-            var_edges = (by_var % ROW_WEIGHT * m + by_var // ROW_WEIGHT).reshape(n, COL_WEIGHT).T
-            blocks = np.arange(max(1, CHUNK_EDGES // (m * ROW_WEIGHT)))
-            views = (len(blocks), np.ascontiguousarray(check_vars.T) + (blocks * n)[:, None, None],
-                     np.ascontiguousarray(var_edges)[:, None] + (blocks * m * ROW_WEIGHT)[:, None])
+            check_vars = cols[np.argsort(rows, kind="stable")].reshape(self.m, ROW_WEIGHT)
+            by_var = np.argsort(check_vars.ravel(), kind="stable").reshape(self.n, COL_WEIGHT)
+            views = (max(1, CHUNK_EDGES // (self.m * ROW_WEIGHT)), check_vars.T.ravel(),
+                     np.ascontiguousarray((by_var % ROW_WEIGHT * self.m + by_var // ROW_WEIGHT).T))
             self._views_cache = views
         return views
 
@@ -181,13 +178,14 @@ def ldpc_make(n: int, seed: int, max_attempts: int = 20) -> LdpcCode:
 
 
 def ldpc_encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
+    """Codewords (..., n) of info words (..., k), each as a lone call's."""
     info_bits = np.asarray(info_bits, dtype=np.uint8)
-    if info_bits.shape != (code.k,):
-        raise ContractError(f"expected {code.k} info bits, got shape {info_bits.shape}")
-    codeword = np.zeros(code.n, dtype=np.uint8)
-    codeword[code.info_positions] = info_bits
-    masked = code.packed_parity_gen & np.packbits(info_bits)
-    codeword[code.pivot_positions] = _BYTE_PARITY[np.bitwise_xor.reduce(masked, axis=1)]
+    if info_bits.shape[-1:] != (code.k,):
+        raise ContractError(f"expected (..., {code.k}) info bits, got shape {info_bits.shape}")
+    codeword = np.zeros(info_bits.shape[:-1] + (code.n,), dtype=np.uint8)
+    codeword[..., code.info_positions] = info_bits
+    masked = code.packed_parity_gen & np.packbits(info_bits, axis=-1)[..., None, :]
+    codeword[..., code.pivot_positions] = _BYTE_PARITY[np.bitwise_xor.reduce(masked, axis=-1)]
     return codeword
 
 
@@ -234,46 +232,52 @@ def ldpc_decode_batch(
 
 def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
                   out: BatchDecodeResult) -> None:
-    """Flooding BP on blocks first.. of `out` in prefixes of preallocated
-    buffers; v2c turns into tanh(v2c / 2) in place each iteration."""
-    _, all_check_vars, all_var_edges = code._views()
+    """Flooding BP on blocks first.. of `out`, block b in column b of the (6, m,
+    nb) messages and (n, nb) sums; v2c turns into tanh(v2c / 2) in place."""
+    _, slot_vars, var_edges = code._views()
     active = np.arange(first, first + len(llrs))
-    nb, llrs = len(llrs), llrs.copy()
-    v2c, bits = np.take(llrs, all_check_vars[:nb]), llrs < 0
-    c2v, odd = np.empty_like(v2c), np.empty(v2c.shape, dtype=bool)
-    total, incoming = np.empty_like(llrs), np.empty_like(llrs)
+    llrs = np.ascontiguousarray(llrs.T)
+    bits, c = llrs < 0, None
+    th = np.take(llrs, slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
     for it in range(1, max_iters + 1):
-        th, c, t = v2c[:nb], c2v[:nb], total[:nb]
-        np.tanh(np.divide(np.clip(th, -LLR_MAX, LLR_MAX, out=th), 2.0, out=th), out=th)
+        if c is None or c.shape != th.shape:
+            c, odd = np.empty_like(th), np.empty(th.shape, dtype=bool)
+            total, incoming = np.empty_like(llrs), np.empty_like(llrs)
+        np.tanh(np.multiply(np.clip(th, -LLR_MAX, LLR_MAX, out=th), 0.5, out=th), out=th)
         # Left, then right running products in cumprod's order; slot 0 ends as th5*...*th1.
-        c[:, 1], c[:, 0] = th[:, 0], th[:, -1]
-        for j in range(2, ROW_WEIGHT):
-            np.multiply(c[:, j - 1], th[:, j - 1], out=c[:, j])
-        for j in range(ROW_WEIGHT - 2, 0, -1):
-            c[:, j] *= c[:, 0]
-            c[:, 0] *= th[:, j]
+        np.multiply(th[0], th[1], out=c[2])
+        for j in range(3, ROW_WEIGHT):
+            np.multiply(c[j - 1], th[j - 1], out=c[j])
+        c[4] *= th[5]
+        np.multiply(th[5], th[4], out=c[0])
+        for j in range(ROW_WEIGHT - 3, 1, -1):
+            c[j] *= c[0]
+            c[0] *= th[j]
+        np.multiply(th[0], c[0], out=c[1])
+        c[0] *= th[1]
         np.multiply(np.arctanh(c, out=c), 2.0, out=c)
         # llrs + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order.
-        np.take(c, all_var_edges[0, :nb], out=t, mode="clip")
+        edges = c.reshape(-1, len(active))
+        np.take(edges, var_edges[0], axis=0, out=total, mode="clip")
         for k in range(1, COL_WEIGHT):
-            t += np.take(c, all_var_edges[k, :nb], out=incoming[:nb], mode="clip")
-        t += llrs[:nb]
-        np.take(t, all_check_vars[:nb], out=th, mode="clip")
-        np.less(th, 0, out=odd[:nb])       # bits[check_vars]
+            total += np.take(edges, var_edges[k], axis=0, out=incoming, mode="clip")
+        total += llrs
+        np.take(total, slot_vars, axis=0, out=th.reshape(edges.shape), mode="clip")
+        np.less(th, 0, out=odd)            # bits[check_vars]
         th -= c
-        np.less(t, 0, out=bits[:nb])
-        unsatisfied = np.bitwise_xor.reduce(odd[:nb], axis=1).any(axis=1)
+        np.less(total, 0, out=bits)
+        unsatisfied = np.bitwise_xor.reduce(odd, axis=0).any(axis=0)
         if unsatisfied.all():
             continue
-        # Freeze the blocks that converged, then compact the rest to a prefix.
+        # Freeze the blocks that converged, then keep the other columns.
         done = ~unsatisfied
-        out.bits[active[done]] = bits[:nb][done]
+        out.bits[active[done]] = bits[:, done].T
         out.converged[active[done]] = True
         out.iterations[active[done]] = it
         active = active[unsatisfied]
         if len(active) == 0:
             return
-        for buf in (llrs, bits, v2c):
-            buf[: len(active)] = buf[:nb][unsatisfied]
-        nb = len(active)
-    out.bits[active] = bits[:nb]
+        # take, unlike a boolean index, keeps the arrays C-contiguous.
+        keep = np.flatnonzero(unsatisfied)
+        llrs, bits, th = (np.take(a, keep, axis=-1) for a in (llrs, bits, th))
+    out.bits[active] = bits.T

@@ -473,8 +473,12 @@ def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
                      "n_trials": len(rows), "n_failed": len(rows) - len(ok)}
         for j, name in enumerate(_AGGREGATE_FIELDS):
             # An exactly recovered latent has PSNR +inf; its std is NaN.
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore" if kind == "std" else None):
                 rec[name] = float(fn(table[:, j])) if ok else math.nan
+            if kind == "std" and rec[name] == math.inf and np.isfinite(table[:, j]).all():
+                # The squares of a finite column near 1e300 overflow; scale it first.
+                scale = np.abs(table[:, j]).max()
+                rec[name] = float(scale * np.std(table[:, j] / scale))
         out.append(rec)
     return out
 

@@ -92,9 +92,9 @@ def _deframe(data: bytes) -> str:
 
 
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Even-index bits on I, odd-index on Q; bit 0 -> +1."""
+    """Even-index bits of each row on I, odd-index on Q; bit 0 -> +1."""
     symbols = 1.0 - 2.0 * bits.astype(np.float64)
-    return symbols[0::2] + 1j * symbols[1::2]
+    return symbols[..., 0::2] + 1j * symbols[..., 1::2]
 
 
 def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
@@ -134,7 +134,7 @@ def prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
     n_blocks = math.ceil(len(frame_bits) / code.k)
     padded = np.zeros(n_blocks * code.k, dtype=np.uint8)
     padded[: len(frame_bits)] = frame_bits
-    coded = np.stack([ldpc_encode(code, block) for block in padded.reshape(n_blocks, code.k)])
+    coded = ldpc_encode(code, padded.reshape(n_blocks, code.k))
     coded.flags.writeable = False
     return coded
 
@@ -196,19 +196,21 @@ def measure_link(
 
     Random info words per frame; with the per-dim conventions above snr_db
     equals Eb/N0 in dB at this code rate. Frames are drawn one after another
-    from `rng` and decoded LINK_FRAMES_PER_DECODE at a time in one batch.
+    from `rng`, k info bits then n normals as `transmit_bits` draws them, and
+    sent through the link LINK_FRAMES_PER_DECODE at a time as one batch.
     """
     frames = math.ceil(min_info_bits / code.k)
     bit_errors = 0
     frame_errors = 0
     for lo in range(0, frames, LINK_FRAMES_PER_DECODE):
-        # Draw a group of frames in stream order, then decode them as one batch.
-        infos, llrs = [], []
-        for _ in range(min(LINK_FRAMES_PER_DECODE, frames - lo)):
-            infos.append(rng.integers(0, 2, size=code.k).astype(np.uint8))
-            llrs.append(transmit_bits(ldpc_encode(code, infos[-1]), snr_db, rng)[: code.n])
-        res = ldpc_decode_batch(code, np.stack(llrs), max_iters)
-        errs = np.count_nonzero(res.bits[:, code.info_positions] != np.stack(infos), axis=1)
+        infos = np.empty((min(LINK_FRAMES_PER_DECODE, frames - lo), code.k), dtype=np.uint8)
+        normals = np.empty((len(infos), code.n))
+        for i in range(len(infos)):
+            infos[i] = rng.integers(0, 2, size=code.k)
+            rng.standard_normal(out=normals[i])
+        llrs = awgn_llrs(bpsk_modulate(ldpc_encode(code, infos)), normals, snr_db)
+        res = ldpc_decode_batch(code, llrs, max_iters)
+        errs = np.count_nonzero(res.bits[:, code.info_positions] != infos, axis=1)
         bit_errors += int(errs.sum())
         frame_errors += int(np.count_nonzero(errs))
     total_bits = frames * code.k

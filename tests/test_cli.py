@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,34 @@ class TestExitCodes:
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_std_of_a_column_near_1e300_is_finite(self, tmp_path):
+        # np.std's squared deviations overflow here; the std is taken on the
+        # column scaled by its largest magnitude, with no warning raised.
+        body = ("[experiment]\ntrials = 2\n[world]\nprior_var = 1e300\n"
+                "[sidechannel]\nenabled = false\n")
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
+                         "--quiet"]) == 0
+        rows, header = [], None
+        for line in out.read_text().splitlines():
+            if line.startswith("kind,"):
+                header = line.split(",")
+            elif not line.startswith("#"):
+                rows.append(dict(zip(header, line.split(","))))
+        stds = [r for r in rows if r["kind"] == "std"]
+        assert len(stds) == 5
+        for std in stds:
+            trials = [r for r in rows if r["kind"] == "trial"
+                      and r["axis_index"] == std["axis_index"]]
+            for name in ("mse_coarse", "mse_refined"):
+                col = np.array([float(r[name]) for r in trials])
+                assert np.abs(col).max() > 1e299
+                scale = np.abs(col).max()
+                assert math.isfinite(float(std[name]))
+                assert float(std[name]) == float(scale * np.std(col / scale))
 
     def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
         body = "[experiment]\ntrials = 2\nsnr_points = inf\n[sidechannel]\nenabled = false\n"

@@ -125,6 +125,18 @@ class TestEncode:
         with pytest.raises(ContractError):
             ldpc_encode(code, np.zeros(code.k + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("blocks", [1, 7])
+    def test_batch_equals_per_row_calls(self, code, rng, blocks):
+        info = rng.integers(0, 2, size=(blocks, code.k)).astype(np.uint8)
+        words = ldpc_encode(code, info)
+        assert words.shape == (blocks, code.n) and words.dtype == np.uint8
+        assert np.array_equal(words, np.stack([ldpc_encode(code, row) for row in info]))
+
+    def test_wrong_trailing_dimension_rejected(self, code):
+        for shape in [(4, code.k + 1), (code.k, 3), (2, 3, code.k - 8), ()]:
+            with pytest.raises(ContractError):
+                ldpc_encode(code, np.zeros(shape, dtype=np.uint8))
+
 
 class TestDecode:
     def test_noiseless_converges_in_one_iteration(self, code, rng):
@@ -250,6 +262,19 @@ class TestBatchDecode:
         assert np.array_equal(res.bits, bits)
         assert np.array_equal(res.converged, converged)
         assert np.array_equal(res.iterations, iterations)
+
+    def test_non_contiguous_input(self, code):
+        rng = np.random.default_rng(17)
+        words = ldpc_encode(code, rng.integers(0, 2, size=(12, code.k)))
+        llrs = np.clip(2.0 * (1.0 - 2.0 * words + 0.8 * rng.standard_normal(words.shape))
+                       / 0.64, -LLR_MAX, LLR_MAX)
+        for view in (llrs[::2], np.asfortranarray(llrs)):
+            want = ldpc_decode_batch(code, np.ascontiguousarray(view), max_iters=15)
+            got = ldpc_decode_batch(code, view, max_iters=15)
+            assert np.array_equal(got.bits, want.bits)
+            assert np.array_equal(got.converged, want.converged)
+            assert np.array_equal(got.iterations, want.iterations)
+        assert len(set(want.iterations.tolist())) > 1
 
     def test_zero_iterations_hard_decision(self, code):
         llrs = np.random.default_rng(2).standard_normal((3, code.n))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gencomm.errors import DecodeError
-from gencomm.ldpc import ldpc_make
-from gencomm.sidechannel import (bpsk_modulate, deframe_prompt, frame_prompt,
-                                 measure_link, send_prompt, transmit_bits)
+from gencomm.ldpc import ldpc_decode_batch, ldpc_encode, ldpc_make
+from gencomm.sidechannel import (LINK_FRAMES_PER_DECODE, bpsk_modulate, default_code,
+                                 deframe_prompt, frame_prompt, measure_link, send_prompt,
+                                 transmit_bits)
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +94,37 @@ def test_measure_link_clean_channel(code, rng):
     stats = measure_link(code, 20.0, min_info_bits=2000, rng=rng)
     assert stats["ber"] == 0.0 and stats["fer"] == 0.0
     assert stats["info_bits"] >= 2000
+
+
+def reference_measure_link(code, snr_db, min_info_bits, rng, max_iters=50):
+    """The per-frame link loop: draw, encode and transmit one frame at a
+    time, then decode LINK_FRAMES_PER_DECODE frames per batch."""
+    frames = math.ceil(min_info_bits / code.k)
+    bit_errors = frame_errors = 0
+    for lo in range(0, frames, LINK_FRAMES_PER_DECODE):
+        infos, llrs = [], []
+        for _ in range(min(LINK_FRAMES_PER_DECODE, frames - lo)):
+            infos.append(rng.integers(0, 2, size=code.k).astype(np.uint8))
+            llrs.append(transmit_bits(ldpc_encode(code, infos[-1]), snr_db, rng)[: code.n])
+        res = ldpc_decode_batch(code, np.stack(llrs), max_iters)
+        errs = np.count_nonzero(res.bits[:, code.info_positions] != np.stack(infos), axis=1)
+        bit_errors += int(errs.sum())
+        frame_errors += int(np.count_nonzero(errs))
+    return {"snr_db": snr_db, "info_bits": frames * code.k, "frames": frames,
+            "ber": bit_errors / (frames * code.k), "fer": frame_errors / frames}
+
+
+@pytest.mark.parametrize("frames", [1, 64, 65, 130])
+def test_measure_link_matches_per_frame_reference(code, frames):
+    # 1 dB leaves frame errors in most groups; 65 and 130 end in a short group.
+    args = (code, 1.0, frames * code.k)
+    got = measure_link(*args, np.random.default_rng(frames), max_iters=20)
+    assert got == reference_measure_link(*args, np.random.default_rng(frames), max_iters=20)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 3.0])
+def test_measure_link_matches_per_frame_reference_n1024(snr_db):
+    code = default_code(1024, 7070)
+    args = (code, snr_db, 25 * code.k)
+    got = measure_link(*args, np.random.default_rng(7))
+    assert got == reference_measure_link(*args, np.random.default_rng(7))
