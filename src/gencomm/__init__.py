@@ -5,7 +5,7 @@ from .channel import (ChannelConfig, mmse_equalize, normalize_power, pack_comple
                       snr_to_sigma2, transmit, unpack_complex)
 from .config import ExperimentConfig, load_config
 from .denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
-                       MlpDenoiser, ToyPixelMap, TrainConfig, train)
+                       MlpDenoiser, TrainConfig, train)
 from .jscc import CodecConfig, LinearCodec, cbr, make_linear_codec
 from .metrics import frechet_gauss, mse, psnr
 from .pipeline import (DEFAULT_WARM_START_TABLE, RunResult, build_context,

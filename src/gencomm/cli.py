@@ -150,8 +150,7 @@ def cmd_train_denoiser(args) -> int:
     rng = np.random.default_rng(cfg.master_seed)
     dataset = make_training_set(ctx, n=4096, rng=rng)
     model = MlpDenoiser(latent_dim=ctx.world.dim, seed=cfg.master_seed)
-    tc = TrainConfig.stage1(steps=args.steps,
-                            warm_start_step=ctx.sampler_cfg.warm_start_step)
+    tc = TrainConfig(steps=args.steps, warm_start_step=ctx.sampler_cfg.warm_start_step)
     history = train(model, dataset, tc, ctx.sched, rng, gamma=ctx.gamma)
     save_checkpoint(model, args.out)
     curve_path = f"{args.out}.loss.csv"

@@ -421,8 +421,8 @@ def _axis_points(cfg: ExperimentConfig) -> list[tuple[int, float, CodecConfig]]:
         points = []
         source_dims = cfg.codec.channels * cfg.codec.height * cfg.codec.width
         for i, target in enumerate(cfg.cbr_points):
-            k = int(round(target * source_dims))
-            k = max(1, min(k, cfg.codec.k_prime))
+            # Clamp before rounding: a huge finite target has no int.
+            k = max(1, int(round(min(target * source_dims, cfg.codec.k_prime))))
             points.append((i, cfg.channel.snr_db, replace(cfg.codec, k=k)))
         return points
     return [(0, cfg.channel.snr_db, cfg.codec)]
@@ -473,12 +473,13 @@ def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
                      "n_trials": len(rows), "n_failed": len(rows) - len(ok)}
         for j, name in enumerate(_AGGREGATE_FIELDS):
             # An exactly recovered latent has PSNR +inf; its std is NaN.
-            with np.errstate(invalid="ignore", over="ignore" if kind == "std" else None):
+            with np.errstate(invalid="ignore", over="ignore"):
                 rec[name] = float(fn(table[:, j])) if ok else math.nan
-            if kind == "std" and rec[name] == math.inf and np.isfinite(table[:, j]).all():
-                # The squares of a finite column near 1e300 overflow; scale it first.
+            if math.isinf(rec[name]) and np.isfinite(table[:, j]).all():
+                # The sum or the squares of a finite column near 1e300
+                # overflow; scale it first.
                 scale = np.abs(table[:, j]).max()
-                rec[name] = float(scale * np.std(table[:, j] / scale))
+                rec[name] = float(scale * fn(table[:, j] / scale))
         out.append(rec)
     return out
 

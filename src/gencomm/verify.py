@@ -354,7 +354,7 @@ def check_gradients(rng):
     z_c = z0 + 0.3 * rng.standard_normal((8, 3))
     prep = prepare_diffusion_batch(z0, z_c, rng.integers(0, 3, size=8), sched,
                                    0.3, 500, 0.10, rng, model.null_index)
-    cfg = TrainConfig.stage1()
+    cfg = TrainConfig()
     _, _, grads = loss_and_grads(model, prep, cfg, sched)
     for _ in range(5):
         name = ["w1", "b1", "w2", "b2", "w3", "b3", "emb"][int(rng.integers(7))]

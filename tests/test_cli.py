@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +11,6 @@ from gencomm.denoiser import load_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TOY_SCRIPT = CONFIGS.parent / "scripts" / "train_toy_denoiser.py"
 
 
 def write_cfg(tmp_path, body):
@@ -130,6 +127,36 @@ class TestExitCodes:
                 assert math.isfinite(float(std[name]))
                 assert float(std[name]) == float(scale * np.std(col / scale))
 
+    def test_mean_and_frechet_of_latents_near_1e153_are_finite(self, tmp_path):
+        # 300 squared latents near 1e306 overflow in np.cov's sums and in the
+        # mean of the mse columns; both are taken on scaled values instead.
+        body = ("[experiment]\ntrials = 300\nsnr_points = 7\n[world]\nprior_var = 1e306\n"
+                "[sidechannel]\nenabled = false\n")
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
+                         "--quiet"]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        header = next(x for x in lines if x.startswith("kind,axis_index,n_trials")).split(",")
+        aggs = [dict(zip(header, x.split(","))) for x in lines
+                if x.startswith(("mean,", "std,"))]
+        assert [a["kind"] for a in aggs] == ["mean", "std"]
+        for agg in aggs:
+            for name in ("mse_coarse", "mse_refined", "frechet_gauss"):
+                assert math.isfinite(float(agg[name])), (agg["kind"], name)
+        assert float(aggs[0]["mse_coarse"]) > 1e305
+
+    def test_huge_cbr_point_clamps_to_k_prime(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[experiment]\ntrials = 2\ncbr_points = 1e306\n"
+                                  "[codec]\nk_prime = 8\n")
+        out = tmp_path / "cbr.csv"
+        assert main(["sweep-cbr", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        trials = [dict(zip(header, x.split(","))) for x in lines if x.startswith("trial,")]
+        assert [t["k"] for t in trials] == ["8", "8"]
+
     def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
         body = "[experiment]\ntrials = 2\nsnr_points = inf\n[sidechannel]\nenabled = false\n"
         out = tmp_path / "inf.csv"
@@ -178,24 +205,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error,code,prefix", [
         (TrainingError("loss diverged at step 48"), 2, "runtime error: TrainingError: "),
-        (ConfigurationError("stage-2 loss requires a pixel map"), 1, "configuration error: "),
+        (ConfigurationError("dropout_rate must be in [0, 1)"), 1, "configuration error: "),
     ], ids=["training_error", "configuration_error"])
-    def test_toy_training_script_maps_errors_to_exit_codes(self, tmp_path, monkeypatch,
-                                                           capsys, error, code, prefix):
-        spec = importlib.util.spec_from_file_location("train_toy_denoiser", TOY_SCRIPT)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-
+    def test_train_denoiser_maps_errors_to_exit_codes(self, tmp_path, monkeypatch,
+                                                      capsys, error, code, prefix):
         def failing_train(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(script, "train", failing_train)
+        monkeypatch.setattr("gencomm.cli.train", failing_train)
         out = tmp_path / "d.npz"
-        monkeypatch.setattr(sys, "argv", ["train_toy_denoiser.py", "--out", str(out),
-                                          "--samples", "16"])
-        assert script.main() == code
-        err = capsys.readouterr().err
-        assert err == f"{prefix}{error}\n"
+        assert main(["train-denoiser", "--config", str(CONFIGS / "budget.cfg"),
+                     "--steps", "5", "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):

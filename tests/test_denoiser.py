@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gencomm.denoiser import (AnalyticPredictor, GaussianWorld,
-                              MlpDenoiser, ToyPixelMap, TrainConfig,
+                              MlpDenoiser, TrainConfig,
                               load_checkpoint, loss_and_grads,
                               prepare_diffusion_batch, prompt_to_index,
                               save_checkpoint, time_embedding, train)
@@ -176,8 +176,8 @@ class TestBayesDominance:
         z0_tr, z_c_tr = world.sample_pair(rng, n=n_train)
         labels = np.zeros(n_train, dtype=np.int64)
         model = MlpDenoiser(latent_dim=d, hidden=64, seed=5)
-        tc = TrainConfig.stage1(learning_rate=2e-2, batch_size=128, steps=1500,
-                                warm_start_step=warm)
+        tc = TrainConfig(learning_rate=2e-2, batch_size=128, steps=1500,
+                         warm_start_step=warm)
         train(model, (z0_tr, z_c_tr, labels), tc, sched, rng, gamma=gamma)
 
         n_eval = 100_000
@@ -282,11 +282,10 @@ def _toy_batch(sched, rng, d=4, n=64, dropout=0.0, decode_noise=0.25):
 class TestLosses:
     def test_perfect_predictor_zero_diffusion_loss(self, sched, rng):
         prep = _toy_batch(sched, rng)
-        total, parts, _ = loss_and_grads(_PerfectModel(prep), prep,
-                                         TrainConfig.stage1(lambda_d=0.0), sched,
+        total, parts, _ = loss_and_grads(_PerfectModel(prep), prep, TrainConfig(), sched,
                                          want_grads=False)
         assert parts["diffusion"] == 0.0
-        assert total == 0.0
+        assert total == parts["diffusion"] + parts["latent_mse"]
 
     def test_zero_predictor_loss_close_to_dimension(self, sched, rng):
         d = 16
@@ -296,7 +295,7 @@ class TestLosses:
         z0 = rng.standard_normal((20_000, d))
         prep = prepare_diffusion_batch(z0, z0, np.zeros(len(z0), dtype=np.int64),
                                        sched, GAMMA, 500, 0.10, rng, model.null_index)
-        _, parts, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
+        _, parts, _ = loss_and_grads(model, prep, TrainConfig(), sched,
                                      want_grads=False)
         loss = parts["diffusion"]
         assert abs(loss - d) <= 4.0 * d * math.sqrt(2.0 / len(z0))
@@ -304,50 +303,16 @@ class TestLosses:
     def test_stage1_reductions(self, sched, rng):
         prep = _toy_batch(sched, rng)
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=3)
-        full, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
-                                    want_grads=False)
-        no_latent_term, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(lambda_d=0.0),
-                                              sched, want_grads=False)
-        _, parts, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
-                                     want_grads=False)
-        assert full == pytest.approx(parts["diffusion"] + parts["latent_mse"])
-        assert no_latent_term == pytest.approx(parts["diffusion"])
-        # stage-1 weighting: pixel term off
-        cfg = TrainConfig.stage1()
-        assert (cfg.lambda_m, cfg.lambda_d) == (0.0, 1.0)
+        total, parts, _ = loss_and_grads(model, prep, TrainConfig(), sched,
+                                         want_grads=False)
+        assert total == parts["diffusion"] + parts["latent_mse"] == parts["total"]
+        assert list(parts) == ["diffusion", "latent_mse", "total"]
 
     def test_stage1_latent_term_vanishes_for_perfect_decode(self, sched, rng):
         prep = _toy_batch(sched, rng, decode_noise=0.0)
         _, parts, _ = loss_and_grads(MlpDenoiser(latent_dim=4, seed=0), prep,
-                                     TrainConfig.stage1(), sched, want_grads=False)
+                                     TrainConfig(), sched, want_grads=False)
         assert parts["latent_mse"] == 0.0
-
-    def test_stage2_reduces_to_stage1_when_weights_off(self, sched, rng):
-        prep = _toy_batch(sched, rng)
-        model = MlpDenoiser(latent_dim=4, hidden=8, seed=3)
-        pixmap = ToyPixelMap(4, seed=1)
-        s2, _, _ = loss_and_grads(model, prep,
-                                  TrainConfig(stage=2, lambda_d=1.0, lambda_m=0.0),
-                                  sched, pixmap, want_grads=False)
-        s1, _, _ = loss_and_grads(model, prep, TrainConfig.stage1(), sched,
-                                  want_grads=False)
-        assert s2 == pytest.approx(s1, rel=1e-12)
-
-    def test_stage2_pixel_term_zero_for_exact_prediction(self, sched, rng):
-        prep = _toy_batch(sched, rng)
-        pixmap = ToyPixelMap(4, seed=1)
-        _, parts, _ = loss_and_grads(_PerfectModel(prep), prep,
-                                     TrainConfig.stage2(), sched, pixmap,
-                                     want_grads=False)
-        # exact noise estimates invert to the true latent away from the
-        # singular step; singular-step samples fall back to the decoded latent
-        safe = np.abs(np.sqrt(sched.alpha_bars[prep.ts])
-                      - np.sqrt(1 - sched.alpha_bars[prep.ts]) * GAMMA) > 1e-8
-        if np.all(safe):
-            assert parts["pixel_mse"] <= 1e-20
-        # stage-2 weighting
-        cfg = TrainConfig.stage2()
-        assert (cfg.lambda_m, cfg.lambda_d) == (10.0, 1.0)
 
     def test_prompt_dropout_rate(self, sched, rng):
         n = 100_000
@@ -371,8 +336,7 @@ class TestLosses:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("stage", [1, 2])
-    def test_matches_central_differences(self, sched, stage):
+    def test_matches_central_differences(self, sched):
         rng = np.random.default_rng(7)
         model = MlpDenoiser(latent_dim=3, hidden=6, time_dim=4, prompt_dim=3,
                             n_classes=3, seed=1)
@@ -380,9 +344,8 @@ class TestGradients:
             rng.standard_normal((10, 3)),
             rng.standard_normal((10, 3)) * 0.5,
             rng.integers(0, 3, size=10), sched, GAMMA, 500, 0.2, rng, 3)
-        pixmap = ToyPixelMap(3, seed=4)
-        cfg = TrainConfig.stage1() if stage == 1 else TrainConfig.stage2()
-        _, _, grads = loss_and_grads(model, prep, cfg, sched, pixmap)
+        cfg = TrainConfig()
+        _, _, grads = loss_and_grads(model, prep, cfg, sched)
         names = list(model.params)
         for _ in range(20):
             name = names[int(rng.integers(len(names)))]
@@ -391,16 +354,14 @@ class TestGradients:
             h = 1e-5
             orig = model.params[name][idx]
             model.params[name][idx] = orig + h
-            up, _, _ = loss_and_grads(model, prep, cfg, sched, pixmap,
-                                      want_grads=False)
+            up, _, _ = loss_and_grads(model, prep, cfg, sched, want_grads=False)
             model.params[name][idx] = orig - h
-            down, _, _ = loss_and_grads(model, prep, cfg, sched, pixmap,
-                                        want_grads=False)
+            down, _, _ = loss_and_grads(model, prep, cfg, sched, want_grads=False)
             model.params[name][idx] = orig
             fd = (up - down) / (2 * h)
             an = grads[name][idx]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, (
-                f"stage {stage} {name}{idx}: fd={fd:.3e} analytic={an:.3e}")
+                f"{name}{idx}: fd={fd:.3e} analytic={an:.3e}")
 
 
 class TestTraining:
@@ -409,7 +370,7 @@ class TestTraining:
         before = {k: v.copy() for k, v in model.params.items()}
         data = (rng.standard_normal((64, 4)), rng.standard_normal((64, 4)),
                 np.zeros(64, dtype=np.int64))
-        history = train(model, data, TrainConfig.stage1(steps=0), sched, rng,
+        history = train(model, data, TrainConfig(steps=0), sched, rng,
                         gamma=GAMMA)
         assert history == []
         for k in before:
@@ -422,7 +383,7 @@ class TestTraining:
         z_c = z0 + 0.3 * rng.standard_normal((2048, d))
         labels = rng.integers(0, 10, size=2048)
         model = MlpDenoiser(latent_dim=d, hidden=64, seed=2)
-        tc = TrainConfig.stage1(learning_rate=2e-2, steps=800, warm_start_step=500)
+        tc = TrainConfig(learning_rate=2e-2, steps=800, warm_start_step=500)
         history = train(model, (z0, z_c, labels), tc, sched, rng, gamma=GAMMA)
         first = np.mean([h["total"] for h in history[:20]])
         last = np.mean([h["total"] for h in history[-20:]])
@@ -435,14 +396,14 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError):
                 train(model, data,
-                      TrainConfig.stage1(learning_rate=1e6, steps=200),
+                      TrainConfig(learning_rate=1e6, steps=200),
                       sched, rng, gamma=GAMMA)
 
     @pytest.mark.parametrize("kw", [{"steps": -1}, {"batch_size": 0}, {"batch_size": -4}],
                              ids=["negative_steps", "zero_batch", "negative_batch"])
     def test_config_rejects_bad_steps_and_batch_size(self, kw):
         with pytest.raises(ConfigurationError, match=next(iter(kw))):
-            TrainConfig.stage1(**kw)
+            TrainConfig(**kw)
 
 
 class _ReferenceMlp(MlpDenoiser):
@@ -475,7 +436,7 @@ class _ReferenceMlp(MlpDenoiser):
         return grads
 
 
-def _reference_train(model, dataset, cfg, sched, rng, gamma, pixel_map=None):
+def _reference_train(model, dataset, cfg, sched, rng, gamma):
     z0s, z_cs, labels = dataset
     n = len(z0s)
     history = []
@@ -484,7 +445,7 @@ def _reference_train(model, dataset, cfg, sched, rng, gamma, pixel_map=None):
         prep = prepare_diffusion_batch(z0s[pick], z_cs[pick], labels[pick], sched,
                                        gamma, min(cfg.warm_start_step, sched.T),
                                        cfg.dropout_rate, rng, model.null_index)
-        total, parts, grads = loss_and_grads(model, prep, cfg, sched, pixel_map)
+        total, parts, grads = loss_and_grads(model, prep, cfg, sched)
         for name, g in grads.items():
             model.params[name] -= cfg.learning_rate * g
         history.append({"step": step, **parts})
@@ -551,20 +512,14 @@ class TestTrainingStepIdentity:
             assert np.array_equal(grads[name], ref_grads[name]), name
         assert np.all(grads["emb"][[0, 1]] == 0.0)
 
-    @pytest.mark.parametrize("stage", [1, 2])
-    def test_train_matches_reference_loop(self, sched, stage):
+    def test_train_matches_reference_loop(self, sched):
         data = _training_set()
-        if stage == 1:
-            cfg, pixmap = TrainConfig.stage1(steps=50, warm_start_step=500), None
-        else:
-            cfg = TrainConfig.stage2(learning_rate=2.5e-3, steps=50, warm_start_step=300)
-            pixmap = ToyPixelMap(16)
+        cfg = TrainConfig(steps=50, warm_start_step=500)
         model = MlpDenoiser(latent_dim=16, seed=5)
         ref = _ReferenceMlp(latent_dim=16, seed=5)
-        history = train(model, data, cfg, sched, np.random.default_rng(8), GAMMA,
-                        pixel_map=pixmap)
+        history = train(model, data, cfg, sched, np.random.default_rng(8), GAMMA)
         ref_history = _reference_train(ref, data, cfg, sched, np.random.default_rng(8),
-                                       GAMMA, pixel_map=pixmap)
+                                       GAMMA)
         assert len(history) == 50
         assert history == ref_history
         for name in ref.params:
