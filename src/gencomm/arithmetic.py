@@ -3,17 +3,27 @@
 Bit-exact format: 257-symbol alphabet (256 byte values + explicit
 end-of-stream symbol 256), all frequencies initialized to 1, coded symbol's
 frequency incremented by 32, whole table halved (rounding up, so counts stay
->= 1) whenever the total reaches 2^16, and 32-bit integer range
-renormalization in the classic low/high/underflow style. The encoder
-terminates the stream with a single disambiguation '1' bit; the decoder may
-consume a bounded number of phantom zero bits past the end of input.
+>= 1) whenever the total reaches 2^16, and 32-bit integer range coding in
+the low/high/underflow style of Witten, Neal & Cleary (CACM 1987). The
+encoder terminates the stream with a single disambiguation '1' bit; the
+decoder may consume a bounded number of phantom zero bits past the end of
+input.
+
+Each symbol is renormalized at once, as in Moffat, Neal & Witten (ACM TOIS
+1998): after narrowing, the leading bits that low and high share are
+settled and leave as one word, and the run of underflow bits (low = 01...,
+high = 10...) is counted and shifted out in one step. The bits are the same
+as those of the one-bit-at-a-time loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
-from .errors import DecodeError, FrameError
+from .errors import ContractError, DecodeError, FrameError
 
 ALPHABET = 257
 EOF_SYMBOL = 256
@@ -24,138 +34,85 @@ MAX_TEXT_BYTES = (1 << 16) - 1
 _STATE_BITS = 32
 _MASK = (1 << _STATE_BITS) - 1
 _TOP = 1 << (_STATE_BITS - 1)
-_SECOND = _TOP >> 1
+_LOW_BITS = _MASK >> 1
 _PHANTOM_BUDGET = 64
 
 
-class AdaptiveByteModel:
-    """Cumulative frequency table over bytes plus the end marker."""
-
-    def __init__(self):
-        self.freqs = np.ones(ALPHABET, dtype=np.int64)
-
-    def cumulative(self) -> np.ndarray:
-        cum = np.empty(ALPHABET + 1, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(self.freqs, out=cum[1:])
-        return cum
-
-    def update(self, symbol: int) -> None:
-        self.freqs[symbol] += INCREMENT
-        if int(self.freqs.sum()) >= HALVE_AT:
-            self.freqs = (self.freqs + 1) // 2
+def _narrow(low: int, high: int, start: int, end: int, total: int):
+    """Narrow [low, high] to the symbol's [start, end) of `total` and
+    renormalize; returns (low, high, settled, word, under): the `settled`
+    leading bits in `word` are final, and `under` underflow bits are pending."""
+    span = high - low + 1
+    low, high = low + start * span // total, low + end * span // total - 1
+    settled = _STATE_BITS - (low ^ high).bit_length()
+    word = low >> (_STATE_BITS - settled)
+    low = (low << settled) & _MASK
+    high = (high << settled) & _MASK | (1 << settled) - 1
+    under = _STATE_BITS - 1 - (~(low & ~high) & _LOW_BITS).bit_length()
+    low = (low << under) & _LOW_BITS
+    high = (high << under) & _LOW_BITS | _TOP | (1 << under) - 1
+    return low, high, settled, word, under
 
 
-class _RangeCoder:
-    def __init__(self):
-        self.low = 0
-        self.high = _MASK
-
-    def _narrow(self, cum: np.ndarray, symbol: int) -> None:
-        total = int(cum[-1])
-        span = self.high - self.low + 1
-        new_low = self.low + int(cum[symbol]) * span // total
-        new_high = self.low + int(cum[symbol + 1]) * span // total - 1
-        self.low, self.high = new_low, new_high
-        while ((self.low ^ self.high) & _TOP) == 0:
-            self._shift()
-            self.low = (self.low << 1) & _MASK
-            self.high = ((self.high << 1) & _MASK) | 1
-        while (self.low & ~self.high & _SECOND) != 0:
-            self._underflow()
-            self.low = (self.low << 1) & (_MASK >> 1)
-            self.high = ((self.high << 1) & (_MASK >> 1)) | _TOP | 1
-
-    def _shift(self):
-        raise NotImplementedError
-
-    def _underflow(self):
-        raise NotImplementedError
-
-
-class _Encoder(_RangeCoder):
-    def __init__(self):
-        super().__init__()
-        self.bits: list[int] = []
-        self.pending = 0
-
-    def encode(self, cum: np.ndarray, symbol: int) -> None:
-        self._narrow(cum, symbol)
-
-    def finish(self) -> None:
-        self.bits.append(1)
-
-    def _shift(self):
-        bit = self.low >> (_STATE_BITS - 1)
-        self.bits.append(bit)
-        self.bits.extend([bit ^ 1] * self.pending)
-        self.pending = 0
-
-    def _underflow(self):
-        self.pending += 1
-
-
-class _Decoder(_RangeCoder):
-    def __init__(self, bits: np.ndarray):
-        super().__init__()
-        self.bits = bits
-        self.pos = 0
-        self.phantom = 0
-        self.code = 0
-        for _ in range(_STATE_BITS):
-            self.code = (self.code << 1) | self._read_bit()
-
-    def _read_bit(self) -> int:
-        if self.pos < len(self.bits):
-            bit = int(self.bits[self.pos])
-            self.pos += 1
-            return bit
-        self.phantom += 1
-        if self.phantom > _PHANTOM_BUDGET:
-            raise DecodeError("bitstream exhausted before end-of-stream symbol")
-        return 0
-
-    def decode(self, cum: np.ndarray) -> int:
-        total = int(cum[-1])
-        span = self.high - self.low + 1
-        value = ((self.code - self.low + 1) * total - 1) // span
-        symbol = int(np.searchsorted(cum, value, side="right")) - 1
-        self._narrow(cum, symbol)
-        return symbol
-
-    def _shift(self):
-        self.code = ((self.code << 1) & _MASK) | self._read_bit()
-
-    def _underflow(self):
-        self.code = (self.code & _TOP) | ((self.code << 1) & (_MASK >> 1)) | self._read_bit()
+def _update(freqs: list[int], total: int, symbol: int) -> int:
+    """Count one occurrence of `symbol`; returns the new total."""
+    freqs[symbol] += INCREMENT
+    total += INCREMENT
+    if total >= HALVE_AT:
+        freqs[:] = [(f + 1) // 2 for f in freqs]
+        total = sum(freqs)
+    return total
 
 
 def ac_encode(data: bytes) -> np.ndarray:
     """Compress a byte string; returns the bitstream as a 0/1 uint8 array."""
     if len(data) > MAX_TEXT_BYTES:
         raise FrameError(f"input of {len(data)} bytes exceeds {MAX_TEXT_BYTES}")
-    model = AdaptiveByteModel()
-    enc = _Encoder()
-    for byte in data:
-        enc.encode(model.cumulative(), byte)
-        model.update(byte)
-    enc.encode(model.cumulative(), EOF_SYMBOL)
-    enc.finish()
-    return np.array(enc.bits, dtype=np.uint8)
+    freqs, total = [1] * ALPHABET, ALPHABET
+    low, high, pending = 0, _MASK, 0
+    out = []
+    for symbol in (*data, EOF_SYMBOL):
+        start = sum(freqs[:symbol])
+        low, high, settled, word, under = _narrow(low, high, start,
+                                                  start + freqs[symbol], total)
+        if settled:
+            bits = format(word, f"0{settled}b")
+            # the pending underflow bits follow the first settled bit, inverted
+            out.append(bits[0] + ("0" if bits[0] == "1" else "1") * pending + bits[1:])
+            pending = 0
+        pending += under
+        total = _update(freqs, total, symbol)
+    out.append("1")
+    return np.frombuffer("".join(out).encode(), dtype=np.uint8) - ord("0")
 
 
 def ac_decode(bits: np.ndarray, max_bytes: int = MAX_TEXT_BYTES) -> bytes:
-    """Inverse of ac_encode. Raises DecodeError on malformed input; never
-    reads unboundedly (phantom-bit budget plus an output size cap)."""
+    """Inverse of ac_encode. Raises ContractError unless `bits` is a 1-D
+    array of 0/1 values, and DecodeError on malformed input; never reads
+    unboundedly (phantom-bit budget plus an output size cap)."""
     bits = np.asarray(bits)
-    model = AdaptiveByteModel()
-    dec = _Decoder(bits)
+    if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
+        raise ContractError("bitstream must be a 1-D array of 0/1 values")
+    stream = (bits.astype(np.uint8) + ord("0")).tobytes().decode() + "0" * _PHANTOM_BUDGET
+    freqs, total = [1] * ALPHABET, ALPHABET
+    low, high = 0, _MASK
+    code, pos = int(stream[:_STATE_BITS], 2), _STATE_BITS
     out = bytearray()
     while True:
-        symbol = dec.decode(model.cumulative())
+        cum = list(accumulate(freqs))
+        value = ((code - low + 1) * total - 1) // (high - low + 1)
+        symbol = bisect_right(cum, value)
+        low, high, settled, _, under = _narrow(low, high, cum[symbol] - freqs[symbol],
+                                               cum[symbol], total)
+        code = (code << settled) & _MASK | int("0" + stream[pos:pos + settled], 2)
+        pos += settled
+        code = code & _TOP | (code << under) & _LOW_BITS | int("0" + stream[pos:pos + under], 2)
+        pos += under
+        if pos > len(stream):
+            raise DecodeError("bitstream exhausted before end-of-stream symbol")
         if symbol == EOF_SYMBOL:
             return bytes(out)
         out.append(symbol)
         if len(out) > max_bytes:
             raise DecodeError(f"decoded size exceeded {max_bytes} bytes")
-        model.update(symbol)
+        total = _update(freqs, total, symbol)

@@ -30,38 +30,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common(sub, config_required=True):
+def _add_common(sub, config_required=True, trials=True):
     sub.add_argument("--config", default=None, required=config_required,
                      help="experiment config file")
     sub.add_argument("--seed", type=int, default=None, help="override master seed")
     sub.add_argument("--out", default=None, help="machine-output path")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--trials", type=int, default=None, help="override trial count")
+    if trials:
+        sub.add_argument("--trials", type=int, default=None, help="override trial count")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect "
                           "(each sweep point runs as batches)")
     sub.add_argument("--quiet", action="store_true")
-    sub.add_argument("--timings", action="store_true",
-                     help="include per-trial wall time in results "
-                          "(non-reproducible byte-wise)")
+    return sub
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gencomm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "sweep-snr", "sweep-cbr"):
-        _add_common(subs.add_parser(name))
+        sub = _add_common(subs.add_parser(name))
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--timings", action="store_true",
+                         help="include per-trial wall time in results "
+                              "(non-reproducible byte-wise)")
     v = subs.add_parser("verify")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--out", default=None)
     v.add_argument("--quiet", action="store_true")
-    s = subs.add_parser("sidechannel-test")
-    _add_common(s, config_required=False)
-    t = subs.add_parser("train-denoiser")
-    _add_common(t)
+    _add_common(subs.add_parser("sidechannel-test"), config_required=False)
+    t = _add_common(subs.add_parser("train-denoiser"), trials=False)
     t.add_argument("--steps", type=int, default=2000)
-    sa = subs.add_parser("sample")
-    _add_common(sa)
+    _add_common(subs.add_parser("sample"), trials=False)
     return parser
 
 

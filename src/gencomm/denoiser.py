@@ -138,7 +138,8 @@ class GaussianWorld:
         sigma2 = 10.0 ** (-snr_db / 10.0)
         with np.errstate(all="ignore"):  # an overflow fails the check below
             sym_power = np.trace(P @ sigma0 @ P.T) / k
-        if not 0.0 < sym_power < math.inf:
+            inverse_power = 1.0 / sym_power  # scale**2 below; subnormal powers overflow it
+        if not (0.0 < sym_power < math.inf and inverse_power < math.inf):
             raise ConfigurationError(f"prior gives transmit power {sym_power}")
         scale = 1.0 / math.sqrt(sym_power)
         shrink = 1.0 / (1.0 + codec.tikhonov_lambda * sigma2)

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomm.arithmetic import MAX_TEXT_BYTES, ac_decode, ac_encode
-from gencomm.errors import DecodeError, FrameError
+from gencomm.errors import ContractError, DecodeError, FrameError
 
 
 @pytest.mark.parametrize("data", [
@@ -91,3 +93,42 @@ def test_bitstream_is_binary(rng):
     bits = ac_encode(b"check the alphabet")
     assert bits.dtype == np.uint8
     assert set(np.unique(bits)).issubset({0, 1})
+
+
+@pytest.mark.parametrize("malform", [
+    lambda bits: np.where(bits == 1, 255, 0).astype(np.uint8),
+    lambda bits: bits.reshape(1, -1),
+    lambda bits: 3 * bits,
+], ids=["bytes_of_255", "two_dimensional", "value_3"])
+def test_malformed_bitstream_is_contract_error(malform):
+    with pytest.raises(ContractError):
+        ac_decode(malform(ac_encode(b"hi")))
+
+
+def _outcome(bits, max_bytes):
+    try:
+        return ac_decode(bits, max_bytes=max_bytes).hex()
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+def test_bit_format_is_pinned():
+    # Digests of the encoder's bits and of decode outcomes (bytes or the
+    # exact DecodeError message). The long strings cross the HALVE_AT rescale.
+    rng = np.random.default_rng(909)
+    corpus = [bytes(rng.integers(0, 256, size=int(rng.integers(0, 128)), dtype=np.uint8))
+              for _ in range(1000)]
+    corpus += [b"ab" * 3000, bytes(rng.integers(0, 256, size=8192, dtype=np.uint8))]
+    streams = [ac_encode(data) for data in corpus]
+    encoded = b"".join(len(bits).to_bytes(4, "big") + np.packbits(bits).tobytes()
+                       for bits in streams)
+    cases = [(rng.integers(0, 2, size=int(rng.integers(0, 257)), dtype=np.uint8), cap)
+             for cap in (1, 5, 2048) * 150]
+    for bits in streams[:100] + streams[-2:]:
+        cases.append((bits[:int(rng.integers(0, len(bits) + 1))], MAX_TEXT_BYTES))
+    cases += [(streams[-2], cap) for cap in (0, 1, 5, 100)]
+    decoded = "\n".join(_outcome(bits, cap) for bits, cap in cases).encode()
+    assert hashlib.sha256(encoded).hexdigest() == (
+        "463ff813cb78764153d7c3bdc006538211aa36678eb16d1da69bef9cfdecef1f")
+    assert hashlib.sha256(decoded).hexdigest() == (
+        "eac349c9e53e732afd6eb1af2cbbb81ff317822e00b03c070e0614f92fdb9910")

@@ -88,13 +88,16 @@ class TestExitCodes:
         "[sampler]\nsingular_guard = inf\n",
         "[world]\nprior_var = inf\n",
         "[world]\nprior_var = 1e308\n",
+        "[world]\nprior_var = 5e-324\n",
+        "[world]\nprior_var = 1e-310\n",
     ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters",
             "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
             "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero", "codec_seed_negative",
             "ldpc_seed_negative", "peak_nan", "guidance_nan", "tikhonov_lambda_nan",
             "singular_guard_nan", "peak_inf", "peak_square_overflows", "peak_square_underflows",
             "guidance_inf", "tikhonov_lambda_inf", "singular_guard_inf", "prior_var_inf",
-            "prior_var_power_overflows"])
+            "prior_var_power_overflows", "prior_var_min_subnormal",
+            "prior_var_power_reciprocal_overflows"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -163,6 +166,23 @@ class TestExitCodes:
         assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
                      "--quiet"]) == 0
         assert ",inf," in out.read_text() and "Error" not in out.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["sidechannel-test", "--format", "json"],
+        ["sidechannel-test", "--timings"],
+        ["train-denoiser", "--format", "json"],
+        ["train-denoiser", "--timings"],
+        ["train-denoiser", "--trials", "2"],
+        ["sample", "--format", "json"],
+        ["sample", "--timings"],
+        ["sample", "--trials", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path, SMALL_SWEEP)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+        assert "configuration error: unrecognized arguments" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     @pytest.mark.parametrize("body", [
         "trials = 3\n",
