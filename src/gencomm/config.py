@@ -21,7 +21,7 @@ Sections and keys, all optional with the defaults shown:
 
     [codec]
     k = 2
-    k_prime = 8
+    k_prime = 8                   ; at most 512
     height = 32
     width = 32
     channels = 1
@@ -29,7 +29,7 @@ Sections and keys, all optional with the defaults shown:
     tikhonov_lambda = 0.0
 
     [schedule]
-    steps = 1000
+    steps = 1000                  ; at most 100000
     beta_min = 1e-4
     beta_max = 0.02
     kind = linear                 ; linear | scaled_linear
@@ -47,12 +47,14 @@ Sections and keys, all optional with the defaults shown:
     [sidechannel]
     enabled = true
     snr_db = auto                 ; auto -> same as image channel
-    ldpc_n = 1024
+    ldpc_n = 1024                 ; at most 8192
     ldpc_seed = 7070
     bp_iters = 50
 
 Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
 but not NaN or -inf; CBR points must be > 0 and every other float finite.
+The three sizes that set an allocation have the upper limits noted above: a
+1024-trial sweep point at any one of them peaks below about 0.6 GB.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional
 
 from .channel import ChannelConfig
@@ -145,6 +148,10 @@ class ExperimentConfig:
             raise ConfigurationError("prior_var must be > 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
             raise ConfigurationError("prior_ar1_rho must be in [0, 1)")
+        for (section, key), limit in SIZE_LIMITS.items():
+            value = attrgetter(_SCHEMA[section, key][0])(self)
+            if value > limit:
+                raise ConfigurationError(f"[{section}] {key} must be <= {limit}, got {value}")
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -208,6 +215,9 @@ _SCHEMA = {
     ("sidechannel", "bp_iters"): ("bp_iters", int),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
+# The upper limits documented in the module docstring.
+SIZE_LIMITS = {("codec", "k_prime"): 512, ("schedule", "steps"): 100_000,
+               ("sidechannel", "ldpc_n"): 8192}
 
 
 def load_config(path) -> ExperimentConfig:

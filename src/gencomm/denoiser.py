@@ -318,13 +318,18 @@ class MlpDenoiser:
     def null_index(self) -> int:
         return self.n_classes
 
-    def _assemble(self, z_t, z_c, class_idx, ts):
-        """concat(z_t, z_c, time emb, prompt emb). The time embedding is a row
-        lookup in a cached table of `time_embedding` over the integer steps."""
+    def _time_rows(self, ts):
+        """`time_embedding` of the integer steps `ts` (an array or one step),
+        looked up in a cached table that grows on demand."""
         top = np.max(ts, initial=0)
-        if top >= len(self._temb):  # grow on demand
+        if top >= len(self._temb):
             self._temb = time_embedding(np.arange(2 * top + 1), self.time_dim)
-        return np.concatenate([z_t, z_c, self._temb[ts], self.params["emb"][class_idx]], axis=1)
+        return self._temb[ts]
+
+    def _assemble(self, z_t, z_c, class_idx, ts):
+        """concat(z_t, z_c, time emb, prompt emb)."""
+        return np.concatenate([z_t, z_c, self._time_rows(ts), self.params["emb"][class_idx]],
+                              axis=1)
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
         """Returns (output (B, d), cache for backward)."""
@@ -363,12 +368,13 @@ class MlpDenoiser:
         Each layer is a stacked row-times-matrix product, not the one gemm of
         `forward_batch`: a gemm's summation order depends on the batch size,
         so only the stacked form gives every row the bits of a lone call. The
-        time embedding is `_assemble`'s cached row of the same formula.
+        batch shares one time-embedding row and one prompt row, broadcast
+        into the input.
         """
-        n = len(z_t)
-        idx = prompt_to_index(prompt, self.n_classes)
-        x = self._assemble(z_t, z_c, np.full(n, idx), np.full(n, t))
         p = self.params
+        shared = np.concatenate([self._time_rows(t),
+                                 p["emb"][prompt_to_index(prompt, self.n_classes)]])
+        x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (len(z_t), len(shared)))], axis=1)
         h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
         h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
         return (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]

@@ -7,8 +7,8 @@ stacked (B, d) arrays: `draw_batch` (every trial's PCG64 state computed at
 once, one normal draw per trial into one buffer, the prompt's LLRs from the
 stacked noise), `transmit_batch` (z0, codec, channel, equalizer),
 `decode_prompt_batch` (one block-diagonal BP decode of every trial's prompt
-blocks) and `refine_batch` (deframe, one sampler run per received prompt,
-metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
+blocks) and `refine_batch` (deframe, a sampler run per prompt the predictor
+reads, metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
 become several batches, which bounds memory), and `run_trial` is a batch of one.
 A sweep builds the parts of its points' contexts that do not depend on the point
 (schedule, codec, MLP, side-channel code) only once. A trial that fails a stage
@@ -221,6 +221,14 @@ class TrialOutput:
     z0_hat: Optional[np.ndarray] = None
 
 
+class TrialRows(NamedTuple):
+    """A batch's rows, and the stacked z0 and z0_hat of its error-free rows in that order."""
+
+    rows: list[RunResult]
+    z0: np.ndarray
+    z0_hat: np.ndarray
+
+
 class TrialDraws(NamedTuple):
     """The random draws of a batch's trials, stacked on a leading batch axis."""
 
@@ -315,10 +323,12 @@ def decode_prompt_batch(ctx: TrialContext, batch: TrialBatch) -> None:
             ctx.side_code, batch.draws.prompt_llrs, ctx.cfg.bp_iters)
 
 
-def refine_batch(ctx: TrialContext, batch: TrialBatch, fail) -> dict[int, TrialOutput]:
+def refine_batch(ctx: TrialContext, batch: TrialBatch,
+                 fail) -> tuple[dict[int, RunResult], np.ndarray, np.ndarray]:
     """Deframe each prompt, run the sampler once per group of rows that share
-    a received prompt, and score every row. A sampler error fails the rows of
-    its group."""
+    a received prompt (one group if the predictor ignores it), and score every
+    row; returns the rows by trial id with their stacked z0 and z0_hat. A
+    sampler error fails the rows of its group."""
     cfg = ctx.cfg
     n = len(batch.ids)
     k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
@@ -327,9 +337,10 @@ def refine_batch(ctx: TrialContext, batch: TrialBatch, fail) -> dict[int, TrialO
         k_o[r], prompt_ok[r] = report.k_o, report.ok
         prompts[r] = report.decoded  # None on failure -> unconditional sampling
 
+    blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
     groups: dict = {}
     for r, prompt in enumerate(prompts):
-        groups.setdefault(prompt, []).append(r)
+        groups.setdefault(None if blind else prompt, []).append(r)
     z0_hat = np.full_like(batch.z_c, np.nan)
     sampled = np.zeros(n, dtype=bool)
     for prompt, rows in groups.items():
@@ -349,68 +360,58 @@ def refine_batch(ctx: TrialContext, batch: TrialBatch, fail) -> dict[int, TrialO
 
     m_coarse = mse(batch.z0, batch.z_c).tolist()
     m_refined = mse(batch.z0, z0_hat).tolist()
-    cbr_value = cbr(ctx.codec_cfg)
-    out = {}
-    for r in np.flatnonzero(sampled):
-        result = RunResult(
-            axis_index=ctx.axis_index, trial_id=batch.ids[r], snr_db=ctx.snr_db,
-            cbr=cbr_value, warm_start=ctx.sampler_cfg.warm_start_step,
-            k=ctx.codec_cfg.k, k_o=k_o[r],
-            mse_coarse=m_coarse[r], mse_refined=m_refined[r],
-            psnr_coarse=psnr(m_coarse[r], cfg.peak),
-            psnr_refined=psnr(m_refined[r], cfg.peak),
-            frechet_gauss=math.nan, prompt_ok=prompt_ok[r], wall_time=0.0,
-        )
-        out[batch.ids[r]] = TrialOutput(result=result, z0=batch.z0[r], z0_hat=z0_hat[r])
-    return out
+    axis_index, snr_db, cbr_value = ctx.axis_index, ctx.snr_db, cbr(ctx.codec_cfg)
+    warm, k, peak, ids = ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k, cfg.peak, batch.ids
+    out = {ids[r]: RunResult(axis_index, ids[r], snr_db, cbr_value, warm, k, k_o[r],
+                             m_coarse[r], m_refined[r], psnr(m_coarse[r], peak),
+                             psnr(m_refined[r], peak), math.nan, prompt_ok[r], 0.0)
+           for r in np.flatnonzero(sampled).tolist()}
+    return out, batch.z0[sampled], z0_hat[sampled]
 
 
-def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> TrialOutput:
+def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> RunResult:
     """An error row: NaN metrics and a single-line, comma-free note."""
     nan = math.nan
     note = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
-    return TrialOutput(result=RunResult(
-        axis_index=ctx.axis_index, trial_id=trial_id, snr_db=ctx.snr_db,
-        cbr=cbr(ctx.codec_cfg), warm_start=ctx.sampler_cfg.warm_start_step,
-        k=ctx.codec_cfg.k, k_o=0, mse_coarse=nan, mse_refined=nan,
-        psnr_coarse=nan, psnr_refined=nan, frechet_gauss=nan,
-        prompt_ok=False, wall_time=0.0, error=note))
+    return RunResult(ctx.axis_index, trial_id, ctx.snr_db, cbr(ctx.codec_cfg),
+                     ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k, 0,
+                     nan, nan, nan, nan, nan, False, 0.0, note)
 
 
-def run_trials(
-    ctx: TrialContext, trial_ids: list[int], isolate: bool = True
-) -> list[TrialOutput]:
+def run_trials(ctx: TrialContext, trial_ids: list[int], isolate: bool = True) -> TrialRows:
     """Run a batch of one sweep point's trials, each stage once on stacked arrays.
 
     With `isolate`, a GencommError in one trial becomes an error row for that
     trial and the others carry on; without it, the error is raised. Each
     trial's wall time is an equal share of the whole batch's.
     """
-    outputs: dict[int, TrialOutput] = {}
+    rows: dict[int, RunResult] = {}
 
     def fail(trial_id: int, exc: GencommError) -> None:
         if not isolate:
             raise exc
-        outputs[trial_id] = _failed_trial(ctx, trial_id, exc)
+        rows[trial_id] = _failed_trial(ctx, trial_id, exc)
 
     start = time.perf_counter()
+    z0 = z0_hat = np.empty((0, ctx.world.dim))
     batch = draw_batch(ctx, trial_ids, fail)
     if batch is not None and batch.ids:
         drawn = batch.ids
         batch = transmit_batch(ctx, batch, fail)
         decode_prompt_batch(ctx, batch)
-        done = refine_batch(ctx, batch, fail)
+        done, z0, z0_hat = refine_batch(ctx, batch, fail)
         shared = (time.perf_counter() - start) / len(drawn)
-        for out in done.values():
-            out.result.wall_time = shared
-        outputs.update(done)
-    return [outputs[i] for i in trial_ids]
+        for result in done.values():
+            result.wall_time = shared
+        rows.update(done)
+    return TrialRows([rows[i] for i in trial_ids], z0, z0_hat)
 
 
 def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
     """One full transmission + refinement; deterministic per (seed, ids).
     Errors propagate."""
-    return run_trials(ctx, [trial_id], isolate=False)[0]
+    (result,), z0, z0_hat = run_trials(ctx, [trial_id], isolate=False)
+    return TrialOutput(result=result, z0=z0[0], z0_hat=z0_hat[0])
 
 
 def _axis_points(cfg: ExperimentConfig) -> list[tuple[int, float, CodecConfig]]:
@@ -446,18 +447,15 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
     for axis_index, snr_db, codec_cfg in _axis_points(cfg):
         ctx = _point_context(cfg, axis_index, snr_db, codec_cfg, ctx)
         ids = list(range(cfg.trials))
-        outputs: list[TrialOutput] = []
-        for lo in range(0, len(ids), TRIALS_PER_BATCH):
-            outputs += run_trials(ctx, ids[lo : lo + TRIALS_PER_BATCH])
-
-        good = [o for o in outputs if not o.result.error]
-        dim = ctx.world.dim
-        if len(good) >= dim + 1:
-            fg = frechet_gauss(np.stack([o.z0 for o in good]),
-                               np.stack([o.z0_hat for o in good]))
-            for o in good:
-                o.result.frechet_gauss = fg
-        rows = [o.result for o in outputs]
+        batches = [run_trials(ctx, ids[lo : lo + TRIALS_PER_BATCH])
+                   for lo in range(0, len(ids), TRIALS_PER_BATCH)]
+        rows = [r for b in batches for r in b.rows]
+        z0 = np.concatenate([b.z0 for b in batches])
+        if len(z0) >= ctx.world.dim + 1:
+            fg = frechet_gauss(z0, np.concatenate([b.z0_hat for b in batches]))
+            for r in rows:
+                if not r.error:
+                    r.frechet_gauss = fg
         all_rows.extend(rows)
         aggregates.extend(_aggregate(rows, axis_index))
     return all_rows, aggregates

@@ -7,7 +7,8 @@ step is z <- a * z + b * z0_hat with closed-form (a, b).
 
 The sampler works on a (B, d) batch of decoded latents and calls the
 predictor's one method, `predict(z_t, z_c, prompt, t)`, once per step (twice
-under guidance) with the whole batch. A single latent is a batch of one.
+under guidance) with the whole batch, and not at the warm-start step, whose
+inversion ignores the prediction. A single latent is a batch of one.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class SampleStep:
     t: int
     z_t: np.ndarray
     z0_hat: np.ndarray
-    eps_hat: np.ndarray
+    eps_hat: Optional[np.ndarray]  # None at a singular step that called no predictor
 
 
 @dataclass
@@ -114,10 +115,18 @@ def residual_forward(
     return math.sqrt(ab) * z0 + math.sqrt(1.0 - ab) * (gamma * (z_c - z0) + eps)
 
 
+def _inversion(t: int, gamma: float, sched: NoiseSchedule, guard: float):
+    """(sqrt(1-abar_t), sqrt(abar_t) - sqrt(1-abar_t)*gamma) of the clean-latent
+    inversion at step t, or None where that denominator is within `guard` of 0."""
+    root = math.sqrt(1.0 - sched.alpha_bar(t))
+    denom = math.sqrt(sched.alpha_bar(t)) - root * gamma
+    return None if abs(denom) <= guard else (root, denom)
+
+
 def predict_z0(
     z_t: np.ndarray,
     z_c: np.ndarray,
-    eps_hat: np.ndarray,
+    eps_hat: Optional[np.ndarray],
     t: int,
     gamma: float,
     sched: NoiseSchedule,
@@ -128,13 +137,12 @@ def predict_z0(
     At the warm-start step the denominator sqrt(abar) - sqrt(1-abar)*gamma
     cancels exactly, so below `guard` the decoded latent itself is returned:
     there the state is the decoded latent plus pure noise and carries no
-    further information about z0.
+    further information about z0; `eps_hat` is not read there.
     """
-    ab = sched.alpha_bar(t)
-    root = math.sqrt(1.0 - ab)
-    denom = math.sqrt(ab) - root * gamma
-    if abs(denom) <= guard:
+    coeffs = _inversion(t, gamma, sched, guard)
+    if coeffs is None:
         return z_c.copy()
+    root, denom = coeffs
     return (z_t - root * (gamma * z_c + eps_hat)) / denom
 
 
@@ -198,7 +206,9 @@ def sample_batch(
     clean-latent estimates together with a per-step trace of (B, d) arrays.
     The unconditional predictor pass is skipped when guidance == 1, no
     prompt is given, or the predictor ignores the prompt (`uses_prompt` is
-    False): each reduces to the conditional prediction exactly. Every update
+    False): each reduces to the conditional prediction exactly. A singular
+    step, whose inversion ignores the prediction, calls no predictor unless it
+    is the only step (so that predictor errors still surface). Every update
     is elementwise, so each row gets exactly the bits of a batch of one.
     """
     if cfg.warm_start_step > sched.T:
@@ -214,12 +224,13 @@ def sample_batch(
     trace = SampleTrace()
     for i, t in enumerate(grid):
         t_prev = grid[i + 1] if i + 1 < len(grid) else 0
-        eps_cond = predictor.predict(z, z_c, prompt, t)
-        if not guided:
-            eps_hat = eps_cond
+        if len(grid) > 1 and _inversion(t, gamma, sched, cfg.singular_guard) is None:
+            eps_hat = None
         else:
-            eps_uncond = predictor.predict(z, z_c, None, t)
-            eps_hat = cfg_combine(eps_uncond, eps_cond, cfg.guidance)
+            eps_hat = predictor.predict(z, z_c, prompt, t)
+            if guided:
+                eps_uncond = predictor.predict(z, z_c, None, t)
+                eps_hat = cfg_combine(eps_uncond, eps_hat, cfg.guidance)
         z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched, cfg.singular_guard)
         trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
         z = sampler_step(z, z0_hat, t_prev, t, sched)
@@ -238,6 +249,6 @@ def sample(
     from `rng`; the trace holds that latent's rows."""
     eps = rng.standard_normal(z_c.shape)
     z, trace = sample_batch(z_c[None], predictor, prompt, cfg, sched, eps[None])
-    steps = [SampleStep(t=s.t, z_t=s.z_t[0], z0_hat=s.z0_hat[0], eps_hat=s.eps_hat[0])
-             for s in trace.steps]
+    steps = [SampleStep(s.t, s.z_t[0], s.z0_hat[0], s.eps_hat if s.eps_hat is None
+                        else s.eps_hat[0]) for s in trace.steps]
     return z[0], SampleTrace(steps)

@@ -1,12 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gencomm
+from gencomm import pipeline
 from gencomm.cli import main
+from gencomm.config import SIZE_LIMITS
 from gencomm.denoiser import load_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 
@@ -101,6 +109,24 @@ class TestExitCodes:
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", sorted(SIZE_LIMITS))
+    def test_size_above_its_limit_is_configuration_error(self, tmp_path, capsys,
+                                                         section, key):
+        # Without a limit, 2^31 here asked numpy for 16-128 GiB.
+        limit = SIZE_LIMITS[section, key]
+        cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {limit + 1}\n")
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep-snr", "--config", cfg, "--out", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert f"configuration error: [{section}] {key} must be <= {limit}" in err
+        assert not out.exists()
+        assert peak < 1 << 20  # nothing of the run was allocated
 
     def test_std_of_a_column_near_1e300_is_finite(self, tmp_path):
         # np.std's squared deviations overflow here; the std is taken on the
@@ -289,6 +315,28 @@ class TestSimulateAndSweep:
         golden = Path(__file__).resolve().parent / "data" / "golden_budget_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_out_of_range_prompt_class_fails_every_mlp_row(self, tmp_path, steps):
+        # A one-step run has only the singular step, whose prediction is never
+        # used; its predictor call stays, so the class check still fails the row.
+        body = ("[experiment]\ntrials = 3\npredictor = mlp\nprompt = class:99\n"
+                f"snr_points = 1 7\n[sampler]\nsteps = {steps}\n"
+                "[sidechannel]\nenabled = false\n")
+        out = tmp_path / "c99.csv"
+        assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
+                     "--quiet"]) == 0
+        note = "ContractError: prompt class 99 outside [0; 10]"
+        metrics = ",".join(["nan"] * 5)
+        want = [",".join(pipeline._TRIAL_COLUMNS)]
+        want += [f"trial,{a},{t},{snr},0.001953125,600,2,0,{metrics},false,{note}"
+                 for a, snr in enumerate((1, 7)) for t in range(3)]
+        fields = pipeline._AGGREGATE_FIELDS[:-1]  # wall_time is written with --timings only
+        want.append(",".join(["kind", "axis_index", "n_trials", "n_failed", *fields]))
+        want += [f"{kind},{a},3,3," + ",".join(["nan"] * len(fields))
+                 for a in (0, 1) for kind in ("mean", "std")]
+        assert [line for line in out.read_text().splitlines()
+                if not line.startswith("#")] == want
+
     def test_sweep_cbr_runs(self, tmp_path):
         cfg = str(CONFIGS / "cbr_sweep.cfg")
         out = tmp_path / "cbr.csv"
@@ -303,6 +351,30 @@ class TestSimulateAndSweep:
                      "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["trials"]) == 4
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # One interpreter per thread count: OpenBLAS reads it once, at load.
+        script = textwrap.dedent("""\
+            import sys
+            from gencomm.cli import main
+            cfg, out = sys.argv[1:]
+            sys.exit(main(["sweep-snr", "--config", cfg, "--trials", "20",
+                           "--out", f"{out}/sweep.csv", "--quiet"])
+                     or main(["train-denoiser", "--config", cfg, "--steps", "50",
+                              "--out", f"{out}/model.npz", "--quiet"]))
+        """)
+        src = str(Path(gencomm.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-c", script, str(CONFIGS / "budget.cfg"),
+                            str(out)], env=env, check=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep.csv", "model.npz", "model.npz.loss.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_quiet_silences_stderr(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)

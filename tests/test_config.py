@@ -120,6 +120,20 @@ def test_documented_table_is_the_schema_with_its_defaults():
         assert parse(raw) == want, f"[{section}] {key} documented as {raw!r}"
 
 
+def test_documented_size_limits_are_the_enforced_ones(tmp_path):
+    documented, section = {}, None
+    for line in config_mod.__doc__.splitlines():
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+        elif "; at most " in line:
+            key = line.partition("=")[0].strip()
+            documented[section, key] = int(line.rpartition("; at most ")[2])
+    assert documented == config_mod.SIZE_LIMITS
+    for (section, key), limit in documented.items():  # the limit itself is allowed
+        load_config(_write(tmp_path, f"[{section}]\n{key} = {limit}\n"))
+
+
 def test_auto_values(tmp_path):
     cfg = load_config(_write(tmp_path, "[sampler]\nwarm_start = auto\n"
                                        "[sidechannel]\nsnr_db = auto\n"))

@@ -229,6 +229,22 @@ class TestMlpDenoiser:
                             np.array([[0.4, -0.9, 1.8, 0.3]]), "class:2", 250)
         assert np.allclose(out[0], GOLDEN_PROBE_OUT, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 7, 200])
+    def test_predict_equals_gathered_input(self, rng, batch):
+        # Inference as first written: the time and prompt rows gathered once
+        # per batch row. One broadcast row of each must give the same bits.
+        model = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
+        p = model.params
+        for t in (1, 250, 500, 999):
+            for prompt in (None, "class:3", "a cheetah in tall grass"):
+                z_t, z_c = rng.standard_normal((2, batch, 6))
+                idx = prompt_to_index(prompt, model.n_classes)
+                x = model._assemble(z_t, z_c, np.full(batch, idx), np.full(batch, t))
+                h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
+                h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
+                want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
+                assert np.array_equal(model.predict(z_t, z_c, prompt, t), want)
+
     def test_prediction_pure(self, rng):
         model = MlpDenoiser(latent_dim=3, seed=7)
         z_t, z_c = rng.standard_normal((2, 1, 3))

@@ -336,8 +336,8 @@ class TestSweepSharing:
         assert len(rows) == 4 * len(points)
         for (axis_index, snr_db, codec_cfg), lo in zip(points, range(0, len(rows), 4)):
             fresh = run_trials(build_context(cfg, axis_index, snr_db, codec_cfg), list(range(4)))
-            for row, want in zip(rows[lo:lo + 4], fresh):
-                assert _same_fields(row, want.result), (row, want.result)
+            for row, want in zip(rows[lo:lo + 4], fresh.rows):
+                assert _same_fields(row, want), (row, want)
 
     def test_sweeps_share_no_model(self, monkeypatch):
         import gencomm.pipeline as pipeline_mod

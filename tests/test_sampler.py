@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 from conftest import ZeroNoise
 from gencomm.denoiser import AnalyticPredictor, ExactRecoveryOracle, GaussianWorld
 from gencomm.errors import ConfigurationError, ContractError
-from gencomm.sampler import (SamplerConfig, cfg_combine, predict_z0,
-                             residual_forward, sample, sampler_step, step_grid,
-                             warm_start)
+from gencomm.sampler import (SamplerConfig, _inversion, cfg_combine, predict_z0,
+                             residual_forward, sample, sample_batch, sampler_step,
+                             step_grid, warm_start)
 from gencomm.schedule import build_schedule, residual_weight, update_coeffs
 
 WARM = 500
@@ -180,6 +180,22 @@ class FailingPredictor:
         raise RuntimeError("backbone unavailable")
 
 
+class SingularStepRefuser:
+    """Answers like CountingPredictor, but fails the test if it is asked for a
+    prediction at a step where the clean-latent inversion is singular."""
+
+    def __init__(self, gamma, sched):
+        self.gamma, self.sched = gamma, sched
+        self.steps = []
+
+    def predict(self, z_t, z_c, prompt, t):
+        ab = self.sched.alpha_bar(t)
+        denom = math.sqrt(ab) - math.sqrt(1.0 - ab) * self.gamma
+        assert abs(denom) > 1e-8, f"predictor called at singular step {t}"
+        self.steps.append(t)
+        return 0.1 * z_t
+
+
 class TestSample:
     def test_exact_oracle_recovery(self, sched, gamma, rng):
         cfg = SamplerConfig(steps=5, warm_start_step=WARM)
@@ -208,16 +224,56 @@ class TestSample:
         sample(z_c, pred, "class:1", SamplerConfig(steps=5, warm_start_step=WARM,
                                                    guidance=3.0), sched,
                np.random.default_rng(0))
-        assert (pred.cond_calls, pred.uncond_calls) == (5, 5)
+        assert (pred.cond_calls, pred.uncond_calls) == (4, 4)
         pred = CountingPredictor(3)
         sample(z_c, pred, "class:1", SamplerConfig(steps=5, warm_start_step=WARM,
                                                    guidance=1.0), sched,
                np.random.default_rng(0))
-        assert (pred.cond_calls, pred.uncond_calls) == (5, 0)
+        assert (pred.cond_calls, pred.uncond_calls) == (4, 0)
         pred = CountingPredictor(3)
         sample(z_c, pred, None, SamplerConfig(steps=5, warm_start_step=WARM),
                sched, np.random.default_rng(0))
-        assert (pred.cond_calls, pred.uncond_calls) == (0, 5)
+        assert (pred.cond_calls, pred.uncond_calls) == (0, 4)
+
+    def test_no_prediction_at_the_singular_step(self, sched, gamma, rng):
+        pred = SingularStepRefuser(gamma, sched)
+        cfg = SamplerConfig(steps=5, warm_start_step=WARM, guidance=3.0)
+        z_c, eps = rng.standard_normal((2, 3, 6))
+        out, trace = sample_batch(z_c, pred, "class:1", cfg, sched, eps)
+        grid = step_grid(WARM, 5)
+        assert sorted(set(pred.steps), reverse=True) == grid[1:]
+        assert len(pred.steps) == 2 * len(grid[1:])
+        assert np.array_equal(trace.steps[0].z0_hat, z_c)
+        assert np.all(np.isfinite(out))
+
+    def test_one_step_run_keeps_its_call(self, sched, rng):
+        # The lone step is singular, but its call still surfaces predictor errors.
+        with pytest.raises(RuntimeError, match="backbone unavailable"):
+            sample(rng.standard_normal(3), FailingPredictor(), None,
+                   SamplerConfig(steps=1, warm_start_step=WARM), sched,
+                   np.random.default_rng(0))
+
+    def test_guard_below_the_residual_calls_every_step(self, sched, rng):
+        # Most warm steps cancel to exactly 0; take one that leaves a rounding
+        # residual, which a guard of 1e-300 does not cover.
+        warm = next(w for w in range(100, sched.T)
+                    if _inversion(w, residual_weight(w, sched), sched, 0.0) is not None)
+        z_c = rng.standard_normal(3)
+        calls = {}
+        for guard in (1e-8, 1e-300):
+            pred = CountingPredictor(3)
+            cfg = SamplerConfig(steps=5, warm_start_step=warm, guidance=3.0,
+                                singular_guard=guard)
+            sample(z_c, pred, "class:1", cfg, sched, np.random.default_rng(0))
+            calls[guard] = (pred.cond_calls, pred.uncond_calls)
+        assert calls == {1e-8: (4, 4), 1e-300: (5, 5)}
+
+    def test_trace_has_no_prediction_at_the_singular_step(self, sched, rng):
+        cfg = SamplerConfig(steps=5, warm_start_step=WARM, guidance=3.0)
+        _, trace = sample(rng.standard_normal(3), CountingPredictor(3), "class:1", cfg,
+                          sched, np.random.default_rng(0))
+        assert [s.eps_hat is None for s in trace.steps] == [True] + [False] * 4
+        assert all(s.eps_hat.shape == (3,) for s in trace.steps[1:])
 
     def test_prompt_blind_predictors_skip_guidance_pass(self, sched, gamma, rng):
         d = 6
@@ -241,7 +297,7 @@ class TestSample:
                 pred = Counting(*args)
                 out, _ = sample(z_c, pred, "class:2", cfg, sched, np.random.default_rng(8))
                 runs[uses_prompt] = (out, pred.calls)
-            assert (runs[False][1], runs[True][1]) == (5, 10)
+            assert (runs[False][1], runs[True][1]) == (4, 8)
             assert np.array_equal(runs[False][0], runs[True][0])
 
     def test_determinism_bitwise(self, sched, rng):
