@@ -21,7 +21,6 @@ from .config import ExperimentConfig, config_metadata, load_config
 from .denoiser import TrainConfig, MlpDenoiser, save_checkpoint, train
 from .errors import ConfigurationError, GencommError
 from .pipeline import build_context, make_training_set, run_trial, sweep, write_results
-from .schedule import residual_weight
 from .verify import run_verification
 
 
@@ -145,7 +144,8 @@ def cmd_train_denoiser(args) -> int:
         raise ConfigurationError("train-denoiser requires --out for the checkpoint")
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
-    ctx = build_context(cfg)
+    # The model is trained from scratch, so the checkpoint it will be saved as is not read.
+    ctx = build_context(replace(cfg, mlp_checkpoint=None))
     rng = np.random.default_rng(cfg.master_seed)
     dataset = make_training_set(ctx, n=4096, rng=rng)
     model = MlpDenoiser(latent_dim=ctx.world.dim, seed=cfg.master_seed)
@@ -168,7 +168,7 @@ def cmd_sample(args) -> int:
     ctx = build_context(cfg)
     out = run_trial(ctx, trial_id=0)
     record = {
-        "gamma": residual_weight(ctx.sampler_cfg.warm_start_step, ctx.sched),
+        "gamma": ctx.gamma,
         "warm_start": ctx.sampler_cfg.warm_start_step,
         "mse_coarse": out.result.mse_coarse,
         "mse_refined": out.result.mse_refined,

@@ -35,9 +35,9 @@ Sections and keys, all optional with the defaults shown:
     kind = linear                 ; linear | scaled_linear
 
     [sampler]
-    steps = 5
+    steps = 5                     ; at most 1000
     warm_start = auto             ; auto -> from the CBR table, or an integer
-    guidance = 3.0
+    guidance = 3.0                ; at most 100
     singular_guard = 1e-8
 
     [world]
@@ -53,8 +53,9 @@ Sections and keys, all optional with the defaults shown:
 
 Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
 but not NaN or -inf; CBR points must be > 0 and every other float finite.
-The three sizes that set an allocation have the upper limits noted above: a
-1024-trial sweep point at any one of them peaks below about 0.6 GB.
+The four sizes that set an allocation have the upper limits noted above: a
+1024-trial sweep point at any one of them peaks below about 0.6 GB. The
+guidance limit keeps a guided MLP refinement finite (1e300 overflows it).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from typing import Optional
 from .channel import ChannelConfig
 from .errors import ConfigurationError
 from .jscc import CodecConfig
+from . import sampler, schedule, sidechannel
 
 SPEC_VERSION = 1
 
@@ -94,24 +96,24 @@ class ExperimentConfig:
     codec_seed: int = 99
     tikhonov_lambda: float = 0.0
 
-    schedule_steps: int = 1000
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
+    schedule_steps: int = schedule.DEFAULT_T
+    beta_min: float = schedule.DEFAULT_BETA_MIN
+    beta_max: float = schedule.DEFAULT_BETA_MAX
     schedule_kind: str = "linear"
 
     sampler_steps: int = 5
     warm_start: Optional[int] = None   # None -> chosen from the CBR table
-    guidance: float = 3.0
-    singular_guard: float = 1e-8
+    guidance: float = sampler.DEFAULT_GUIDANCE
+    singular_guard: float = sampler.DEFAULT_SINGULAR_GUARD
 
     prior_var: float = 1.0
     prior_ar1_rho: float = 0.9
 
     sidechannel_enabled: bool = True
     sidechannel_snr_db: Optional[float] = None  # None -> image-channel SNR
-    ldpc_n: int = 1024
-    ldpc_seed: int = 7070
-    bp_iters: int = 50
+    ldpc_n: int = sidechannel.DEFAULT_LDPC_N
+    ldpc_seed: int = sidechannel.DEFAULT_LDPC_SEED
+    bp_iters: int = sidechannel.DEFAULT_BP_ITERS
 
     def __post_init__(self):
         for name in ("master_seed", "codec_seed", "ldpc_seed"):
@@ -217,6 +219,7 @@ _SCHEMA = {
 _SECTIONS = {section for section, _ in _SCHEMA}
 # The upper limits documented in the module docstring.
 SIZE_LIMITS = {("codec", "k_prime"): 512, ("schedule", "steps"): 100_000,
+               ("sampler", "steps"): 1000, ("sampler", "guidance"): 100,
                ("sidechannel", "ldpc_n"): 8192}
 
 

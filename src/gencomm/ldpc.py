@@ -31,6 +31,7 @@ LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
 CHUNK_EDGES = 32768  # message-array edges per decode chunk (at least one block)
+DEFAULT_BP_ITERS = 50
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1) % 2
 
 
@@ -201,7 +202,8 @@ class BatchDecodeResult(NamedTuple):
     iterations: np.ndarray    # (B,) int64
 
 
-def ldpc_decode(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50) -> DecodeResult:
+def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
+                max_iters: int = DEFAULT_BP_ITERS) -> DecodeResult:
     """Flooding sum-product decoding; non-convergence is a flag, not an error."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (code.n,):
@@ -211,7 +213,7 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray, max_iters: int = 50) -> Decode
 
 
 def ldpc_decode_batch(
-    code: LdpcCode, llrs: np.ndarray, max_iters: int = 50
+    code: LdpcCode, llrs: np.ndarray, max_iters: int = DEFAULT_BP_ITERS
 ) -> BatchDecodeResult:
     """`ldpc_decode` of every row of a (B, n) LLR array, bit for bit."""
     llrs = np.asarray(llrs, dtype=np.float64)

@@ -2,17 +2,18 @@
 equalize -> decode -> warm-start diffusion refinement -> metrics, plus
 experiment sweeps and result persistence.
 
-Batch-first: `run_trials` runs a batch of one sweep point's trials as
-stacked (B, d) arrays: `draw_batch` (every trial's PCG64 state computed at
+Batch-first: `run_trials` runs a batch of one sweep point's trials as one pass
+over stacked (B, d) arrays: `draw_batch` (every trial's PCG64 state computed at
 once, one normal draw per trial into one buffer, the prompt's LLRs from the
-stacked noise), `transmit_batch` (z0, codec, channel, equalizer),
-`decode_prompt_batch` (one block-diagonal BP decode of every trial's prompt
-blocks) and `refine_batch` (deframe, a sampler run per prompt the predictor
-reads, metrics). A sweep point is one batch of up to TRIALS_PER_BATCH trials (more
-become several batches, which bounds memory), and `run_trial` is a batch of one.
-A sweep builds the parts of its points' contexts that do not depend on the point
-(schedule, codec, MLP, side-channel code) only once. A trial that fails a stage
-becomes an error row; the others carry on.
+stacked noise), `transmit_latents` (z0, codec, channel, equalizer), one mask of
+the rows that failed there, and `refine_batch` on the live rows (one
+block-diagonal BP decode of every trial's prompt blocks, deframing, a sampler
+run per prompt the predictor reads, metrics). A sweep point is one batch of up
+to TRIALS_PER_BATCH trials (more become several batches, which bounds memory),
+and `run_trial` is a batch of one. `build_context` given the sweep's previous
+point reuses the parts that do not depend on the point (schedule, codec, MLP,
+side-channel code). A trial that fails a stage becomes an error row; the
+others carry on.
 
 Determinism: every trial owns an isolated random stream, numpy's
 `default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
@@ -163,11 +164,8 @@ def build_context(
     axis_index: int = 0,
     snr_db: Optional[float] = None,
     codec_cfg: Optional[CodecConfig] = None,
+    prev: Optional[TrialContext] = None,
 ) -> TrialContext:
-    return _point_context(cfg, axis_index, snr_db, codec_cfg, None)
-
-
-def _point_context(cfg, axis_index, snr_db, codec_cfg, prev: Optional[TrialContext]):
     """A sweep point's context; `prev`, the same sweep's previous point, lends it the
     schedule, side-channel code, codec (same config), MLP (same k') and prior root."""
     snr_db = cfg.channel.snr_db if snr_db is None else snr_db
@@ -238,38 +236,15 @@ class TrialDraws(NamedTuple):
     warm: np.ndarray                   # (B, d) warm-start noise
 
 
-@dataclass
-class TrialBatch:
-    """The live trials of one batch between stages; row r of every array
-    belongs to trial ids[r]."""
-
-    ids: list[int]
-    draws: TrialDraws
-    z0: Optional[np.ndarray] = None
-    z_c: Optional[np.ndarray] = None
-    prompt_bits: Optional[list[sidechannel.PromptBits]] = None
-
-    def keep(self, rows: np.ndarray) -> "TrialBatch":
-        """The rows `rows` of a batch that has not been decoded yet."""
-        draws = TrialDraws(*(None if a is None else a[rows] for a in self.draws))
-        return TrialBatch([self.ids[r] for r in rows], draws,
-                          self.z0[rows], self.z_c[rows])
-
-
-def draw_batch(ctx: TrialContext, trial_ids: list[int], fail) -> Optional[TrialBatch]:
+def draw_batch(ctx: TrialContext, trial_ids: list[int]) -> TrialDraws:
     """Every trial's draws from its own stream: one `standard_normal` call per
     trial fills its row of one buffer, split in the order a lone trial draws
     them into z0, channel, prompt noise (real parts, then imaginary parts) and
     warm-start noise. The prompt's LLRs are computed once for the stacked
-    noise. An error here fails the whole batch."""
-    try:
-        states = trial_states(ctx.cfg.master_seed, ctx.axis_index, trial_ids)
-        coded = (None if ctx.side_code is None
-                 else sidechannel.prompt_codeword(ctx.cfg.prompt, ctx.side_code))
-    except GencommError as exc:
-        for trial_id in trial_ids:
-            fail(trial_id, exc)
-        return None
+    noise. A GencommError here (seeding, framing) fails the whole batch."""
+    states = trial_states(ctx.cfg.master_seed, ctx.axis_index, trial_ids)
+    coded = (None if ctx.side_code is None
+             else sidechannel.prompt_codeword(ctx.cfg.prompt, ctx.side_code))
     d, rows, k = ctx.world.dim, DRAW_ROWS[ctx.cfg.channel.kind], ctx.codec_cfg.k
     cuts = np.cumsum([d, rows * k, 0 if coded is None else coded.size])
     buf = np.empty((len(trial_ids), cuts[-1] + d))
@@ -281,8 +256,7 @@ def draw_batch(ctx: TrialContext, trial_ids: list[int], fail) -> Optional[TrialB
     prior, chan, noise, warm = np.split(buf, cuts, axis=1)
     llrs = None if coded is None else sidechannel.transmit_prompt(
         ctx.cfg.prompt, ctx.side_snr_db, noise, ctx.side_code)
-    draws = TrialDraws(prior, chan.reshape(-1, rows, k), llrs, warm)
-    return TrialBatch(list(trial_ids), draws)
+    return TrialDraws(prior, chan.reshape(-1, rows, k), llrs, warm)
 
 
 def transmit_latents(
@@ -300,73 +274,52 @@ def transmit_latents(
     return z0, z_c, ~np.isnan(scales)
 
 
-def transmit_batch(ctx: TrialContext, batch: TrialBatch, fail) -> TrialBatch:
-    """Send the batch's latents through codec and channel and check its
-    prompt LLRs; a failing row goes to `fail(trial_id, error)` and is
-    dropped."""
-    batch.z0, batch.z_c, ok = transmit_latents(ctx, batch.draws.prior, batch.draws.channel)
-    for r in np.flatnonzero(~ok):
-        fail(batch.ids[r], NormalizationError(ZERO_POWER))
-    llrs = batch.draws.prompt_llrs
-    if llrs is not None:
-        finite = np.isfinite(llrs).all(axis=(1, 2))
-        for r in np.flatnonzero(ok & ~finite):
-            fail(batch.ids[r], ContractError("prompt LLRs must be finite"))
-        ok &= finite
-    return batch if ok.all() else batch.keep(np.flatnonzero(ok))
-
-
-def decode_prompt_batch(ctx: TrialContext, batch: TrialBatch) -> None:
-    """One block-diagonal BP decode of every trial's prompt blocks."""
-    if ctx.side_code is not None:
-        batch.prompt_bits = sidechannel.decode_prompts(
-            ctx.side_code, batch.draws.prompt_llrs, ctx.cfg.bp_iters)
-
-
-def refine_batch(ctx: TrialContext, batch: TrialBatch,
-                 fail) -> tuple[dict[int, RunResult], np.ndarray, np.ndarray]:
-    """Deframe each prompt, run the sampler once per group of rows that share
-    a received prompt (one group if the predictor ignores it), and score every
-    row; returns the rows by trial id with their stacked z0 and z0_hat. A
-    sampler error fails the rows of its group."""
+def refine_batch(ctx: TrialContext, ids: list[int], draws: TrialDraws, z0: np.ndarray,
+                 z_c: np.ndarray, fail) -> tuple[dict[int, RunResult], np.ndarray, np.ndarray]:
+    """Decode every row's prompt blocks in one block-diagonal BP call and
+    deframe them, run the sampler once per group of rows that share a received
+    prompt (one group if the predictor ignores it), and score every row; row r
+    belongs to trial ids[r]. Returns the rows by trial id with their stacked z0
+    and z0_hat. A sampler error fails the rows of its group."""
     cfg = ctx.cfg
-    n = len(batch.ids)
+    n = len(ids)
     k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
-    for r, bits in enumerate(batch.prompt_bits or ()):
-        report = sidechannel.receive_prompt(cfg.prompt, bits, ctx.side_code)
-        k_o[r], prompt_ok[r] = report.k_o, report.ok
-        prompts[r] = report.decoded  # None on failure -> unconditional sampling
+    if ctx.side_code is not None:
+        decoded = sidechannel.decode_prompts(ctx.side_code, draws.prompt_llrs, cfg.bp_iters)
+        for r, bits in enumerate(decoded):
+            report = sidechannel.receive_prompt(cfg.prompt, bits, ctx.side_code)
+            k_o[r], prompt_ok[r] = report.k_o, report.ok
+            prompts[r] = report.decoded  # None on failure -> unconditional sampling
 
     blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
     groups: dict = {}
     for r, prompt in enumerate(prompts):
         groups.setdefault(None if blind else prompt, []).append(r)
-    z0_hat = np.full_like(batch.z_c, np.nan)
+    z0_hat = np.full_like(z_c, np.nan)
     sampled = np.zeros(n, dtype=bool)
     for prompt, rows in groups.items():
         rows = np.array(rows)
         predictor = ctx.predictor
         if predictor is None:
-            predictor = ExactRecoveryOracle(batch.z0[rows], ctx.sched, ctx.gamma)
+            predictor = ExactRecoveryOracle(z0[rows], ctx.sched, ctx.gamma)
         try:
-            z0_hat[rows], _ = sample_batch(batch.z_c[rows], predictor, prompt,
-                                           ctx.sampler_cfg, ctx.sched,
-                                           batch.draws.warm[rows])
+            z0_hat[rows], _ = sample_batch(z_c[rows], predictor, prompt, ctx.sampler_cfg,
+                                           ctx.sched, draws.warm[rows])
         except GencommError as exc:
             for r in rows:
-                fail(batch.ids[r], exc)
+                fail(ids[r], exc)
             continue
         sampled[rows] = True
 
-    m_coarse = mse(batch.z0, batch.z_c).tolist()
-    m_refined = mse(batch.z0, z0_hat).tolist()
+    m_coarse = mse(z0, z_c).tolist()
+    m_refined = mse(z0, z0_hat).tolist()
     axis_index, snr_db, cbr_value = ctx.axis_index, ctx.snr_db, cbr(ctx.codec_cfg)
-    warm, k, peak, ids = ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k, cfg.peak, batch.ids
+    warm, k, peak = ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k, cfg.peak
     out = {ids[r]: RunResult(axis_index, ids[r], snr_db, cbr_value, warm, k, k_o[r],
                              m_coarse[r], m_refined[r], psnr(m_coarse[r], peak),
                              psnr(m_refined[r], peak), math.nan, prompt_ok[r], 0.0)
            for r in np.flatnonzero(sampled).tolist()}
-    return out, batch.z0[sampled], z0_hat[sampled]
+    return out, z0[sampled], z0_hat[sampled]
 
 
 def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> RunResult:
@@ -393,17 +346,32 @@ def run_trials(ctx: TrialContext, trial_ids: list[int], isolate: bool = True) ->
         rows[trial_id] = _failed_trial(ctx, trial_id, exc)
 
     start = time.perf_counter()
-    z0 = z0_hat = np.empty((0, ctx.world.dim))
-    batch = draw_batch(ctx, trial_ids, fail)
-    if batch is not None and batch.ids:
-        drawn = batch.ids
-        batch = transmit_batch(ctx, batch, fail)
-        decode_prompt_batch(ctx, batch)
-        done, z0, z0_hat = refine_batch(ctx, batch, fail)
-        shared = (time.perf_counter() - start) / len(drawn)
-        for result in done.values():
-            result.wall_time = shared
-        rows.update(done)
+    try:
+        draws = draw_batch(ctx, trial_ids)
+    except GencommError as exc:
+        for trial_id in trial_ids:
+            fail(trial_id, exc)
+        empty = np.empty((0, ctx.world.dim))
+        return TrialRows([rows[i] for i in trial_ids], empty, empty)
+    z0, z_c, ok = transmit_latents(ctx, draws.prior, draws.channel)
+    for r in np.flatnonzero(~ok):
+        fail(trial_ids[r], NormalizationError(ZERO_POWER))
+    if draws.prompt_llrs is not None:
+        finite = np.isfinite(draws.prompt_llrs).all(axis=(1, 2))
+        for r in np.flatnonzero(ok & ~finite):
+            fail(trial_ids[r], ContractError("prompt LLRs must be finite"))
+        ok &= finite
+    live = trial_ids
+    if not ok.all():
+        keep = np.flatnonzero(ok)
+        live = [trial_ids[r] for r in keep]
+        draws = TrialDraws(*(None if a is None else a[keep] for a in draws))
+        z0, z_c = z0[keep], z_c[keep]
+    done, z0, z0_hat = refine_batch(ctx, live, draws, z0, z_c, fail)
+    shared = (time.perf_counter() - start) / max(len(trial_ids), 1)
+    for result in done.values():
+        result.wall_time = shared
+    rows.update(done)
     return TrialRows([rows[i] for i in trial_ids], z0, z0_hat)
 
 
@@ -445,7 +413,7 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
     aggregates: list[dict] = []
     ctx = None
     for axis_index, snr_db, codec_cfg in _axis_points(cfg):
-        ctx = _point_context(cfg, axis_index, snr_db, codec_cfg, ctx)
+        ctx = build_context(cfg, axis_index, snr_db, codec_cfg, ctx)
         ids = list(range(cfg.trials))
         batches = [run_trials(ctx, ids[lo : lo + TRIALS_PER_BATCH])
                    for lo in range(0, len(ids), TRIALS_PER_BATCH)]

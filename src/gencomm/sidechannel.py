@@ -37,12 +37,12 @@ import numpy as np
 
 from .arithmetic import ac_decode, ac_encode
 from .errors import DecodeError, FrameError
-from .ldpc import LLR_MAX, LdpcCode, ldpc_decode_batch, ldpc_encode, ldpc_make
+from .ldpc import (DEFAULT_BP_ITERS, LLR_MAX, LdpcCode, ldpc_decode_batch, ldpc_encode,
+                   ldpc_make)
 from .ldpc import ldpc_decode  # noqa: F401  (benchmarks/spans.py traces this binding)
 
 DEFAULT_LDPC_N = 1024
 DEFAULT_LDPC_SEED = 7070
-DEFAULT_BP_ITERS = 50
 LINK_FRAMES_PER_DECODE = 64  # frames `measure_link` holds and decodes at once
 MAX_PAYLOAD_BYTES = (1 << 16) - 1
 
@@ -153,7 +153,7 @@ def decode_prompts(
     """One batched BP decode of every trial's blocks, `llrs` (trials, blocks, n)."""
     trials, blocks, _ = llrs.shape
     res = ldpc_decode_batch(code, llrs.reshape(-1, code.n), max_iters)
-    info = res.bits[:, code.info_positions].reshape(trials, -1)
+    info = res.bits[:, code.info_positions].reshape(trials, blocks * code.k)
     iterations = res.iterations.reshape(trials, blocks).sum(axis=1)
     return [PromptBits(info[i], int(iterations[i])) for i in range(trials)]
 

@@ -218,12 +218,12 @@ class TestRowFailures:
         clean, _ = sweep(cfg)
         real = pipeline_mod.draw_batch
 
-        def zero_latent(ctx, trial_ids, fail):
-            batch = real(ctx, trial_ids, fail)
-            if 3 in batch.ids and ctx.axis_index == 1:
+        def zero_latent(ctx, trial_ids):
+            draws = real(ctx, trial_ids)
+            if 3 in trial_ids and ctx.axis_index == 1:
                 # mu0 = 0, so zero prior draws give z0 = 0 and an all-zero codeword
-                batch.draws.prior[batch.ids.index(3)] = 0.0
-            return batch
+                draws.prior[trial_ids.index(3)] = 0.0
+            return draws
 
         monkeypatch.setattr(pipeline_mod, "draw_batch", zero_latent)
         rows, aggregates = sweep(cfg)
@@ -234,6 +234,40 @@ class TestRowFailures:
         assert [a["n_failed"] for a in aggregates if a["kind"] == "mean"] == [0, 1]
         with pytest.raises(NormalizationError):
             run_trial(build_context(cfg, 1, 9.0), 3)
+
+    @pytest.mark.parametrize("predictor", ["mlp", "exact-oracle"])
+    def test_zero_power_and_nan_llr_rows_fail_alone(self, monkeypatch, predictor):
+        cfg = _sweep_cfg(predictor, "rayleigh", 6, 7, prompt="class:3", sidechannel=True)
+        ctx = build_context(cfg, 0, 1.0)
+        real = pipeline_mod.draw_batch
+
+        def two_bad_rows(ctx, trial_ids):
+            draws = real(ctx, trial_ids)
+            draws.prior[trial_ids.index(1)] = 0.0
+            draws.prompt_llrs[trial_ids.index(4), 0, 7] = np.nan
+            return draws
+
+        direct = [run_trial(ctx, t) for t in range(cfg.trials)]
+        monkeypatch.setattr(pipeline_mod, "draw_batch", two_bad_rows)
+        got = pipeline_mod.run_trials(ctx, list(range(cfg.trials)))
+        assert [r.trial_id for r in got.rows] == list(range(cfg.trials))
+        assert [(r.trial_id, r.error.partition(":")[0]) for r in got.rows if r.error] == [
+            (1, "NormalizationError"), (4, "ContractError")]
+        live = [out for t, out in enumerate(direct) if t not in (1, 4)]
+        assert all(_same_fields(r, out.result) for r, out in zip(
+            [r for r in got.rows if not r.error], live))
+        assert np.array_equal(got.z0, np.stack([out.z0 for out in live]))
+        assert np.array_equal(got.z0_hat, np.stack([out.z0_hat for out in live]))
+
+        def all_bad(ctx, trial_ids):
+            draws = real(ctx, trial_ids)
+            draws.prompt_llrs[:] = np.nan
+            return draws
+
+        monkeypatch.setattr(pipeline_mod, "draw_batch", all_bad)
+        got = pipeline_mod.run_trials(ctx, [0, 1])
+        assert [r.error.partition(":")[0] for r in got.rows] == ["ContractError"] * 2
+        assert got.z0.shape == got.z0_hat.shape == (0, ctx.world.dim)
 
 
     def test_sampler_error_fails_only_rows_with_that_prompt(self):

@@ -128,6 +128,22 @@ class TestExitCodes:
         assert not out.exists()
         assert peak < 1 << 20  # nothing of the run was allocated
 
+    @pytest.mark.parametrize("guidance,code", [("100", 0), ("100.0001", 1), ("1e300", 1)])
+    def test_guidance_limit(self, tmp_path, capsys, guidance, code):
+        # Unbounded, 1e300 overflowed a guided MLP refinement into an internal error.
+        body = (SMALL_SWEEP.replace("predictor = analytic", "predictor = mlp")
+                .replace("prompt =", "prompt = class:3")
+                .replace("warm_start = 400", f"warm_start = 400\nguidance = {guidance}"))
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out",
+                         str(out), "--quiet"]) == code
+        if code:
+            assert "configuration error: [sampler] guidance must be <= 100" in (
+                capsys.readouterr().err)
+        assert out.exists() == (code == 0)
+
     def test_std_of_a_column_near_1e300_is_finite(self, tmp_path):
         # np.std's squared deviations overflow here; the std is taken on the
         # column scaled by its largest magnitude, with no warning raised.
@@ -411,6 +427,19 @@ class TestOtherCommands:
         curve = (tmp_path / "model.npz.loss.csv").read_text().splitlines()
         assert curve[0] == "step,total,diffusion,latent_mse"
         assert len(curve) == 31
+
+    def test_train_then_sweep_with_one_config(self, tmp_path):
+        # train-denoiser must not read the checkpoint it is about to write.
+        out = tmp_path / "model.npz"
+        body = SMALL_SWEEP.replace("predictor = analytic",
+                                   f"predictor = mlp\nmlp_checkpoint = {out}")
+        cfg = write_cfg(tmp_path, body)
+        assert main(["train-denoiser", "--config", cfg, "--out", str(out),
+                     "--steps", "30", "--quiet"]) == 0
+        results = tmp_path / "r.csv"
+        assert main(["sweep-snr", "--config", cfg, "--out", str(results), "--quiet"]) == 0
+        _, trials, _ = pipeline.read_results(results)
+        assert len(trials) == 4 * 5 and not any(t["error"] for t in trials)
 
     def test_train_denoiser_rerun_replaces_curve(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)

@@ -3,6 +3,8 @@ numpy's own `default_rng(SeedSequence(seed, spawn_key=(axis, trial)))`, and
 the one-call-per-trial draws equal the per-trial construction they replace.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gencomm.config import ExperimentConfig
 from gencomm.errors import ContractError, FrameError
 from gencomm.jscc import CodecConfig
 from gencomm.ldpc import LLR_MAX
-from gencomm.pipeline import build_context, draw_batch, run_trial, trial_states
+from gencomm.pipeline import build_context, draw_batch, run_trial, sweep, trial_states
 from gencomm.sidechannel import bpsk_modulate, prompt_codeword, transmit_bits
 
 SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 + 11, 2**100)
@@ -102,27 +104,30 @@ class TestDrawBatch:
     def test_rows_equal_per_trial_draws(self, kind, ldpc_n, size):
         ctx = build_context(_cfg(kind, ldpc_n), axis_index=2)
         ids = [5 * i + 1 for i in range(size)]
-        batch = draw_batch(ctx, ids, fail=None)
-        assert batch.ids == ids
+        draws = draw_batch(ctx, ids)
+        assert len(draws.prior) == len(draws.channel) == len(draws.warm) == size
         for r, trial_id in enumerate(ids):
             prior, chan, llrs, warm = reference_draws(ctx, trial_id)
-            assert np.array_equal(batch.draws.prior[r], prior)
-            assert np.array_equal(batch.draws.channel[r], chan)
-            assert np.array_equal(batch.draws.warm[r], warm)
+            assert np.array_equal(draws.prior[r], prior)
+            assert np.array_equal(draws.channel[r], chan)
+            assert np.array_equal(draws.warm[r], warm)
             if llrs is None:
-                assert batch.draws.prompt_llrs is None
+                assert draws.prompt_llrs is None
             else:
-                assert np.array_equal(batch.draws.prompt_llrs[r], llrs)
+                assert np.array_equal(draws.prompt_llrs[r], llrs)
 
     def test_framing_error_fails_every_trial(self, monkeypatch):
         def too_large(text, code):
             raise FrameError("compressed prompt too large")
 
         monkeypatch.setattr(pipeline_mod.sidechannel, "prompt_codeword", too_large)
-        ctx = build_context(_cfg("awgn", 256))
-        failed = []
-        assert draw_batch(ctx, [0, 1, 2], lambda t, exc: failed.append(t)) is None
-        assert failed == [0, 1, 2]
+        cfg = _cfg("awgn", 256)
+        with pytest.raises(FrameError):
+            draw_batch(build_context(cfg), [0, 1, 2])
+        rows, _ = sweep(replace(cfg, trials=3))
+        assert [r.trial_id for r in rows] == [0, 1, 2]
+        assert all(r.error.startswith("FrameError: compressed prompt too large")
+                   for r in rows)
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 256])

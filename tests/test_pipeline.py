@@ -178,12 +178,14 @@ class TestSweep:
 
         real = pipeline_mod.draw_batch
 
-        def flaky(ctx, trial_ids, fail):
-            if 1 in trial_ids:
+        def flaky(ctx, trial_ids):
+            if trial_ids == [1]:
                 # commas and newlines must not corrupt the CSV layout
-                fail(1, NormalizationError("synthetic failure, shape (3, 4)\nboom"))
-            return real(ctx, [t for t in trial_ids if t != 1], fail)
+                raise NormalizationError("synthetic failure, shape (3, 4)\nboom")
+            return real(ctx, trial_ids)
 
+        # One trial per batch, so a failed draw stage fails trial 1 alone.
+        monkeypatch.setattr(pipeline_mod, "TRIALS_PER_BATCH", 1)
         monkeypatch.setattr(pipeline_mod, "draw_batch", flaky)
         rows, aggregates = sweep(toy_config(trials=4))
         assert len(rows) == 4
@@ -249,11 +251,11 @@ class TestBatchedSideChannel:
         direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
         real = pipeline_mod.draw_batch
 
-        def poisoned(ctx, trial_ids, fail):
-            batch = real(ctx, trial_ids, fail)
-            if 2 in batch.ids:
-                batch.draws.prompt_llrs[batch.ids.index(2), 0, 5] = np.nan
-            return batch
+        def poisoned(ctx, trial_ids):
+            draws = real(ctx, trial_ids)
+            if 2 in trial_ids:
+                draws.prompt_llrs[trial_ids.index(2), 0, 5] = np.nan
+            return draws
 
         monkeypatch.setattr(pipeline_mod, "draw_batch", poisoned)
         rows, aggregates = sweep(cfg)
