@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -103,6 +104,8 @@ def _run_sweep(args, axis: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     passed, failed, report = run_verification(seed=args.seed, quiet=args.quiet)
     if args.out:
         with open(args.out, "w") as fh:
@@ -217,6 +220,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+            raise ConfigurationError(f"--out {args.out} is not a file in an existing directory")
         return _COMMANDS[args.command](args)
     except GencommError as exc:
         return report_error(exc)

@@ -1,9 +1,9 @@
 """Self-contained invariant suites behind the `verify` CLI subcommand.
 
 Each check re-derives its expectations independently (closed forms, brute
-force, Monte Carlo) and raises AssertionError on violation. Sizes are chosen
-so the whole bundle runs in seconds; the pytest suite runs the same
-invariants at full acceptance sizes.
+force, Monte Carlo) and raises AssertionError on violation. A check that loops
+or samples takes its size as `n`; the defaults keep the whole bundle to
+seconds, and the unit tests call these functions with a larger `n`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import io
 import math
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,11 +64,11 @@ def check_coefficient_identities(rng):
                 assert abs(math.sqrt(1 - ab_p) * gamma - a * gamma * math.sqrt(1 - ab_t)) <= 1e-12
 
 
-def check_warm_start_coincidence(rng):
+def check_warm_start_coincidence(rng, n=100):
     sched = _default_schedule()
     warm = 500
     gamma = residual_weight(warm, sched)
-    for _ in range(100):
+    for _ in range(n):
         z0 = rng.standard_normal(8)
         z_c = rng.standard_normal(8)
         probe = np.random.default_rng(rng.integers(2**32))
@@ -76,11 +77,11 @@ def check_warm_start_coincidence(rng):
         assert np.max(np.abs(z_init - z_fwd)) <= 1e-12
 
 
-def check_inversion_roundtrip(rng):
+def check_inversion_roundtrip(rng, n=200):
     sched = _default_schedule()
     warm = 500
     gamma = residual_weight(warm, sched)
-    for _ in range(200):
+    for _ in range(n):
         t = int(rng.integers(1, warm))
         z0, z_c, eps = rng.standard_normal((3, 6))
         z_t = residual_forward(z0, z_c, t, gamma, eps, sched)
@@ -88,9 +89,9 @@ def check_inversion_roundtrip(rng):
         assert np.max(np.abs(back - z0)) <= 1e-10
 
 
-def check_ddim_reduction(rng):
+def check_ddim_reduction(rng, n=100):
     sched = _default_schedule()
-    for _ in range(100):
+    for _ in range(n):
         t = int(rng.integers(2, sched.T))
         t_prev = int(rng.integers(1, t))
         z_t = rng.standard_normal(6)
@@ -104,24 +105,26 @@ def check_ddim_reduction(rng):
         assert np.max(np.abs(ours - textbook)) <= 1e-12
 
 
-def check_exact_oracle_recovery(rng):
+def check_exact_oracle_recovery(rng, n=10):
     sched = _default_schedule()
     cfg = SamplerConfig(steps=5, warm_start_step=500)
     gamma = residual_weight(500, sched)
-    for _ in range(10):
+    for _ in range(n):
         z0 = rng.standard_normal(8)
         z_c = rng.standard_normal(8)
         oracle = ExactRecoveryOracle(z0, sched, gamma)
-        out, _ = sample(z_c, oracle, None, cfg, sched,
-                        np.random.default_rng(rng.integers(2**32)))
-        assert np.max(np.abs(out - z0)) <= 1e-9
+        out, trace = sample(z_c, oracle, None, cfg, sched,
+                            np.random.default_rng(rng.integers(2**32)))
+        # the output and every estimate after the singular warm-start step
+        for got in [out] + [step.z0_hat for step in trace.steps[1:]]:
+            assert np.max(np.abs(got - z0)) <= 1e-9
 
 
-def check_frozen_noise_trajectory(rng):
+def check_frozen_noise_trajectory(rng, n=10):
     sched = _default_schedule()
     warm = 500
     gamma = residual_weight(warm, sched)
-    for _ in range(10):
+    for _ in range(n):
         z0, z_c = rng.standard_normal((2, 8))
         probe = np.random.default_rng(rng.integers(2**32))
         z, eps = warm_start(z_c, warm, sched, probe)
@@ -185,22 +188,21 @@ def check_channel_basics(rng):
     assert abs(snr_to_sigma2(3.0) - 0.501187) <= 1e-6
 
 
-def check_channel_calibration(rng):
-    n = 100_000
+def check_channel_calibration(rng, n=100_000):
+    tol = 9.4 / math.sqrt(n)  # |noise|^2 and |h|^2 are exponential: SE = 1/sqrt(n)
     x, _ = normalize_power(rng.standard_normal(2 * n))
     x_c = pack_complex(x)
     for kind in ("awgn", "rayleigh"):
         y, h = transmit(x_c, ChannelConfig(kind, 10.0), rng)
         noise = y - h * x_c
         var = float(np.mean(np.abs(noise) ** 2))
-        assert abs(var - 0.1) / 0.1 <= 0.03, f"{kind} noise variance {var}"
+        assert abs(var - 0.1) / 0.1 <= tol, f"{kind} noise variance {var}"
         if kind == "rayleigh":
             gain = float(np.mean(np.abs(h) ** 2))
-            assert abs(gain - 1.0) <= 0.03, f"mean |h|^2 = {gain}"
+            assert abs(gain - 1.0) <= tol, f"mean |h|^2 = {gain}"
 
 
-def check_mmse_vs_zf(rng):
-    n = 20_000
+def check_mmse_vs_zf(rng, n=20_000):
     x, _ = normalize_power(rng.standard_normal(2 * n))
     x_c = pack_complex(x)
     sigma2 = snr_to_sigma2(10.0)
@@ -279,13 +281,13 @@ def check_arithmetic_roundtrip(rng):
         pass
 
 
-def check_ldpc_properties(rng):
+def check_ldpc_properties(rng, n=10):
     code = ldpc_make(256, seed=11)
     assert code.rate == 0.5
     assert np.all(code.H.sum(axis=0) == 3) and np.all(code.H.sum(axis=1) == 6)
     again = ldpc_make(256, seed=11)
     assert np.array_equal(code.H, again.H)
-    for _ in range(10):
+    for _ in range(n):
         info = rng.integers(0, 2, size=code.k).astype(np.uint8)
         word = ldpc_encode(code, info)
         assert not np.any((code.H @ word.astype(np.int64)) % 2)
@@ -332,21 +334,21 @@ def check_pipeline_determinism(rng):
     ctx = build_context(cfg)
     a = run_trial(ctx, 0).result
     b = run_trial(build_context(cfg), 0).result
-    assert (a.mse_coarse, a.mse_refined) == (b.mse_coarse, b.mse_refined)
+    assert replace(a, wall_time=0.0) == replace(b, wall_time=0.0)
     assert a.psnr_refined > a.psnr_coarse if a.mse_refined < a.mse_coarse else True
 
 
-def check_prompt_dropout(rng):
+def check_prompt_dropout(rng, n=20_000):
     sched = _default_schedule()
     model = MlpDenoiser(latent_dim=4, hidden=8, seed=0)
-    z0 = rng.standard_normal((20_000, 4))
+    z0 = rng.standard_normal((n, 4))
     prep = prepare_diffusion_batch(z0, z0, np.zeros(len(z0), dtype=np.int64),
                                    sched, 0.3, 500, 0.10, rng, model.null_index)
-    rate = prep.n_dropped / len(z0)
-    assert abs(rate - 0.10) <= 0.02, f"dropout rate {rate}"
+    rate = prep.n_dropped / len(z0)  # binomial at p = 0.1: SE = sqrt(0.09/n)
+    assert abs(rate - 0.10) <= 9.4 * math.sqrt(0.09 / n), f"dropout rate {rate}"
 
 
-def check_gradients(rng):
+def check_gradients(rng, n=5):
     sched = _default_schedule()
     model = MlpDenoiser(latent_dim=3, hidden=6, time_dim=4, prompt_dim=3,
                         n_classes=3, seed=1)
@@ -356,7 +358,7 @@ def check_gradients(rng):
                                    0.3, 500, 0.10, rng, model.null_index)
     cfg = TrainConfig()
     _, _, grads = loss_and_grads(model, prep, cfg, sched)
-    for _ in range(5):
+    for _ in range(n):
         name = ["w1", "b1", "w2", "b2", "w3", "b3", "emb"][int(rng.integers(7))]
         flat_idx = int(rng.integers(model.params[name].size))
         idx = np.unravel_index(flat_idx, model.params[name].shape)

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gencomm.channel import (ChannelConfig, mmse_equalize, normalize_power,
-                             pack_complex, snr_to_sigma2, transmit,
-                             unpack_complex, zf_equalize)
+                             pack_complex, snr_to_sigma2, transmit, unpack_complex)
 from gencomm.errors import ConfigurationError, ContractError, NormalizationError
+from gencomm.verify import check_channel_basics, check_channel_calibration, check_mmse_vs_zf
 
 
-def test_pack_assigns_halves():
-    symbols = pack_complex(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(symbols.real, [1.0, 2.0])
-    assert np.array_equal(symbols.imag, [3.0, 4.0])
+def test_pack_assigns_halves(rng):
+    check_channel_basics(rng)
 
 
 def test_pack_zero_vector():
@@ -81,19 +79,9 @@ class TestTransmit:
         y, h = transmit(x, ChannelConfig("rayleigh", float("inf")), rng)
         assert np.max(np.abs(y - h * x)) <= 1e-15
 
-    def test_rayleigh_unit_mean_gain(self, rng):
-        x = pack_complex(normalize_power(rng.standard_normal(2_000_000))[0])
-        _, h = transmit(x, ChannelConfig("rayleigh", 10.0), rng)
-        assert abs(np.mean(np.abs(h) ** 2) - 1.0) <= 0.01
-
     def test_noise_variance_calibration(self, rng):
-        n = 1_000_000
-        x = pack_complex(normalize_power(rng.standard_normal(2 * n))[0])
-        for kind in ("awgn", "rayleigh"):
-            y, h = transmit(x, ChannelConfig(kind, 7.0), rng)
-            var = float(np.mean(np.abs(y - h * x) ** 2))
-            want = snr_to_sigma2(7.0)
-            assert abs(var - want) / want <= 0.01
+        # also: Rayleigh unit mean gain
+        check_channel_calibration(rng, n=1_000_000)
 
     def test_deterministic_given_seed(self, rng):
         x = pack_complex(normalize_power(rng.standard_normal(20))[0])
@@ -119,13 +107,7 @@ class TestEqualizers:
         assert x_hat[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_mmse_beats_zero_forcing_on_rayleigh(self, rng):
-        n = 100_000
-        x = normalize_power(rng.standard_normal(2 * n))[0]
-        sigma2 = snr_to_sigma2(10.0)
-        y, h = transmit(pack_complex(x), ChannelConfig("rayleigh", 10.0), rng)
-        err_mmse = float(np.mean((mmse_equalize(y, h, sigma2) - x) ** 2))
-        err_zf = float(np.mean((zf_equalize(y, h) - x) ** 2))
-        assert err_mmse <= err_zf
+        check_mmse_vs_zf(rng, n=100_000)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -17,8 +19,11 @@ from gencomm.cli import main
 from gencomm.config import SIZE_LIMITS
 from gencomm.denoiser import load_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
+from gencomm.verify import ALL_CHECKS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# One PASS line per check, in order, shows that the default sizes run every check.
+VERIFY_REPORT = "".join(f"PASS {name}\n" for name, _ in ALL_CHECKS) + "21 passed, 0 failed\n"
 
 
 def write_cfg(tmp_path, body):
@@ -49,9 +54,24 @@ enabled = false
 class TestExitCodes:
     def test_verify_passes(self, capsys):
         assert main(["verify", "--seed", "7"]) == 0
-        err = capsys.readouterr().err
-        assert "passed, 0 failed" in err
-        assert err.count("PASS") >= 20
+        assert capsys.readouterr().err == VERIFY_REPORT
+
+    def test_negative_verify_seed_is_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["simulate", "--config", str(CONFIGS / "budget.cfg")], ["sidechannel-test"],
+        ["train-denoiser", "--config", str(CONFIGS / "budget.cfg"), "--steps", "1"],
+        ["sample", "--config", str(CONFIGS / "budget.cfg")],
+    ], ids=lambda argv: argv[0])
+    def test_out_must_be_a_file_in_an_existing_directory(self, tmp_path, capsys, argv):
+        for out in (tmp_path / "missing" / "out", tmp_path):
+            assert main([*argv, "--out", str(out), "--quiet"]) == 1
+            assert "configuration error: --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_configuration_error(self, capsys):
         assert main(["simulate", "--config", "x.cfg", "--bogus"]) == 1
@@ -287,8 +307,7 @@ class TestExitCodes:
     def test_verify_report_file(self, tmp_path):
         out = tmp_path / "report.txt"
         assert main(["verify", "--seed", "7", "--quiet", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert "passed, 0 failed" in text and "PASS" in text
+        assert out.read_text() == VERIFY_REPORT
 
     def test_verify_failure_exits_three(self, monkeypatch, capsys):
         import gencomm.verify as verify_mod
@@ -300,6 +319,20 @@ class TestExitCodes:
                             verify_mod.ALL_CHECKS + [("synthetic", broken)])
         assert main(["verify", "--seed", "7"]) == 3
         assert "FAIL synthetic" in capsys.readouterr().err
+
+
+def test_each_sized_check_runs_at_least_its_default_size_in_a_unit_test():
+    trees = [ast.parse(p.read_text()) for p in Path(__file__).parent.glob("test_*.py")
+             if p.name not in ("test_cli.py", "test_acceptance.py")]
+    calls = [c for tree in trees for c in ast.walk(tree)
+             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)]
+    # (function, n) of each `f(..., n=<literal>)` call in the unit tests
+    sizes = {(c.func.id, kw.value.value) for c in calls for kw in c.keywords
+             if kw.arg == "n" and isinstance(kw.value, ast.Constant)}
+    for _, check in ALL_CHECKS:
+        if (n_param := inspect.signature(check).parameters.get("n")) is not None:
+            assert any(f == check.__name__ and n >= n_param.default for f, n in sizes), (
+                f"no unit test calls {check.__name__} with a literal n >= {n_param.default}")
 
 
 class TestSimulateAndSweep:

@@ -12,6 +12,7 @@ from gencomm.errors import ConfigurationError, ContractError, TrainingError
 from gencomm.jscc import CodecConfig, make_linear_codec
 from gencomm.sampler import residual_forward
 from gencomm.schedule import residual_weight
+from gencomm.verify import check_analytic_predictor, check_gradients, check_prompt_dropout
 
 GAMMA = 0.3
 
@@ -19,12 +20,6 @@ GAMMA = 0.3
 # time_dim=8, prompt_dim=4, n_classes=5, seed=314) on the fixed probe below.
 GOLDEN_PROBE_OUT = [0.18051467258291917, 0.06874601223701958,
                     0.40172909638460486, 0.039522918496625856]
-
-
-def identity_world(d=4, noise=0.0):
-    eye = np.eye(d)
-    return GaussianWorld(mu0=np.zeros(d), sigma0=eye, obs_matrix=eye,
-                         obs_noise_cov=noise * eye)
 
 
 class TestGaussianWorld:
@@ -105,15 +100,9 @@ class TestAnalyticEpsilon:
         want = (z_t - math.sqrt(ab) * mu) / math.sqrt(1.0 - ab)
         assert np.max(np.abs(got - want)) <= 1e-9
 
-    def test_identity_channel_closed_form(self, sched, rng):
-        world = identity_world()
-        t = 450
-        ab = sched.alpha_bar(t)
-        z0 = rng.standard_normal(4)
-        z_t = rng.standard_normal(4)
-        got = AnalyticPredictor(world, sched, GAMMA).predict(z_t[None], z0[None], None, t)[0]
-        want = (z_t - math.sqrt(ab) * z0) / math.sqrt(1.0 - ab)
-        assert np.max(np.abs(got - want)) <= 1e-8
+    def test_identity_channel_closed_form(self, rng):
+        # also: a point-mass prior behind a noisy observation
+        check_analytic_predictor(rng)
 
     def test_matches_monte_carlo_regression(self, sched):
         # Conditional means of a joint Gaussian are linear, so an OLS fit of
@@ -330,12 +319,8 @@ class TestLosses:
                                      TrainConfig(), sched, want_grads=False)
         assert parts["latent_mse"] == 0.0
 
-    def test_prompt_dropout_rate(self, sched, rng):
-        n = 100_000
-        z0 = rng.standard_normal((n, 4))
-        prep = prepare_diffusion_batch(z0, z0, np.zeros(n, dtype=np.int64),
-                                       sched, GAMMA, 500, 0.10, rng, null_index=5)
-        assert abs(prep.n_dropped / n - 0.10) <= 0.01
+    def test_prompt_dropout_rate(self, rng):
+        check_prompt_dropout(rng, n=100_000)
 
     def test_batch_uses_residual_forward(self, sched, rng):
         prep = _toy_batch(sched, rng, n=8)
@@ -352,32 +337,8 @@ class TestLosses:
 
 
 class TestGradients:
-    def test_matches_central_differences(self, sched):
-        rng = np.random.default_rng(7)
-        model = MlpDenoiser(latent_dim=3, hidden=6, time_dim=4, prompt_dim=3,
-                            n_classes=3, seed=1)
-        prep = prepare_diffusion_batch(
-            rng.standard_normal((10, 3)),
-            rng.standard_normal((10, 3)) * 0.5,
-            rng.integers(0, 3, size=10), sched, GAMMA, 500, 0.2, rng, 3)
-        cfg = TrainConfig()
-        _, _, grads = loss_and_grads(model, prep, cfg, sched)
-        names = list(model.params)
-        for _ in range(20):
-            name = names[int(rng.integers(len(names)))]
-            idx = np.unravel_index(int(rng.integers(model.params[name].size)),
-                                   model.params[name].shape)
-            h = 1e-5
-            orig = model.params[name][idx]
-            model.params[name][idx] = orig + h
-            up, _, _ = loss_and_grads(model, prep, cfg, sched, want_grads=False)
-            model.params[name][idx] = orig - h
-            down, _, _ = loss_and_grads(model, prep, cfg, sched, want_grads=False)
-            model.params[name][idx] = orig
-            fd = (up - down) / (2 * h)
-            an = grads[name][idx]
-            assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, (
-                f"{name}{idx}: fd={fd:.3e} analytic={an:.3e}")
+    def test_matches_central_differences(self, rng):
+        check_gradients(rng, n=20)
 
 
 class TestTraining:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gencomm.errors import ConfigurationError, ContractError
 from gencomm.ldpc import (CHUNK_EDGES, LLR_MAX, ROW_WEIGHT, _systematic_form, ldpc_decode,
                           ldpc_decode_batch, ldpc_encode, ldpc_make)
+from gencomm.verify import check_ldpc_properties
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +21,8 @@ class TestConstruction:
         assert code.rate == 0.5
         assert code.k == 128 and code.n == 256
 
-    def test_exactly_regular(self, code):
-        assert np.all(code.H.sum(axis=0) == 3)
-        assert np.all(code.H.sum(axis=1) == 6)
+    def test_exactly_regular(self, rng):
+        check_ldpc_properties(rng, n=50)
 
     def test_deterministic_per_seed(self):
         assert np.array_equal(ldpc_make(128, seed=9).H, ldpc_make(128, seed=9).H)
@@ -101,12 +101,6 @@ class TestSystematicForm:
 
 
 class TestEncode:
-    def test_codewords_satisfy_every_check(self, code, rng):
-        for _ in range(50):
-            info = rng.integers(0, 2, size=code.k).astype(np.uint8)
-            word = ldpc_encode(code, info)
-            assert not np.any((code.H @ word.astype(np.int64)) % 2)
-
     def test_systematic_info_recovery(self, code, rng):
         info = rng.integers(0, 2, size=code.k).astype(np.uint8)
         word = ldpc_encode(code, info)
@@ -139,14 +133,6 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_noiseless_converges_in_one_iteration(self, code, rng):
-        info = rng.integers(0, 2, size=code.k).astype(np.uint8)
-        word = ldpc_encode(code, info)
-        llrs = np.where(word == 0, 30.0, -30.0)
-        res = ldpc_decode(code, llrs)
-        assert res.converged and res.iterations == 1
-        assert np.array_equal(res.bits, word)
-
     def test_all_zero_codeword_moderate_noise(self, code):
         # Eb/N0 = 3 dB on the all-zero codeword; success is overwhelmingly
         # likely at this operating point, so a fixed seed keeps it stable.

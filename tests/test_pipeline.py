@@ -8,9 +8,9 @@ from gencomm.channel import ChannelConfig
 from gencomm.config import ExperimentConfig, config_metadata
 from gencomm.errors import ConfigurationError, ContractError
 from gencomm.jscc import CodecConfig
-from gencomm.pipeline import (DEFAULT_WARM_START_TABLE, build_context,
-                              make_training_set, read_results, run_trial, sweep,
-                              warm_start_for_cbr, write_results)
+from gencomm.pipeline import (build_context, make_training_set, read_results, run_trial,
+                              sweep, warm_start_for_cbr, write_results)
+from gencomm.verify import check_pipeline_determinism, check_warm_start_table
 
 TOY_CODEC = CodecConfig(k_prime=4, k=2, height=8, width=8, channels=1)
 
@@ -24,13 +24,9 @@ def toy_config(**kw):
 
 
 class TestWarmStartTable:
-    @pytest.mark.parametrize("point,step", list(DEFAULT_WARM_START_TABLE))
-    def test_published_points(self, point, step):
-        assert warm_start_for_cbr(point) == step
-
-    def test_clamps_outside_range(self):
-        assert warm_start_for_cbr(0.5) == 300
-        assert warm_start_for_cbr(1e-9) == 600
+    def test_published_points(self, rng):
+        # also: CBRs outside the table clamp to its end steps
+        check_warm_start_table(rng)
 
     def test_nearest_with_tie_toward_larger_step(self):
         # exact midpoint between 0.0020 and 0.0033
@@ -47,11 +43,8 @@ def _no_timing(row):
 
 
 class TestRunTrial:
-    def test_deterministic(self):
-        cfg = toy_config()
-        a = run_trial(build_context(cfg), 3).result
-        b = run_trial(build_context(cfg), 3).result
-        assert _no_timing(a) == _no_timing(b)
+    def test_deterministic(self, rng):
+        check_pipeline_determinism(rng)
 
     def test_different_trials_differ(self):
         ctx = build_context(toy_config())

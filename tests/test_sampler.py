@@ -14,6 +14,9 @@ from gencomm.sampler import (SamplerConfig, _inversion, cfg_combine, predict_z0,
                              residual_forward, sample, sample_batch, sampler_step,
                              step_grid, warm_start)
 from gencomm.schedule import build_schedule, residual_weight, update_coeffs
+from gencomm.verify import (check_cfg_identities, check_ddim_reduction,
+                            check_exact_oracle_recovery, check_frozen_noise_trajectory,
+                            check_inversion_roundtrip, check_warm_start_coincidence)
 
 WARM = 500
 
@@ -70,12 +73,8 @@ class TestResidualForward:
             got = residual_forward(z0, z0, t, g, eps, sched)
             assert np.allclose(got, want, atol=1e-13)
 
-    def test_warm_start_coincidence(self, sched, gamma, rng):
-        for _ in range(50):
-            z0, z_c = rng.standard_normal((2, 8))
-            z_init, eps = warm_start(z_c, WARM, sched, rng)
-            fwd = residual_forward(z0, z_c, WARM, gamma, eps, sched)
-            assert np.max(np.abs(fwd - z_init)) <= 1e-12
+    def test_warm_start_coincidence(self, rng):
+        check_warm_start_coincidence(rng, n=200)
 
     def test_dimension_mismatch(self, sched):
         with pytest.raises(ContractError):
@@ -91,12 +90,8 @@ class TestPredictZ0:
         got = predict_z0(z_t, np.zeros(5), eps, t, 0.0, sched)
         assert np.allclose(got, want, atol=1e-13)
 
-    def test_inverse_of_residual_forward(self, sched, gamma, rng):
-        for _ in range(100):
-            t = int(rng.integers(1, WARM))
-            z0, z_c, eps = rng.standard_normal((3, 6))
-            z_t = residual_forward(z0, z_c, t, gamma, eps, sched)
-            assert np.max(np.abs(predict_z0(z_t, z_c, eps, t, gamma, sched) - z0)) <= 1e-10
+    def test_inverse_of_residual_forward(self, rng):
+        check_inversion_roundtrip(rng, n=400)
 
     @given(z0=finite_vec(), z_c=finite_vec(), eps=finite_vec(),
            t=st.integers(1, WARM - 1))
@@ -127,9 +122,7 @@ class TestPredictZ0:
 
 class TestCfgCombine:
     def test_endpoint_identities_bitwise(self, rng):
-        u, c = rng.standard_normal((2, 16))
-        assert np.array_equal(cfg_combine(u, c, 1.0), c)
-        assert np.array_equal(cfg_combine(u, c, 0.0), u)
+        check_cfg_identities(rng)
 
     def test_extrapolation(self):
         v = np.array([1.0, -2.0, 3.0])
@@ -197,17 +190,8 @@ class SingularStepRefuser:
 
 
 class TestSample:
-    def test_exact_oracle_recovery(self, sched, gamma, rng):
-        cfg = SamplerConfig(steps=5, warm_start_step=WARM)
-        for _ in range(20):
-            z0, z_c = rng.standard_normal((2, 8))
-            oracle = ExactRecoveryOracle(z0, sched, gamma)
-            out, trace = sample(z_c, oracle, None, cfg, sched,
-                                np.random.default_rng(rng.integers(2**32)))
-            assert np.max(np.abs(out - z0)) <= 1e-9
-            # every non-singular step recovered the clean latent exactly
-            for step in trace.steps[1:]:
-                assert np.max(np.abs(step.z0_hat - z0)) <= 1e-9
+    def test_exact_oracle_recovery(self, rng):
+        check_exact_oracle_recovery(rng, n=20)
 
     def test_trace_shape(self, sched, rng):
         cfg = SamplerConfig(steps=4, warm_start_step=400)
@@ -331,41 +315,14 @@ class TestSample:
 
 
 class TestAgainstTextbookDdim:
-    def _textbook_ddim_step(self, x, eps_hat, ab_t, ab_prev):
-        # independent deterministic DDIM update, straight from the defining
-        # formula: x0 = (x - sqrt(1-ab)*eps)/sqrt(ab);
-        # x_prev = sqrt(ab_prev)*x0 + sqrt(1-ab_prev)*eps.
-        x0 = (x - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
-        return math.sqrt(ab_prev) * x0 + math.sqrt(1.0 - ab_prev) * eps_hat
-
-    def test_zero_residual_weight_reduces_to_ddim(self, sched, rng):
-        for _ in range(1000):
-            t = int(rng.integers(2, sched.T))
-            t_prev = int(rng.integers(1, t))
-            x, eps_hat = rng.standard_normal((2, 4))
-            want = self._textbook_ddim_step(x, eps_hat, sched.alpha_bar(t),
-                                            sched.alpha_bar(t_prev))
-            z0_hat = predict_z0(x, np.zeros(4), eps_hat, t, 0.0, sched)
-            got = sampler_step(x, z0_hat, t_prev, t, sched)
-            assert np.max(np.abs(got - want)) <= 1e-12
+    def test_zero_residual_weight_reduces_to_ddim(self, rng):
+        check_ddim_reduction(rng, n=1000)
 
 
 class TestFrozenNoiseTrajectory:
-    def test_forced_clean_latent_keeps_state_on_trajectory(self, sched, gamma, rng):
-        # Premise of the invariant: the clean-latent estimate is replaced by
-        # the true clean latent at every update, including the singular first
-        # step where the inversion cannot produce it.
-        for _ in range(30):
-            z0, z_c = rng.standard_normal((2, 8))
-            z, eps = warm_start(z_c, WARM, sched, rng)
-            combined = gamma * (z_c - z0) + eps
-            grid = step_grid(WARM, 5) + [0]
-            for t, t_prev in zip(grid[:-1], grid[1:]):
-                ab = sched.alpha_bar(t)
-                want = math.sqrt(ab) * z0 + math.sqrt(1 - ab) * combined
-                assert np.max(np.abs(z - want)) <= 1e-9
-                z = sampler_step(z, z0, t_prev, t, sched)
-            assert np.max(np.abs(z - z0)) <= 1e-9
+    def test_forced_clean_latent_keeps_state_on_trajectory(self, rng):
+        # The true clean latent replaces the estimate at every update.
+        check_frozen_noise_trajectory(rng, n=30)
 
 
 def test_final_update_lands_exactly_on_clean_estimate(sched, rng):
