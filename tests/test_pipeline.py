@@ -8,8 +8,9 @@ from gencomm.channel import ChannelConfig
 from gencomm.config import ExperimentConfig, config_metadata
 from gencomm.errors import ConfigurationError, ContractError
 from gencomm.jscc import CodecConfig
-from gencomm.pipeline import (build_context, make_training_set, read_results, run_trial,
-                              sweep, warm_start_for_cbr, write_results)
+from gencomm.pipeline import (DEFAULT_WARM_START_TABLE, build_context, make_training_set,
+                              read_results, run_trial, sweep, warm_start_for_cbr,
+                              write_results)
 from gencomm.verify import check_pipeline_determinism, check_warm_start_table
 
 TOY_CODEC = CodecConfig(k_prime=4, k=2, height=8, width=8, channels=1)
@@ -24,8 +25,12 @@ def toy_config(**kw):
 
 
 class TestWarmStartTable:
-    def test_published_points(self, rng):
-        # also: CBRs outside the table clamp to its end steps
+    @pytest.mark.parametrize("point,step", list(DEFAULT_WARM_START_TABLE))
+    def test_published_points(self, point, step):
+        assert warm_start_for_cbr(point) == step
+
+    def test_clamps_outside_range(self, rng):
+        # also: every published point maps to its own step
         check_warm_start_table(rng)
 
     def test_nearest_with_tie_toward_larger_step(self):
