@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -64,13 +63,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+def _load(args, axis: str, **overrides) -> ExperimentConfig:
+    """The config with the command's axis, --seed and --trials set before it is checked."""
+    overrides["sweep_axis"] = axis
     if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+        overrides["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg
+        overrides["trials"] = args.trials
+    return load_config(args.config, **overrides) if args.config else ExperimentConfig(**overrides)
 
 
 def _emit(text: str, args) -> None:
@@ -84,7 +84,7 @@ _SUMMARY_COLUMNS = ("snr_db", "cbr", "k", "warm_start", "mse_coarse", "mse_refin
 
 
 def _run_sweep(args, axis: str) -> int:
-    cfg = replace(_load(args), sweep_axis=axis)
+    cfg = _load(args, axis)
     rows, aggregates = sweep(cfg, threads=args.threads)
     failed = sum(1 for r in rows if r.error)
     if args.out:
@@ -120,7 +120,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sidechannel_test(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, "snr")
     rng = np.random.default_rng(cfg.master_seed)
     code = sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
     frames = cfg.trials
@@ -142,13 +142,13 @@ def cmd_sidechannel_test(args) -> int:
 
 
 def cmd_train_denoiser(args) -> int:
-    cfg = _load(args)
+    # The model is trained from scratch, so the checkpoint it will be saved as is not read.
+    cfg = _load(args, "none", mlp_checkpoint=None)
     if not args.out:
         raise ConfigurationError("train-denoiser requires --out for the checkpoint")
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
-    # The model is trained from scratch, so the checkpoint it will be saved as is not read.
-    ctx = build_context(replace(cfg, mlp_checkpoint=None))
+    ctx = build_context(cfg)
     rng = np.random.default_rng(cfg.master_seed)
     dataset = make_training_set(ctx, n=4096, rng=rng)
     model = MlpDenoiser(latent_dim=ctx.world.dim, seed=cfg.master_seed)
@@ -167,7 +167,7 @@ def cmd_train_denoiser(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = replace(_load(args), trials=1)
+    cfg = _load(args, "none", trials=1)
     ctx = build_context(cfg)
     out = run_trial(ctx, trial_id=0)
     record = {

@@ -6,9 +6,9 @@ Sections and keys, all optional with the defaults shown:
     [experiment]
     spec_version = 1
     master_seed = 7
-    trials = 100
+    trials = 100                  ; at most 100000
     predictor = analytic          ; analytic | mlp | exact-oracle
-    sweep_axis = snr              ; snr | cbr | none
+    sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
     snr_points = 1 4 7 10 13
     cbr_points = 0.002 0.0033 0.0059 0.011
     prompt = class:3              ; empty -> no prompt, unconditional sampling
@@ -49,13 +49,14 @@ Sections and keys, all optional with the defaults shown:
     snr_db = auto                 ; auto -> same as image channel
     ldpc_n = 1024                 ; at most 8192
     ldpc_seed = 7070
-    bp_iters = 50
+    bp_iters = 50                 ; at most 1000
 
 Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
 but not NaN or -inf; CBR points must be > 0 and every other float finite.
-The four sizes that set an allocation have the upper limits noted above: a
-1024-trial sweep point at any one of them peaks below about 0.6 GB. The
-guidance limit keeps a guided MLP refinement finite (1e300 overflows it).
+The sizes that set an allocation or a loop have the upper limits noted
+above: at any one of them a 1024-trial sweep point (a `budget.cfg` sweep, for
+`trials`) peaks below about 0.6 GB. The guidance limit keeps a guided MLP
+refinement finite (1e300 overflows it).
 """
 
 from __future__ import annotations
@@ -218,14 +219,15 @@ _SCHEMA = {
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
 # The upper limits documented in the module docstring.
-SIZE_LIMITS = {("codec", "k_prime"): 512, ("schedule", "steps"): 100_000,
-               ("sampler", "steps"): 1000, ("sampler", "guidance"): 100,
-               ("sidechannel", "ldpc_n"): 8192}
+SIZE_LIMITS = {("experiment", "trials"): 100_000, ("codec", "k_prime"): 512,
+               ("schedule", "steps"): 100_000, ("sampler", "steps"): 1000,
+               ("sampler", "guidance"): 100, ("sidechannel", "ldpc_n"): 8192,
+               ("sidechannel", "bp_iters"): 1000}
 
 
-def load_config(path) -> ExperimentConfig:
-    """The config a file describes; keys it does not set keep the
-    ExperimentConfig defaults."""
+def load_config(path, **overrides) -> ExperimentConfig:
+    """The config a file describes, with the top-level `overrides` applied before
+    it is validated; keys neither sets keep the ExperimentConfig defaults."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -256,7 +258,7 @@ def load_config(path) -> ExperimentConfig:
     defaults = ExperimentConfig()
     for owner, values in nested.items():
         top[owner] = replace(getattr(defaults, owner), **values)
-    return ExperimentConfig(**top)
+    return ExperimentConfig(**{**top, **overrides})
 
 
 def config_metadata(cfg: ExperimentConfig) -> dict:

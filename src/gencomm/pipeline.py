@@ -12,8 +12,8 @@ run per prompt the predictor reads, metrics). A sweep point is one batch of up
 to TRIALS_PER_BATCH trials (more become several batches, which bounds memory),
 and `run_trial` is a batch of one. `build_context` given the sweep's previous
 point reuses the parts that do not depend on the point (schedule, codec, MLP,
-side-channel code). A trial that fails a stage becomes an error row; the
-others carry on.
+prior root). A trial that fails a stage becomes an error row; the others
+carry on.
 
 Determinism: every trial owns an isolated random stream, numpy's
 `default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
@@ -167,7 +167,7 @@ def build_context(
     prev: Optional[TrialContext] = None,
 ) -> TrialContext:
     """A sweep point's context; `prev`, the same sweep's previous point, lends it the
-    schedule, side-channel code, codec (same config), MLP (same k') and prior root."""
+    schedule, codec (same config), MLP (same k') and prior root."""
     snr_db = cfg.channel.snr_db if snr_db is None else snr_db
     codec_cfg = cfg.codec if codec_cfg is None else codec_cfg
     sched = prev.sched if prev else build_schedule(cfg.schedule_steps, cfg.beta_min,
@@ -200,9 +200,8 @@ def build_context(
                                     seed=cfg.master_seed)
     else:
         predictor = None  # exact-oracle, built per trial around the drawn z0
-    side_code = prev.side_code if prev else (
-        sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
-        if cfg.prompt is not None and cfg.sidechannel_enabled else None)
+    side_code = (sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
+                 if cfg.prompt is not None and cfg.sidechannel_enabled else None)
     side_snr = cfg.sidechannel_snr_db if cfg.sidechannel_snr_db is not None else snr_db
     prior_root = (prev.prior_root if prev and prev.world.dim == world.dim
                   else psd_sqrt(world.sigma0))
@@ -285,11 +284,9 @@ def refine_batch(ctx: TrialContext, ids: list[int], draws: TrialDraws, z0: np.nd
     n = len(ids)
     k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
     if ctx.side_code is not None:
-        decoded = sidechannel.decode_prompts(ctx.side_code, draws.prompt_llrs, cfg.bp_iters)
-        for r, bits in enumerate(decoded):
-            report = sidechannel.receive_prompt(cfg.prompt, bits, ctx.side_code)
-            k_o[r], prompt_ok[r] = report.k_o, report.ok
-            prompts[r] = report.decoded  # None on failure -> unconditional sampling
+        reports = sidechannel.receive_prompts(draws.prompt_llrs, ctx.side_code, cfg.bp_iters)
+        k_o, prompt_ok = [r.k_o for r in reports], [r.ok for r in reports]
+        prompts = [r.decoded for r in reports]  # None on failure -> unconditional sampling
 
     blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
     groups: dict = {}
@@ -456,6 +453,7 @@ def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
 _TRIAL_COLUMNS = ["kind", "axis_index", "trial_id", "snr_db", "cbr", "warm_start",
                   "k", "k_o", "mse_coarse", "mse_refined", "psnr_coarse",
                   "psnr_refined", "frechet_gauss", "prompt_ok", "error"]
+_TEXT_COLUMNS = ("kind", "error")
 _INT_COLUMNS = {"axis_index", "trial_id", "warm_start", "k", "k_o", "n_trials",
                 "n_failed"}
 # A trial row's cells as `_fmt` writes them, with prompt_ok passed as "true"/"false".
@@ -485,16 +483,16 @@ def write_results(
     keeping the default output byte-reproducible across runs."""
     agg_fields = [f for f in _AGGREGATE_FIELDS if include_timing or f != "wall_time"]
     if fmt == "json":
+        def cells(rec: dict) -> dict:  # strict JSON: a non-finite float as its CSV cell
+            return {k: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in rec.items() if include_timing or k != "wall_time"}
         payload = {
             "metadata": {k: _fmt(v) for k, v in metadata.items()},
-            "trials": [{k: v for k, v in {"kind": "trial", **asdict(r)}.items()
-                        if include_timing or k != "wall_time"} for r in rows],
-            "aggregates": [{k: v for k, v in rec.items()
-                            if include_timing or k != "wall_time"}
-                           for rec in aggregates],
+            "trials": [cells({"kind": "trial", **asdict(r)}) for r in rows],
+            "aggregates": [cells(rec) for rec in aggregates],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
             fh.write("\n")
         return
     if fmt != "csv":
@@ -520,7 +518,10 @@ def read_results(path, fmt: str = "csv") -> tuple[dict, list[dict], list[dict]]:
     if fmt == "json":
         with open(path) as fh:
             payload = json.load(fh)
-        return payload["metadata"], payload["trials"], payload["aggregates"]
+        numeric = [[{k: float(v) if isinstance(v, str) and k not in _TEXT_COLUMNS else v
+                     for k, v in rec.items()} for rec in payload[part]]
+                   for part in ("trials", "aggregates")]
+        return payload["metadata"], *numeric
     metadata: dict = {}
     trials: list[dict] = []
     aggregates: list[dict] = []
@@ -546,7 +547,7 @@ def read_results(path, fmt: str = "csv") -> tuple[dict, list[dict], list[dict]]:
 
 
 def _parse_cell(cell: str, column: str):
-    if column in ("kind", "error"):
+    if column in _TEXT_COLUMNS:
         return cell
     if cell in ("true", "false"):
         return cell == "true"

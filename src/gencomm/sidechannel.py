@@ -15,13 +15,13 @@ the pipeline then samples unconditionally.
 The round trip is split so that trials can share the expensive parts:
 `transmit_prompt` turns the stacked noise draws of many trials, shape
 (trials, blocks*n), into their LLRs, shape (trials, blocks, n), in one set
-of array operations; `decode_prompts` puts those LLRs on the batch axis of
-`ldpc_decode_batch` (one block-diagonal BP decode, chunked there to bound
-memory); `receive_prompt` deframes one trial's decoded bits. `send_prompt`
-is the three in a row for one trial. Framing is pure, so it is cached:
-`frame_prompt` per text, the LDPC codeword blocks per (text, code), and
-`deframe_prompt` per received byte string. Only the noise, BP and the CRC
-of a byte string not seen before cost anything per trial.
+of array operations; `receive_prompts` decodes them all in one
+block-diagonal BP call (`ldpc_decode_batch`, chunked there to bound memory)
+and deframes each row, reading the frame length from the frame's own
+header, so the receiver needs no sent text. `send_prompt` is the two for
+one trial. The LDPC codeword blocks are cached per (text, code) and
+`deframe_prompt` per received byte string, so only the noise, BP and the
+CRC of a byte string not seen before cost anything per trial.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,7 +61,6 @@ def default_code(n: int = DEFAULT_LDPC_N, seed: int = DEFAULT_LDPC_SEED) -> Ldpc
     return ldpc_make(n, seed)
 
 
-@lru_cache(maxsize=64)
 def frame_prompt(text: str) -> bytes:
     """length || payload || crc32(length || payload), payload = compressed text."""
     payload = np.packbits(ac_encode(text.encode("utf-8"))).tobytes()
@@ -120,13 +119,6 @@ def transmit_bits(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> 
     return awgn_llrs(x, rng.standard_normal(2 * len(x)), snr_db)
 
 
-class PromptBits(NamedTuple):
-    """BP output for one trial's prompt blocks."""
-
-    info: np.ndarray              # decoded info bits of every block, in order
-    iterations: int               # total across the blocks
-
-
 @lru_cache(maxsize=64)
 def prompt_codeword(text: str, code: LdpcCode) -> np.ndarray:
     """LDPC blocks of the zero-padded frame, shape (blocks, n), read-only."""
@@ -147,28 +139,26 @@ def transmit_prompt(text: str, snr_db: float, normals: np.ndarray, code: LdpcCod
     return llrs.reshape(normals.shape[:-1] + coded.shape)
 
 
-def decode_prompts(
-    code: LdpcCode, llrs: np.ndarray, max_iters: int = DEFAULT_BP_ITERS
-) -> list[PromptBits]:
-    """One batched BP decode of every trial's blocks, `llrs` (trials, blocks, n)."""
+def receive_prompts(
+    llrs: np.ndarray, code: LdpcCode, max_iters: int = DEFAULT_BP_ITERS
+) -> list[SideChannelReport]:
+    """One batched BP decode of every trial's blocks, `llrs` (trials, blocks, n),
+    then each trial's frame CRC-checked and decompressed; failure is a flag."""
     trials, blocks, _ = llrs.shape
     res = ldpc_decode_batch(code, llrs.reshape(-1, code.n), max_iters)
-    info = res.bits[:, code.info_positions].reshape(trials, blocks * code.k)
-    iterations = res.iterations.reshape(trials, blocks).sum(axis=1)
-    return [PromptBits(info[i], int(iterations[i])) for i in range(trials)]
-
-
-def receive_prompt(text: str, decoded: PromptBits, code: LdpcCode) -> SideChannelReport:
-    """CRC-check and decompress one trial's decoded frame; failure is a flag."""
-    frame_bits = 8 * len(frame_prompt(text))
-    coded_bits = math.ceil(frame_bits / code.k) * code.n
-    k_o = math.ceil(coded_bits / 2)
-    try:
-        text_out = deframe_prompt(np.packbits(decoded.info[:frame_bits]).tobytes())
-    except (DecodeError, UnicodeDecodeError):
-        text_out = None
-    return SideChannelReport(k_o=k_o, decoded=text_out, ok=text_out is not None,
-                             bp_iterations=decoded.iterations, coded_bits=coded_bits)
+    frames = np.packbits(res.bits[:, code.info_positions].reshape(trials, blocks * code.k),
+                         axis=1)
+    iterations = res.iterations.reshape(trials, blocks).sum(axis=1).tolist()
+    reports = []
+    for frame, its in zip(frames, iterations):
+        try:
+            text = deframe_prompt(frame)  # the length is the header's; padding is ignored
+        except (DecodeError, UnicodeDecodeError):
+            text = None
+        reports.append(SideChannelReport(k_o=blocks * code.n // 2, decoded=text,
+                                         ok=text is not None, bp_iterations=its,
+                                         coded_bits=blocks * code.n))
+    return reports
 
 
 def send_prompt(
@@ -180,9 +170,8 @@ def send_prompt(
 ) -> SideChannelReport:
     """Full coded round trip of one prompt; failures are report states."""
     code = code or default_code()
-    normals = rng.standard_normal(prompt_codeword(text, code).size)
-    llrs = transmit_prompt(text, snr_db, normals, code)
-    return receive_prompt(text, decode_prompts(code, llrs[None], max_iters)[0], code)
+    normals = rng.standard_normal((1, prompt_codeword(text, code).size))
+    return receive_prompts(transmit_prompt(text, snr_db, normals, code), code, max_iters)[0]
 
 
 def measure_link(

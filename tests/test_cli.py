@@ -148,6 +148,40 @@ class TestExitCodes:
         assert not out.exists()
         assert peak < 1 << 20  # nothing of the run was allocated
 
+    @pytest.mark.parametrize("argv,body", [
+        (["simulate"], "snr_points =\n"),
+        (["sample"], "snr_points =\n"),
+        (["train-denoiser", "--steps", "1"], "snr_points =\n"),
+        (["sweep-cbr"], "snr_points =\n"),
+        (["sweep-snr"], "sweep_axis = cbr\ncbr_points =\n"),
+        (["sidechannel-test"], "sweep_axis = cbr\ncbr_points =\nsnr_points = 9\n"),
+    ], ids=["simulate", "sample", "train-denoiser", "sweep-cbr", "sweep-snr",
+            "sidechannel-test"])
+    def test_command_sets_its_axis_before_the_file_is_validated(self, tmp_path, capsys,
+                                                               argv, body):
+        # The file's values were validated before the command's axis was set, so
+        # an empty point list the command never reads failed it.
+        cfg = write_cfg(tmp_path, SMALL_SWEEP.replace("[codec]", body + "[codec]"))
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert {p.name for p in tmp_path.iterdir()} > {"exp.cfg"}  # wrote its output
+
+    def test_trials_flag_is_applied_before_the_file_is_validated(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_SWEEP.replace("trials = 4", "trials = 0"))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--trials", "5", "--out", str(out),
+                     "--quiet"]) == 0
+        _, trials, _ = pipeline.read_results(out)
+        assert [t["trial_id"] for t in trials] == [0, 1, 2, 3, 4]
+
+    def test_trials_flag_above_its_limit_is_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_SWEEP), "--trials",
+                     str(SIZE_LIMITS["experiment", "trials"] + 1), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "configuration error: [experiment] trials must be <= 100000, got 100001\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("guidance,code", [("100", 0), ("100.0001", 1), ("1e300", 1)])
     def test_guidance_limit(self, tmp_path, capsys, guidance, code):
         # Unbounded, 1e300 overflowed a guided MLP refinement into an internal error.
@@ -398,8 +432,17 @@ class TestSimulateAndSweep:
         out = tmp_path / "r.json"
         assert main(["simulate", "--config", cfg, "--out", str(out),
                      "--format", "json"]) == 0
-        payload = json.loads(out.read_text())
+
+        def reject(token):  # a bare NaN or Infinity token is not JSON
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
         assert len(payload["trials"]) == 4
+        # Four trials at d = 8 are too few for frechet_gauss, so every row carries NaN.
+        assert [t["frechet_gauss"] for t in payload["trials"]] == ["nan"] * 4
+        _, trials, aggregates = pipeline.read_results(out, fmt="json")
+        assert all(math.isnan(r["frechet_gauss"]) for r in trials + aggregates)
+        assert all(isinstance(r["mse_refined"], float) for r in trials + aggregates)
 
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # One interpreter per thread count: OpenBLAS reads it once, at load.

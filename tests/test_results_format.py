@@ -35,18 +35,27 @@ def reference_row_dict(r: RunResult, include_timing: bool) -> dict:
     return rec
 
 
+def reference_json_cell(value):
+    """Strict JSON has no NaN or Infinity: those floats are written as their CSV cells."""
+    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
+        return reference_fmt(value)
+    return value
+
+
 def reference_write(rows, aggregates, metadata, path, fmt="csv", include_timing=False):
     agg_fields = [f for f in _AGGREGATE_FIELDS if include_timing or f != "wall_time"]
     if fmt == "json":
         payload = {
             "metadata": {k: reference_fmt(v) for k, v in metadata.items()},
-            "trials": [reference_row_dict(r, include_timing) for r in rows],
-            "aggregates": [{k: v for k, v in rec.items()
+            "trials": [{k: reference_json_cell(v)
+                        for k, v in reference_row_dict(r, include_timing).items()}
+                       for r in rows],
+            "aggregates": [{k: reference_json_cell(v) for k, v in rec.items()
                             if include_timing or k != "wall_time"}
                            for rec in aggregates],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
             fh.write("\n")
         return
     columns = _TRIAL_COLUMNS + (["wall_time"] if include_timing else [])

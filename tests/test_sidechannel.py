@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gencomm.errors import DecodeError
-from gencomm.ldpc import ldpc_decode_batch, ldpc_encode, ldpc_make
+from gencomm.ldpc import LLR_MAX, ldpc_decode_batch, ldpc_encode, ldpc_make
 from gencomm.sidechannel import (LINK_FRAMES_PER_DECODE, bpsk_modulate, default_code,
-                                 deframe_prompt, frame_prompt, measure_link, send_prompt,
-                                 transmit_bits)
+                                 deframe_prompt, frame_prompt, measure_link, prompt_codeword,
+                                 receive_prompts, send_prompt, transmit_bits, transmit_prompt)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,61 @@ class TestSendPrompt:
         a = send_prompt("abc", 2.0, np.random.default_rng(5), code=code)
         b = send_prompt("abc", 2.0, np.random.default_rng(5), code=code)
         assert (a.ok, a.decoded, a.bp_iterations) == (b.ok, b.decoded, b.bp_iterations)
+
+
+def noiseless_llrs(code, frames):
+    """LLRs, shape (len(frames), blocks, n), of byte strings of one length
+    zero-padded to whole blocks and sent over a noiseless channel."""
+    bits = np.unpackbits(np.frombuffer(b"".join(frames), np.uint8)).reshape(len(frames), -1)
+    blocks = math.ceil(bits.shape[1] / code.k)
+    info = np.zeros((len(frames), blocks * code.k), np.uint8)
+    info[:, : bits.shape[1]] = bits
+    coded = ldpc_encode(code, info.reshape(-1, code.k)).reshape(len(frames), blocks, code.n)
+    return np.where(coded == 1, -LLR_MAX, LLR_MAX)
+
+
+class TestReceivePrompts:
+    # Frames of 1, 2 and 3 blocks of the n=256 code (128 info bits per block).
+    TEXTS = {1: "class:7", 2: "a red fox in snow", 3: "a lighthouse on a cliff at dawn"}
+
+    @pytest.mark.parametrize("snr_db", [0.0, 2.0, math.inf])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_each_row_is_a_lone_call(self, code, snr_db, blocks):
+        text = self.TEXTS[blocks]
+        assert prompt_codeword(text, code).shape == (blocks, code.n)
+        normals = np.stack([np.random.default_rng(seed).standard_normal(blocks * code.n)
+                            for seed in range(8)])
+        reports = receive_prompts(transmit_prompt(text, snr_db, normals, code), code)
+        for seed, report in enumerate(reports):
+            lone = transmit_prompt(text, snr_db, normals[seed : seed + 1], code)
+            assert receive_prompts(lone, code) == [report]
+            assert send_prompt(text, snr_db, np.random.default_rng(seed), code=code) == report
+            assert (report.k_o, report.coded_bits) == (blocks * code.n // 2, blocks * code.n)
+            assert report.decoded == (text if report.ok else None)
+        if snr_db == math.inf:
+            assert all(r.ok and r.bp_iterations == blocks for r in reports)
+
+    def test_needs_no_text(self, code):
+        (report,) = receive_prompts(noiseless_llrs(code, [frame_prompt("class:7")]), code)
+        assert report.ok and report.decoded == "class:7"
+
+    def test_a_flipped_header_bit_is_a_failure_flag(self, code):
+        frame = frame_prompt("class:7")
+        flipped = []
+        for bit in range(16):  # the u16 length header
+            corrupt = bytearray(frame)
+            corrupt[bit // 8] ^= 0x80 >> bit % 8
+            flipped.append(bytes(corrupt))
+        reports = receive_prompts(noiseless_llrs(code, [frame, *flipped]), code)
+        assert reports[0].ok
+        assert all(not r.ok and r.decoded is None for r in reports[1:])
+
+    def test_padding_after_the_crc_is_ignored(self, code):
+        frame = frame_prompt("class:7")
+        dirty = frame + b"\xff" * (code.k // 8 - len(frame))
+        assert len(frame) < len(dirty) == code.k // 8  # one block, padding set
+        reports = receive_prompts(noiseless_llrs(code, [dirty]), code)
+        assert reports[0].ok and reports[0].decoded == "class:7"
 
 
 def test_measure_link_clean_channel(code, rng):
