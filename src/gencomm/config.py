@@ -6,11 +6,11 @@ Sections and keys, all optional with the defaults shown:
     [experiment]
     spec_version = 1
     master_seed = 7
-    trials = 100                  ; at most 100000
+    trials = 100                  ; frechet_gauss bias ~78/trials; at most 100000
     predictor = analytic          ; analytic | mlp | exact-oracle
     sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
     snr_points = 1 4 7 10 13
-    cbr_points = 0.002 0.0033 0.0059 0.011
+    cbr_points = 0.002 0.0033 0.0059 0.011  ; above k_prime/(C*H*W): k = k_prime
     prompt = class:3              ; empty -> no prompt, unconditional sampling
     peak = 1.0                    ; dynamic range used by the PSNR transform
     mlp_checkpoint =              ; path; empty -> fresh seeded model
@@ -41,7 +41,7 @@ Sections and keys, all optional with the defaults shown:
     singular_guard = 1e-8
 
     [world]
-    prior_var = 1.0
+    prior_var = 1.0               ; runs from ~2.5e-309 to ~6.9e306 at k_prime = 8
     prior_ar1_rho = 0.9           ; source correlation; 0 -> isotropic prior
 
     [sidechannel]
@@ -56,7 +56,8 @@ but not NaN or -inf; CBR points must be > 0 and every other float finite.
 The sizes that set an allocation or a loop have the upper limits noted
 above: at any one of them a 1024-trial sweep point (a `budget.cfg` sweep, for
 `trials`) peaks below about 0.6 GB. The guidance limit keeps a guided MLP
-refinement finite (1e300 overflows it).
+refinement finite (1e300 overflows it). At 16 latent dims, a `frechet_gauss` cell
+of true value W2^2 needs about 780/W2^2 trials to keep its bias under 10%.
 """
 
 from __future__ import annotations
@@ -135,11 +136,14 @@ class ExperimentConfig:
             raise ConfigurationError("SNR values must be numbers or +inf dB, got NaN or -inf")
         if not all(math.isfinite(v) and v > 0.0 for v in self.cbr_points):
             raise ConfigurationError(f"cbr_points must be finite and > 0, got {self.cbr_points}")
-        if self.warm_start is not None and self.warm_start < self.sampler_steps:
-            raise ConfigurationError(
-                f"warm_start ({self.warm_start}) must be >= sampler steps "
-                f"({self.sampler_steps})"
-            )
+        schedule.check_schedule(self.schedule_steps, self.beta_min, self.beta_max,
+                                self.schedule_kind)
+        # An auto warm start depends on each point's CBR, so build_context checks it.
+        warm = self.sampler_steps if self.warm_start is None else self.warm_start
+        sampler.SamplerConfig(self.sampler_steps, warm, self.guidance, self.singular_guard)
+        if self.warm_start is not None and warm > self.schedule_steps:
+            raise ConfigurationError(f"warm_start ({warm}) exceeds schedule steps "
+                                     f"({self.schedule_steps})")
         for name in ("peak", "guidance", "tikhonov_lambda", "singular_guard", "prior_var"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -149,6 +153,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
         if not self.prior_var > 0.0:
             raise ConfigurationError("prior_var must be > 0")
+        if not self.tikhonov_lambda >= 0.0:
+            raise ConfigurationError("tikhonov_lambda must be >= 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
             raise ConfigurationError("prior_ar1_rho must be in [0, 1)")
         for (section, key), limit in SIZE_LIMITS.items():

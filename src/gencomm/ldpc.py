@@ -32,6 +32,8 @@ COL_WEIGHT = 3
 ROW_WEIGHT = 6
 CHUNK_EDGES = 32768  # message-array edges per decode chunk (at least one block)
 DEFAULT_BP_ITERS = 50
+MAKE_ATTEMPTS = 20  # random constructions tried before giving up
+REDUCE_4CYCLE_PASSES = 8  # bounded effort of the 4-cycle repair
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1) % 2
 
 
@@ -49,24 +51,19 @@ class LdpcCode:
         self.pivot_positions = pivots
         self.info_positions = free
         self.packed_parity_gen = np.packbits(parity_gen, axis=1)  # (m, k/8): GF(2) map
+        # Decode layout. Message row j*m + c is slot j of check c and holds one
+        # value per active block; slot_vars (6m,) is each row's variable and
+        # var_edges (3, n) each variable's rows in check order.
+        rows, cols = np.nonzero(H)
+        check_vars = cols[np.argsort(rows, kind="stable")].reshape(m, ROW_WEIGHT)
+        by_var = np.argsort(check_vars.ravel(), kind="stable").reshape(n, COL_WEIGHT)
+        self.chunk_blocks = max(1, CHUNK_EDGES // (m * ROW_WEIGHT))  # blocks per BP chunk
+        self.slot_vars = check_vars.T.ravel()
+        self.var_edges = np.ascontiguousarray((by_var % ROW_WEIGHT * m + by_var // ROW_WEIGHT).T)
 
     @property
     def k(self) -> int:
         return self.n - self.m
-
-    # Decode layout, built lazily: (blocks per chunk, slot_vars (6m,): the
-    # variable of message row j*m + c, var_edges (3, n): each variable's
-    # message rows in check order). Rows hold one value per active block.
-    def _views(self):
-        views = getattr(self, "_views_cache", None)
-        if views is None:
-            rows, cols = np.nonzero(self.H)
-            check_vars = cols[np.argsort(rows, kind="stable")].reshape(self.m, ROW_WEIGHT)
-            by_var = np.argsort(check_vars.ravel(), kind="stable").reshape(self.n, COL_WEIGHT)
-            views = (max(1, CHUNK_EDGES // (self.m * ROW_WEIGHT)), check_vars.T.ravel(),
-                     np.ascontiguousarray((by_var % ROW_WEIGHT * self.m + by_var // ROW_WEIGHT).T))
-            self._views_cache = views
-        return views
 
 
 def _systematic_form(H: np.ndarray):
@@ -113,32 +110,24 @@ def _random_regular_edges(rng: np.random.Generator, m: int, n: int):
     raise ConstructionError("could not remove duplicate edges")
 
 
-def _reduce_4cycles(cols, rows, rng: np.random.Generator, m: int, n: int, passes: int = 8):
+def _reduce_4cycles(cols, rows, rng: np.random.Generator, m: int, n: int):
     """Break length-4 cycles (two columns sharing two rows) by degree-
-    preserving edge swaps; bounded effort, residual cycles are tolerated."""
+    preserving edge swaps; bounded effort, residual cycles are tolerated.
+    A swap exchanges two edges' rows, so `cols` stays; returns the rows."""
     n_edges = len(cols)
-    for _ in range(passes):
-        order = np.argsort(cols, kind="stable")
-        edge_idx = order.reshape(n, COL_WEIGHT)
-        row_view = rows[edge_idx]
-        offenders: list[int] = []
-        pair_slots = [(0, 1), (0, 2), (1, 2)]
-        keys = []
-        slots = []
-        for a, b in pair_slots:
-            lo = np.minimum(row_view[:, a], row_view[:, b]).astype(np.int64)
-            hi = np.maximum(row_view[:, a], row_view[:, b]).astype(np.int64)
-            keys.append(lo * m + hi)
-            slots.append(np.full(n, b))
-        key_all = np.concatenate(keys)
-        col_all = np.tile(np.arange(n), len(pair_slots))
-        slot_all = np.concatenate(slots)
+    edge_idx = np.argsort(cols, kind="stable").reshape(n, COL_WEIGHT)
+    first, second = np.array([0, 0, 1]), np.array([1, 2, 2])  # a column's slot pairs
+    for _ in range(REDUCE_4CYCLE_PASSES):
+        row_view = rows[edge_idx].astype(np.int64)
+        lo = np.minimum(row_view[:, first], row_view[:, second])
+        hi = np.maximum(row_view[:, first], row_view[:, second])
+        key_all = (lo * m + hi).T.ravel()  # pair-major: entry p*n + col
         sort = np.argsort(key_all, kind="stable")
         dup_mask = np.zeros(len(key_all), dtype=bool)
         dup_mask[sort[1:]] = key_all[sort][1:] == key_all[sort][:-1]
-        for flat in np.nonzero(dup_mask)[0]:
-            offenders.append(edge_idx[col_all[flat], slot_all[flat]])
-        if not offenders:
+        flat = np.flatnonzero(dup_mask)
+        offenders = edge_idx[flat % n, second[flat // n]]
+        if len(offenders) == 0:
             break
         edge_set = set(zip(cols.tolist(), rows.tolist()))
         for e in offenders:
@@ -154,28 +143,28 @@ def _reduce_4cycles(cols, rows, rng: np.random.Generator, m: int, n: int, passes
             edge_set.add((c1, r2))
             edge_set.add((c2, r1))
             rows[e], rows[partner] = r2, r1
-    return cols, rows
+    return rows
 
 
-def ldpc_make(n: int, seed: int, max_attempts: int = 20) -> LdpcCode:
+def ldpc_make(n: int, seed: int) -> LdpcCode:
     """Seeded regular (3,6) code of length n (rate 1/2); deterministic per seed."""
     if n < 2 * ROW_WEIGHT or n % 2 != 0:
         raise ConfigurationError(f"codeword length must be even and >= {2 * ROW_WEIGHT}")
     m = n // 2
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAKE_ATTEMPTS):
         try:
             cols, rows = _random_regular_edges(rng, m, n)
         except ConstructionError:
             continue
-        cols, rows = _reduce_4cycles(cols, rows, rng, m, n)
+        rows = _reduce_4cycles(cols, rows, rng, m, n)
         H = np.zeros((m, n), dtype=np.uint8)
         H[rows, cols] = 1
         try:
             return LdpcCode(H)
         except ConstructionError:
             continue
-    raise ConstructionError(f"no full-rank (3,6) code found in {max_attempts} attempts")
+    raise ConstructionError(f"no full-rank (3,6) code found in {MAKE_ATTEMPTS} attempts")
 
 
 def ldpc_encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
@@ -226,9 +215,8 @@ def ldpc_decode_batch(
     out = BatchDecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
                             converged=np.zeros(len(llrs), dtype=bool),
                             iterations=np.full(len(llrs), max_iters, dtype=np.int64))
-    chunk = code._views()[0]
-    for lo in range(0, len(llrs), chunk):
-        _decode_chunk(code, llrs[lo : lo + chunk], max_iters, lo, out)
+    for lo in range(0, len(llrs), code.chunk_blocks):
+        _decode_chunk(code, llrs[lo : lo + code.chunk_blocks], max_iters, lo, out)
     return out
 
 
@@ -236,11 +224,10 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
                   out: BatchDecodeResult) -> None:
     """Flooding BP on blocks first.. of `out`, block b in column b of the (6, m,
     nb) messages and (n, nb) sums; v2c turns into tanh(v2c / 2) in place."""
-    _, slot_vars, var_edges = code._views()
     active = np.arange(first, first + len(llrs))
     llrs = np.ascontiguousarray(llrs.T)
     bits, c = llrs < 0, None
-    th = np.take(llrs, slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
+    th = np.take(llrs, code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
     for it in range(1, max_iters + 1):
         if c is None or c.shape != th.shape:
             c, odd = np.empty_like(th), np.empty(th.shape, dtype=bool)
@@ -260,11 +247,11 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
         np.multiply(np.arctanh(c, out=c), 2.0, out=c)
         # llrs + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order.
         edges = c.reshape(-1, len(active))
-        np.take(edges, var_edges[0], axis=0, out=total, mode="clip")
+        np.take(edges, code.var_edges[0], axis=0, out=total, mode="clip")
         for k in range(1, COL_WEIGHT):
-            total += np.take(edges, var_edges[k], axis=0, out=incoming, mode="clip")
+            total += np.take(edges, code.var_edges[k], axis=0, out=incoming, mode="clip")
         total += llrs
-        np.take(total, slot_vars, axis=0, out=th.reshape(edges.shape), mode="clip")
+        np.take(total, code.slot_vars, axis=0, out=th.reshape(edges.shape), mode="clip")
         np.less(th, 0, out=odd)            # bits[check_vars]
         th -= c
         np.less(total, 0, out=bits)

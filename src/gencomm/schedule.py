@@ -53,6 +53,16 @@ class NoiseSchedule:
             raise ConfigurationError("alpha_bar must be strictly decreasing")
 
 
+def check_schedule(T: int, beta_min: float, beta_max: float, kind: str) -> None:
+    """Raise ConfigurationError for the arguments `build_schedule` rejects."""
+    if T < 1:
+        raise ConfigurationError(f"T must be >= 1, got {T}")
+    if not (0.0 < beta_min <= beta_max < 1.0):
+        raise ConfigurationError(f"need 0 < beta_min <= beta_max < 1, got [{beta_min}, {beta_max}]")
+    if kind not in SCHEDULE_KINDS:
+        raise ConfigurationError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+
+
 def build_schedule(
     T: int = DEFAULT_T,
     beta_min: float = DEFAULT_BETA_MIN,
@@ -61,18 +71,11 @@ def build_schedule(
 ) -> NoiseSchedule:
     """Build a schedule; `linear` interpolates beta uniformly, `scaled_linear`
     interpolates sqrt(beta) uniformly and squares."""
-    if T < 1:
-        raise ConfigurationError(f"T must be >= 1, got {T}")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ConfigurationError(
-            f"need 0 < beta_min <= beta_max < 1, got [{beta_min}, {beta_max}]"
-        )
+    check_schedule(T, beta_min, beta_max, kind)
     if kind == "linear":
         betas = np.linspace(beta_min, beta_max, T, dtype=np.float64)
-    elif kind == "scaled_linear":
-        betas = np.linspace(math.sqrt(beta_min), math.sqrt(beta_max), T) ** 2
     else:
-        raise ConfigurationError(f"unknown schedule kind {kind!r}")
+        betas = np.linspace(math.sqrt(beta_min), math.sqrt(beta_max), T) ** 2
     alphas = 1.0 - betas
     alpha_bars = np.empty(T + 1, dtype=np.float64)
     alpha_bars[0] = 1.0

@@ -130,6 +130,32 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["sweep-snr"], ["sweep-cbr"], ["sidechannel-test"], ["sample"],
+        ["train-denoiser", "--steps", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("body,message", [
+        ("[schedule]\nkind = bogus\n", "schedule kind must be one of"),
+        ("[schedule]\nsteps = 0\n", "T must be >= 1"),
+        ("[schedule]\nbeta_min = 0.5\nbeta_max = 0.1\n", "need 0 < beta_min <= beta_max < 1"),
+        ("[sampler]\nsteps = 0\n", "steps must be >= 1"),
+        ("[sampler]\nguidance = -1\n", "guidance must be >= 0"),
+        ("[sampler]\nsingular_guard = 0\n", "singular_guard must be > 0"),
+        ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
+        ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
+    ], ids=["schedule_kind", "schedule_steps", "beta_min_above_beta_max", "sampler_steps",
+            "guidance_negative", "singular_guard_zero", "warm_start_above_schedule",
+            "tikhonov_lambda_negative"])
+    def test_bad_value_fails_every_command_that_reads_a_config(self, tmp_path, capsys, argv,
+                                                               body, message):
+        # Only the schedule, sampler, codec or point builders checked these, and
+        # sidechannel-test, which calls none of them, exited 0.
+        cfg = write_cfg(tmp_path, body)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     @pytest.mark.parametrize("section,key", sorted(SIZE_LIMITS))
     def test_size_above_its_limit_is_configuration_error(self, tmp_path, capsys,
                                                          section, key):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomm.errors import ConfigurationError, ContractError
-from gencomm.ldpc import (CHUNK_EDGES, LLR_MAX, ROW_WEIGHT, _systematic_form, ldpc_decode,
+from gencomm.ldpc import (LLR_MAX, ROW_WEIGHT, _systematic_form, ldpc_decode,
                           ldpc_decode_batch, ldpc_encode, ldpc_make)
 from gencomm.verify import check_ldpc_properties
 
@@ -49,6 +49,14 @@ class TestConstruction:
             if rank == code.m:
                 break
         assert rank == code.m
+
+    def test_decode_layout_matches_H(self, code):
+        # Message row j*m + c is slot j of check c; var_edges lists a variable's rows.
+        checks = np.tile(np.arange(code.m), ROW_WEIGHT)
+        assert np.all(code.H[checks, code.slot_vars] == 1)
+        assert np.array_equal(code.slot_vars[code.var_edges],
+                              np.broadcast_to(np.arange(code.n), code.var_edges.shape))
+        assert np.all(np.diff(checks[code.var_edges], axis=0) > 0)
 
 
 def reference_systematic_form(H):
@@ -211,7 +219,7 @@ class TestBatchDecode:
     def test_matches_single_decodes_across_chunks(self, code):
         # 0-4 dB mixes blocks that converge after few iterations, after
         # many, and not at all; the batch spans at least three decode chunks.
-        per_chunk = CHUNK_EDGES // (code.m * ROW_WEIGHT)
+        per_chunk = code.chunk_blocks
         blocks = 2 * per_chunk + 5
         rng = np.random.default_rng(21)
         info = rng.integers(0, 2, size=(blocks, code.k)).astype(np.uint8)
@@ -235,7 +243,7 @@ class TestBatchDecode:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_kernel(self, n, snr_db, max_iters, chunks, seed):
         code = cached_code(n)
-        per_chunk = CHUNK_EDGES // (code.m * ROW_WEIGHT)
+        per_chunk = code.chunk_blocks
         rng = np.random.default_rng(seed)
         blocks = int(rng.integers((chunks - 1) * per_chunk + 1, chunks * per_chunk + 1))
         info = rng.integers(0, 2, size=(blocks, code.k)).astype(np.uint8)
