@@ -41,7 +41,7 @@ Sections and keys, all optional with the defaults shown:
     singular_guard = 1e-8
 
     [world]
-    prior_var = 1.0               ; runs from ~2.5e-309 to ~6.9e306 at k_prime = 8
+    prior_var = 1.0               ; ~2.5e-309 to 2e307/max(2*k_prime, 16)
     prior_ar1_rho = 0.9           ; source correlation; 0 -> isotropic prior
 
     [sidechannel]
@@ -77,6 +77,12 @@ SPEC_VERSION = 1
 
 PREDICTOR_CHOICES = ("analytic", "mlp", "exact-oracle")
 SWEEP_AXES = ("snr", "cbr", "none")
+# A run sums squares of latents of variance ~prior_var over the 2*k_prime latent
+# dims (the codec's power, the squared error). prior_var times that count, read
+# as at least PRIOR_VAR_MIN_TERMS since one draw's tail sets a short sum, stays
+# below PRIOR_VAR_SUM_LIMIT, about a ninth of the largest float.
+PRIOR_VAR_SUM_LIMIT = 2e307
+PRIOR_VAR_MIN_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,10 @@ class ExperimentConfig:
             value = attrgetter(_SCHEMA[section, key][0])(self)
             if value > limit:
                 raise ConfigurationError(f"[{section}] {key} must be <= {limit}, got {value}")
+        terms = max(2 * self.codec.k_prime, PRIOR_VAR_MIN_TERMS)
+        if self.prior_var * terms > PRIOR_VAR_SUM_LIMIT:
+            raise ConfigurationError(f"prior_var must be <= {PRIOR_VAR_SUM_LIMIT / terms:.3g} "
+                                     f"at k_prime = {self.codec.k_prime}, got {self.prior_var}")
 
 
 def _floats(raw: str) -> tuple[float, ...]:

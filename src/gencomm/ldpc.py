@@ -8,13 +8,22 @@ parity of packed info bits AND each packed generator row from a byte table.
 Decoding is flooding belief propagation with early exit.
 
 Batch axis: `ldpc_decode_batch` decodes B codewords as one block-diagonal code
-in chunks of at most CHUNK_EDGES (32768) edges. Messages are slot-outer with
+in chunks of CHUNK_EDGES (32768) edges, but of at least MIN_CHUNK_BLOCKS (32)
+blocks, so a gather row holds at least 256 bytes. Messages are slot-outer with
 the block innermost, (6, m, nb): edge (j*m + c)*nb + b is slot j of check c of
 active block b, so a slot is one contiguous run and the gathers move rows of nb
 values. Each block gets a lone decode's bits: left products th0*th1*... and
 right products th5*th4*... are formed a slot at a time in `np.cumprod`'s order,
 and a variable adds its three messages left to right in check order, as numpy's
-axis-1 sum does. Converged blocks are frozen and their columns dropped.
+axis-1 sum does. Converged blocks are frozen: the last live columns move into
+their places and the arrays shrink to the live width.
+
+Messages are kept at half scale: v2c / 2, clipped at LLR_MAX / 2, and c2v / 2 =
+arctanh of the product. Doubling commutes with rounding, so every sum is
+exactly half of the full-scale one and no pass multiplies by 0.5 or 2. The one
+exception is an LLR that is an odd multiple of the smallest subnormal, whose
+half rounds; a chunk holding one runs at full scale. Iteration 1's tanh is
+taken once per variable, before its value is spread to the variable's edges.
 
 Sign convention: positive LLR means bit 0.
 """
@@ -30,7 +39,8 @@ from .errors import ConfigurationError, ConstructionError, ContractError
 LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
-CHUNK_EDGES = 32768  # message-array edges per decode chunk (at least one block)
+CHUNK_EDGES = 32768  # message-array edges per decode chunk, but at least
+MIN_CHUNK_BLOCKS = 32  # this many blocks, so a gather row holds 256 bytes
 DEFAULT_BP_ITERS = 50
 MAKE_ATTEMPTS = 20  # random constructions tried before giving up
 REDUCE_4CYCLE_PASSES = 8  # bounded effort of the 4-cycle repair
@@ -57,7 +67,7 @@ class LdpcCode:
         rows, cols = np.nonzero(H)
         check_vars = cols[np.argsort(rows, kind="stable")].reshape(m, ROW_WEIGHT)
         by_var = np.argsort(check_vars.ravel(), kind="stable").reshape(n, COL_WEIGHT)
-        self.chunk_blocks = max(1, CHUNK_EDGES // (m * ROW_WEIGHT))  # blocks per BP chunk
+        self.chunk_blocks = max(MIN_CHUNK_BLOCKS, CHUNK_EDGES // (m * ROW_WEIGHT))
         self.slot_vars = check_vars.T.ravel()
         self.var_edges = np.ascontiguousarray((by_var % ROW_WEIGHT * m + by_var // ROW_WEIGHT).T)
 
@@ -223,16 +233,30 @@ def ldpc_decode_batch(
 def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
                   out: BatchDecodeResult) -> None:
     """Flooding BP on blocks first.. of `out`, block b in column b of the (6, m,
-    nb) messages and (n, nb) sums; v2c turns into tanh(v2c / 2) in place."""
+    nb) messages and (n, nb) sums, at half scale (see the module docstring):
+    v2c / 2 turns into tanh(v2c / 2) in place, and the three c2v / 2 of every
+    variable are gathered by one take into (3, n, nb)."""
     active = np.arange(first, first + len(llrs))
-    llrs = np.ascontiguousarray(llrs.T)
-    bits, c = llrs < 0, None
-    th = np.take(llrs, code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
+    half = np.multiply(llrs.T, 0.5, order="C")   # (n, nb) channel LLRs / 2
+    bits = np.less(llrs.T, 0, order="C")
+    # clip(x, ±LLR_MAX) / 2 == clip(x / 2, ±LLR_MAX / 2), rounding included.
+    th = np.tanh(np.clip(half, -LLR_MAX / 2, LLR_MAX / 2))
+    th = np.take(th, code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
+    # Halving rounds only an odd multiple of the smallest subnormal; a chunk
+    # holding one keeps full-scale messages, as a lone decode's are.
+    full = not np.array_equal(half + half, llrs.T)
+    lam, bound = (np.array(llrs.T, order="C"), LLR_MAX) if full else (half, LLR_MAX / 2)
+    c_buf, odd_buf = np.empty(th.size), np.empty(th.size, dtype=bool)
+    total_buf = np.empty(lam.size)
     for it in range(1, max_iters + 1):
-        if c is None or c.shape != th.shape:
-            c, odd = np.empty_like(th), np.empty(th.shape, dtype=bool)
-            total, incoming = np.empty_like(llrs), np.empty_like(llrs)
-        np.tanh(np.multiply(np.clip(th, -LLR_MAX, LLR_MAX, out=th), 0.5, out=th), out=th)
+        # Work arrays: the leading part of each buffer, as the columns shrink.
+        c, odd = c_buf[:th.size].reshape(th.shape), odd_buf[:th.size].reshape(th.shape)
+        total = total_buf[:lam.size].reshape(lam.shape)
+        if it > 1:
+            np.clip(th, -bound, bound, out=th)
+            if full:
+                th *= 0.5
+            np.tanh(th, out=th)
         # Left, then right running products in cumprod's order; slot 0 ends as th5*...*th1.
         np.multiply(th[0], th[1], out=c[2])
         for j in range(3, ROW_WEIGHT):
@@ -244,13 +268,17 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
             c[0] *= th[j]
         np.multiply(th[0], c[0], out=c[1])
         c[0] *= th[1]
-        np.multiply(np.arctanh(c, out=c), 2.0, out=c)
-        # llrs + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order.
+        np.arctanh(c, out=c)
+        if full:
+            c *= 2.0
+        # lam + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order. The
+        # (3, n, nb) gathered c2v reuse th's buffer, which the products consumed.
         edges = c.reshape(-1, len(active))
-        np.take(edges, code.var_edges[0], axis=0, out=total, mode="clip")
-        for k in range(1, COL_WEIGHT):
-            total += np.take(edges, code.var_edges[k], axis=0, out=incoming, mode="clip")
-        total += llrs
+        incoming = np.take(edges, code.var_edges.ravel(), axis=0, mode="clip",
+                           out=th.reshape(edges.shape)).reshape(COL_WEIGHT, code.n, -1)
+        np.add(incoming[0], incoming[1], out=total)
+        total += incoming[2]
+        total += lam
         np.take(total, code.slot_vars, axis=0, out=th.reshape(edges.shape), mode="clip")
         np.less(th, 0, out=odd)            # bits[check_vars]
         th -= c
@@ -258,15 +286,18 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
         unsatisfied = np.bitwise_xor.reduce(odd, axis=0).any(axis=0)
         if unsatisfied.all():
             continue
-        # Freeze the blocks that converged, then keep the other columns.
-        done = ~unsatisfied
+        # Freeze the blocks that converged. The live columns from nb on fill
+        # the frozen ones below nb, and the first nb columns are kept.
+        done = np.flatnonzero(~unsatisfied)
         out.bits[active[done]] = bits[:, done].T
         out.converged[active[done]] = True
         out.iterations[active[done]] = it
-        active = active[unsatisfied]
-        if len(active) == 0:
+        nb = len(active) - len(done)
+        if nb == 0:
             return
-        # take, unlike a boolean index, keeps the arrays C-contiguous.
-        keep = np.flatnonzero(unsatisfied)
-        llrs, bits, th = (np.take(a, keep, axis=-1) for a in (llrs, bits, th))
+        holes, movers = done[done < nb], nb + np.flatnonzero(unsatisfied[nb:])
+        for a in (active, lam, bits, th):
+            a[..., holes] = a[..., movers]
+        active = active[:nb]
+        lam, bits, th = (np.ascontiguousarray(a[..., :nb]) for a in (lam, bits, th))
     out.bits[active] = bits.T

@@ -428,23 +428,24 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
 
 def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
     ok = [r for r in rows if not r.error]
-    # Fortran order: each column is contiguous, so its mean and std are a list's.
-    table = np.array(list(map(attrgetter(*_AGGREGATE_FIELDS), ok)), np.float64, order="F")
-    out = []
-    for kind, fn in (("mean", np.mean), ("std", np.std)):
-        rec: dict = {"kind": kind, "axis_index": axis_index,
-                     "n_trials": len(rows), "n_failed": len(rows) - len(ok)}
-        for j, name in enumerate(_AGGREGATE_FIELDS):
-            # An exactly recovered latent has PSNR +inf; its std is NaN.
-            with np.errstate(invalid="ignore", over="ignore"):
-                rec[name] = float(fn(table[:, j])) if ok else math.nan
-            if math.isinf(rec[name]) and np.isfinite(table[:, j]).all():
-                # The sum or the squares of a finite column near 1e300
-                # overflow; scale it first.
-                scale = np.abs(table[:, j]).max()
-                rec[name] = float(scale * fn(table[:, j] / scale))
-        out.append(rec)
-    return out
+    fns = {"mean": np.mean, "std": np.std}
+    stats = dict.fromkeys(fns, [math.nan] * len(_AGGREGATE_FIELDS))
+    if ok:
+        # Fortran order: each column is contiguous, so its mean and std are a list's.
+        table = np.array(list(map(attrgetter(*_AGGREGATE_FIELDS), ok)), np.float64, order="F")
+        # An exactly recovered latent has PSNR +inf; its std is NaN.
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats = {kind: fn(table, axis=0) for kind, fn in fns.items()}
+        for kind, fn in fns.items():
+            for j in np.flatnonzero(np.isinf(stats[kind])):
+                if np.isfinite(table[:, j]).all():
+                    # The sum or the squares of a finite column near 1e300
+                    # overflow; scale it first.
+                    scale = np.abs(table[:, j]).max()
+                    stats[kind][j] = scale * fn(table[:, j] / scale)
+    return [{"kind": kind, "axis_index": axis_index, "n_trials": len(rows),
+             "n_failed": len(rows) - len(ok), **dict(zip(_AGGREGATE_FIELDS, map(float, values)))}
+            for kind, values in stats.items()]
 
 
 # ---------------------------------------------------------------------------

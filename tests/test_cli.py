@@ -143,9 +143,10 @@ class TestExitCodes:
         ("[sampler]\nsingular_guard = 0\n", "singular_guard must be > 0"),
         ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
         ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
+        ("[world]\nprior_var = 1e307\n", "prior_var must be <= 1.25e+306 at k_prime = 8"),
     ], ids=["schedule_kind", "schedule_steps", "beta_min_above_beta_max", "sampler_steps",
             "guidance_negative", "singular_guard_zero", "warm_start_above_schedule",
-            "tikhonov_lambda_negative"])
+            "tikhonov_lambda_negative", "prior_var_above_its_window"])
     def test_bad_value_fails_every_command_that_reads_a_config(self, tmp_path, capsys, argv,
                                                                body, message):
         # Only the schedule, sampler, codec or point builders checked these, and
@@ -518,6 +519,18 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "snr_db,info_bits,frames,ber,fer"
         assert len(lines) == 2
+
+    def test_sidechannel_test_matches_link_golden(self, tmp_path):
+        # The values of benchmarks/link_ber.cfg: BP on the n=1024 code, pinned
+        # end to end byte for byte (0 dB runs every frame to the iteration cap).
+        cfg = write_cfg(tmp_path, "[experiment]\nspec_version = 1\ntrials = 25\n"
+                                  "snr_points = 0 1 2 3\n[sidechannel]\nldpc_n = 1024\n"
+                                  "ldpc_seed = 7070\nbp_iters = 50\n")
+        out = tmp_path / "link.csv"
+        assert main(["sidechannel-test", "--config", cfg, "--seed", "7",
+                     "--out", str(out), "--quiet"]) == 0
+        golden = Path(__file__).resolve().parent / "data" / "golden_link_ber.csv"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_train_denoiser_writes_checkpoint_and_curve(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)

@@ -73,6 +73,13 @@ def run(argv) -> tuple[int, str]:
 @example(command=("sweep-snr",), predictor="analytic",
          changes=[(("world", "prior_var"), "1e306"), (("experiment", "trials"), "300"),
                   (("sidechannel", "enabled"), "false")])
+@example(command=("sweep-snr",), predictor="analytic",
+         changes=[(("codec", "k_prime"), "8"), (("world", "prior_var"), "1e307"),
+                  (("experiment", "trials"), "4"), (("sidechannel", "enabled"), "false")])
+@example(command=("sweep-snr",), predictor="exact-oracle",
+         changes=[(("codec", "k_prime"), "64"), (("codec", "height"), "32"),
+                  (("codec", "width"), "32"), (("world", "prior_var"), "1e306"),
+                  (("experiment", "trials"), "4"), (("sidechannel", "enabled"), "false")])
 @example(command=("sweep-snr",), predictor="exact-oracle", changes=[])
 @example(command=("sweep-snr",), predictor="exact-oracle",
          changes=[(("schedule", "steps"), "2000"), (("sampler", "warm_start"), "2000"),

@@ -183,30 +183,34 @@ class TestDecode:
 
 
 def reference_decode(code, llrs, max_iters):
-    """Check-major flooding BP, one block at a time: each check row's six
-    messages are a row of a dense (m, 6) array, products come from
-    `np.cumprod` and the variable update scatters back into that array."""
+    """Check-major flooding BP at full scale: each check row's six messages are
+    a row of a dense (B, m, 6) array, products come from `np.cumprod` and the
+    variable update scatters back into that array. Blocks run side by side and
+    each stops at its own first zero syndrome."""
     rows, cols = np.nonzero(code.H)
     check_vars = cols[np.argsort(rows, kind="stable")].reshape(code.m, ROW_WEIGHT)
     var_edges = np.argsort(check_vars.ravel(), kind="stable").reshape(code.n, 3)
-    bits = np.empty(llrs.shape, dtype=np.uint8)
+    bits = (llrs < 0).astype(np.uint8)
     converged = np.zeros(len(llrs), dtype=bool)
     iterations = np.full(len(llrs), max_iters)
-    for b, lam in enumerate(llrs):
-        v2c = lam[check_vars]
-        bits[b] = lam < 0
-        for it in range(1, max_iters + 1):
-            th = np.tanh(np.clip(v2c, -LLR_MAX, LLR_MAX) / 2.0)
-            left, right = np.ones_like(th), np.ones_like(th)
-            np.cumprod(th[:, :-1], axis=1, out=left[:, 1:])
-            np.cumprod(th[:, :0:-1], axis=1, out=right[:, -2::-1])
-            incoming = (2.0 * np.arctanh(left * right)).ravel()[var_edges]
-            total = lam + incoming.sum(axis=1)
-            v2c.ravel()[var_edges.ravel()] = (total[:, None] - incoming).ravel()
-            bits[b] = total < 0
-            if not np.any(bits[b][check_vars].sum(axis=1) % 2):
-                converged[b], iterations[b] = True, it
-                break
+    v2c = llrs[:, check_vars]
+    live = np.arange(len(llrs))
+    for it in range(1, max_iters + 1):
+        th = np.tanh(np.clip(v2c, -LLR_MAX, LLR_MAX) / 2.0)
+        left, right = np.ones_like(th), np.ones_like(th)
+        np.cumprod(th[..., :-1], axis=2, out=left[..., 1:])
+        np.cumprod(th[..., :0:-1], axis=2, out=right[..., -2::-1])
+        incoming = (2.0 * np.arctanh(left * right)).reshape(len(live), -1)[:, var_edges]
+        total = llrs[live] + incoming.sum(axis=2)
+        v2c = np.empty_like(th).reshape(len(live), -1)
+        v2c[:, var_edges.ravel()] = (total[..., None] - incoming).reshape(len(live), -1)
+        v2c = v2c.reshape(th.shape)
+        bits[live] = total < 0
+        done = ~np.any(bits[live][:, check_vars].sum(axis=2) % 2, axis=1)
+        converged[live[done]], iterations[live[done]] = True, it
+        live, v2c = live[~done], v2c[~done]
+        if len(live) == 0:
+            break
     return bits, converged, iterations
 
 
@@ -257,14 +261,46 @@ class TestBatchDecode:
         assert np.array_equal(res.converged, converged)
         assert np.array_equal(res.iterations, iterations)
 
-    def test_non_contiguous_input(self, code):
+    @pytest.mark.parametrize("max_iters", [0, 1, 2, 50])
+    def test_matches_reference_on_edge_llrs(self, max_iters):
+        # LLRs the API accepts but the channel never makes, mixed into noisy
+        # rows: beyond the clip, exactly at it, signed zeros and subnormals.
+        # Halving is exact for the first chunk's values. The second chunk adds
+        # odd multiples of the smallest subnormal, whose halves round, so
+        # densely that some variables hear only zero messages at first.
+        code = cached_code(1024)
+        per_chunk = code.chunk_blocks
+        rng = np.random.default_rng(29)
+        words = ldpc_encode(code, rng.integers(0, 2, size=(per_chunk + 8, code.k)))
+        llrs = np.clip(2.0 * (1.0 - 2.0 * words + 0.9 * rng.standard_normal(words.shape))
+                       / 0.81, -LLR_MAX, LLR_MAX)
+        exact = [1e300, -1e300, LLR_MAX, -LLR_MAX, 0.0, -0.0, 1e-320, -1e-320]
+        rounded = exact + [1e-310, -1e-310, 5e-324, -5e-324]
+        for rows, values, share in ((slice(0, per_chunk), exact, 0.05),
+                                    (slice(per_chunk, None), rounded, 0.4)):
+            mask = rng.random(llrs[rows].shape) < share
+            llrs[rows][mask] = rng.choice(values, size=mask.sum())
+        res = ldpc_decode_batch(code, llrs, max_iters)
+        bits, converged, iterations = reference_decode(code, llrs, max_iters)
+        assert np.array_equal(res.bits, bits)
+        assert np.array_equal(res.converged, converged)
+        assert np.array_equal(res.iterations, iterations)
+
+    @pytest.mark.parametrize("first_llr", [None, 5e-324])
+    def test_non_contiguous_input(self, code, first_llr):
+        # 5e-324, whose half rounds, makes the chunk keep full-scale messages;
+        # the input is read, never written, on either path.
         rng = np.random.default_rng(17)
         words = ldpc_encode(code, rng.integers(0, 2, size=(12, code.k)))
         llrs = np.clip(2.0 * (1.0 - 2.0 * words + 0.8 * rng.standard_normal(words.shape))
                        / 0.64, -LLR_MAX, LLR_MAX)
+        if first_llr is not None:
+            llrs[:, 0] = first_llr
         for view in (llrs[::2], np.asfortranarray(llrs)):
+            before = view.copy()
             want = ldpc_decode_batch(code, np.ascontiguousarray(view), max_iters=15)
             got = ldpc_decode_batch(code, view, max_iters=15)
+            assert np.array_equal(view, before)
             assert np.array_equal(got.bits, want.bits)
             assert np.array_equal(got.converged, want.converged)
             assert np.array_equal(got.iterations, want.iterations)
