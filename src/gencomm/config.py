@@ -129,6 +129,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        if self.prompt is not None and ("\n" in self.prompt or "\r" in self.prompt):
+            raise ConfigurationError(f"prompt must be one line, got {self.prompt!r}")
         if self.predictor not in PREDICTOR_CHOICES:
             raise ConfigurationError(f"predictor must be one of {PREDICTOR_CHOICES}")
         if self.sweep_axis not in SWEEP_AXES:

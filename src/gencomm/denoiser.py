@@ -269,7 +269,11 @@ def prompt_to_index(prompt, n_classes: int) -> int:
     if isinstance(prompt, (int, np.integer)):
         idx = int(prompt)
     elif text.startswith("class:"):
-        idx = int(text.split(":", 1)[1])
+        suffix = text[len("class:"):]
+        try:
+            idx = int(suffix)
+        except ValueError:
+            raise ContractError(f"prompt class {suffix!r} is not an integer") from None
     else:
         return zlib.crc32(text.encode("utf-8")) % n_classes
     if not 0 <= idx <= n_classes:

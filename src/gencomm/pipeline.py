@@ -3,17 +3,18 @@ equalize -> decode -> warm-start diffusion refinement -> metrics, plus
 experiment sweeps and result persistence.
 
 Batch-first: `run_trials` runs a batch of one sweep point's trials as one pass
-over stacked (B, d) arrays: `draw_batch` (every trial's PCG64 state computed at
-once, one normal draw per trial into one buffer, the prompt's LLRs from the
-stacked noise), `transmit_latents` (z0, codec, channel, equalizer), one mask of
-the rows that failed there, and `refine_batch` on the live rows (one
-block-diagonal BP decode of every trial's prompt blocks, deframing, a sampler
-run per prompt the predictor reads, metrics). A sweep point is one batch of up
-to TRIALS_PER_BATCH trials (more become several batches, which bounds memory),
-and `run_trial` is a batch of one. `build_context` given the sweep's previous
-point reuses the parts that do not depend on the point (schedule, codec, MLP,
-prior root). A trial that fails a stage becomes an error row; the others
-carry on.
+over stacked (B, d) arrays, row r being trial r of the batch throughout:
+`draw_batch` (every trial's PCG64 state computed at once, one normal draw per
+trial into one buffer, the prompt's LLRs from the stacked noise),
+`transmit_latents` (z0, codec, channel, equalizer), one block-diagonal BP
+decode of every row's prompt blocks with deframing, a sampler run per prompt
+the predictor reads, and metrics. A stage that fails a row records the error
+in the row's entry of `errors`; the row joins no later stage and becomes an
+error row, and the others carry on. A sweep point is one batch of up to
+TRIALS_PER_BATCH trials (more become several batches, which bounds memory), and
+`run_trial` is a batch of one that raises its row's error. `build_context`
+given the sweep's previous point reuses the parts that do not depend on the
+point (schedule, codec, MLP, prior root).
 
 Determinism: every trial owns an isolated random stream, numpy's
 `default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
@@ -219,11 +220,13 @@ class TrialOutput:
 
 
 class TrialRows(NamedTuple):
-    """A batch's rows, and the stacked z0 and z0_hat of its error-free rows in that order."""
+    """A batch's rows and each row's error (None if it ran), with the stacked z0
+    and z0_hat of its error-free rows in that order."""
 
     rows: list[RunResult]
     z0: np.ndarray
     z0_hat: np.ndarray
+    errors: list[Optional[GencommError]]
 
 
 class TrialDraws(NamedTuple):
@@ -273,52 +276,6 @@ def transmit_latents(
     return z0, z_c, ~np.isnan(scales)
 
 
-def refine_batch(ctx: TrialContext, ids: list[int], draws: TrialDraws, z0: np.ndarray,
-                 z_c: np.ndarray, fail) -> tuple[dict[int, RunResult], np.ndarray, np.ndarray]:
-    """Decode every row's prompt blocks in one block-diagonal BP call and
-    deframe them, run the sampler once per group of rows that share a received
-    prompt (one group if the predictor ignores it), and score every row; row r
-    belongs to trial ids[r]. Returns the rows by trial id with their stacked z0
-    and z0_hat. A sampler error fails the rows of its group."""
-    cfg = ctx.cfg
-    n = len(ids)
-    k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
-    if ctx.side_code is not None:
-        reports = sidechannel.receive_prompts(draws.prompt_llrs, ctx.side_code, cfg.bp_iters)
-        k_o, prompt_ok = [r.k_o for r in reports], [r.ok for r in reports]
-        prompts = [r.decoded for r in reports]  # None on failure -> unconditional sampling
-
-    blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
-    groups: dict = {}
-    for r, prompt in enumerate(prompts):
-        groups.setdefault(None if blind else prompt, []).append(r)
-    z0_hat = np.full_like(z_c, np.nan)
-    sampled = np.zeros(n, dtype=bool)
-    for prompt, rows in groups.items():
-        rows = np.array(rows)
-        predictor = ctx.predictor
-        if predictor is None:
-            predictor = ExactRecoveryOracle(z0[rows], ctx.sched, ctx.gamma)
-        try:
-            z0_hat[rows], _ = sample_batch(z_c[rows], predictor, prompt, ctx.sampler_cfg,
-                                           ctx.sched, draws.warm[rows])
-        except GencommError as exc:
-            for r in rows:
-                fail(ids[r], exc)
-            continue
-        sampled[rows] = True
-
-    m_coarse = mse(z0, z_c).tolist()
-    m_refined = mse(z0, z0_hat).tolist()
-    axis_index, snr_db, cbr_value = ctx.axis_index, ctx.snr_db, cbr(ctx.codec_cfg)
-    warm, k, peak = ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k, cfg.peak
-    out = {ids[r]: RunResult(axis_index, ids[r], snr_db, cbr_value, warm, k, k_o[r],
-                             m_coarse[r], m_refined[r], psnr(m_coarse[r], peak),
-                             psnr(m_refined[r], peak), math.nan, prompt_ok[r], 0.0)
-           for r in np.flatnonzero(sampled).tolist()}
-    return out, z0[sampled], z0_hat[sampled]
-
-
 def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> RunResult:
     """An error row: NaN metrics and a single-line, comma-free note."""
     nan = math.nan
@@ -328,54 +285,74 @@ def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> RunRes
                      nan, nan, nan, nan, nan, False, 0.0, note)
 
 
-def run_trials(ctx: TrialContext, trial_ids: list[int], isolate: bool = True) -> TrialRows:
-    """Run a batch of one sweep point's trials, each stage once on stacked arrays.
-
-    With `isolate`, a GencommError in one trial becomes an error row for that
-    trial and the others carry on; without it, the error is raised. Each
-    trial's wall time is an equal share of the whole batch's.
-    """
-    rows: dict[int, RunResult] = {}
-
-    def fail(trial_id: int, exc: GencommError) -> None:
-        if not isolate:
-            raise exc
-        rows[trial_id] = _failed_trial(ctx, trial_id, exc)
-
+def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
+    """Run a batch of one sweep point's trials, each stage once on all stacked
+    rows; row r is trial_ids[r] from draw to result. `errors[r]` is row r's first
+    GencommError: a draw error fails every row, a zero-power projection or
+    non-finite prompt LLRs fail their row, a sampler error fails its prompt
+    group. Each error-free row's wall time is an equal share of the batch's."""
+    cfg, n = ctx.cfg, len(trial_ids)
     start = time.perf_counter()
     try:
         draws = draw_batch(ctx, trial_ids)
     except GencommError as exc:
-        for trial_id in trial_ids:
-            fail(trial_id, exc)
         empty = np.empty((0, ctx.world.dim))
-        return TrialRows([rows[i] for i in trial_ids], empty, empty)
+        return TrialRows([_failed_trial(ctx, t, exc) for t in trial_ids], empty, empty,
+                         [exc] * n)
     z0, z_c, ok = transmit_latents(ctx, draws.prior, draws.channel)
-    for r in np.flatnonzero(~ok):
-        fail(trial_ids[r], NormalizationError(ZERO_POWER))
-    if draws.prompt_llrs is not None:
-        finite = np.isfinite(draws.prompt_llrs).all(axis=(1, 2))
-        for r in np.flatnonzero(ok & ~finite):
-            fail(trial_ids[r], ContractError("prompt LLRs must be finite"))
-        ok &= finite
-    live = trial_ids
-    if not ok.all():
-        keep = np.flatnonzero(ok)
-        live = [trial_ids[r] for r in keep]
-        draws = TrialDraws(*(None if a is None else a[keep] for a in draws))
-        z0, z_c = z0[keep], z_c[keep]
-    done, z0, z0_hat = refine_batch(ctx, live, draws, z0, z_c, fail)
-    shared = (time.perf_counter() - start) / max(len(trial_ids), 1)
-    for result in done.values():
-        result.wall_time = shared
-    rows.update(done)
-    return TrialRows([rows[i] for i in trial_ids], z0, z0_hat)
+    errors: list[Optional[GencommError]] = [
+        None if row_ok else NormalizationError(ZERO_POWER) for row_ok in ok.tolist()]
+
+    k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
+    if ctx.side_code is not None:
+        llrs = draws.prompt_llrs
+        finite = np.isfinite(llrs).all(axis=(1, 2))
+        if not finite.all():
+            for r in np.flatnonzero(~finite & ok).tolist():
+                errors[r] = ContractError("prompt LLRs must be finite")
+            llrs = np.where(finite[:, None, None], llrs, 0.0)
+        reports = sidechannel.receive_prompts(llrs, ctx.side_code, cfg.bp_iters)
+        k_o, prompt_ok = [r.k_o for r in reports], [r.ok for r in reports]
+        prompts = [r.decoded for r in reports]  # None on failure -> unconditional sampling
+
+    # One sampler run per group of rows that share a received prompt (one group
+    # if the predictor ignores it).
+    blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
+    groups: dict = {}
+    for r, prompt in enumerate(prompts):
+        if errors[r] is None:
+            groups.setdefault(None if blind else prompt, []).append(r)
+    z0_hat = np.full_like(z_c, np.nan)
+    for prompt, rows in groups.items():
+        predictor = ctx.predictor
+        if predictor is None:
+            predictor = ExactRecoveryOracle(z0[rows], ctx.sched, ctx.gamma)
+        try:
+            z0_hat[rows], _ = sample_batch(z_c[rows], predictor, prompt, ctx.sampler_cfg,
+                                           ctx.sched, draws.warm[rows])
+        except GencommError as exc:
+            for r in rows:
+                errors[r] = exc
+
+    m_coarse = mse(z0, z_c).tolist()
+    m_refined = mse(z0, z0_hat).tolist()
+    shared = (time.perf_counter() - start) / max(n, 1)
+    cbr_value, warm, peak = cbr(ctx.codec_cfg), ctx.sampler_cfg.warm_start_step, cfg.peak
+    out = [RunResult(ctx.axis_index, t, ctx.snr_db, cbr_value, warm, ctx.codec_cfg.k, k_o[r],
+                     m_coarse[r], m_refined[r], psnr(m_coarse[r], peak),
+                     psnr(m_refined[r], peak), math.nan, prompt_ok[r], shared)
+           if errors[r] is None else _failed_trial(ctx, t, errors[r])
+           for r, t in enumerate(trial_ids)]
+    live = np.array([e is None for e in errors], dtype=bool)
+    return TrialRows(out, z0[live], z0_hat[live], errors)
 
 
 def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
     """One full transmission + refinement; deterministic per (seed, ids).
-    Errors propagate."""
-    (result,), z0, z0_hat = run_trials(ctx, [trial_id], isolate=False)
+    The row's error is raised."""
+    (result,), z0, z0_hat, (error,) = run_trials(ctx, [trial_id])
+    if error is not None:
+        raise error
     return TrialOutput(result=result, z0=z0[0], z0_hat=z0_hat[0])
 
 
@@ -552,7 +529,7 @@ def _parse_cell(cell: str, column: str):
         return cell
     if cell in ("true", "false"):
         return cell == "true"
-    if column in _INT_COLUMNS:
+    if column in _INT_COLUMNS and cell != "nan":  # an all-failed point's means are NaN
         return int(cell)
     return float(cell)
 

@@ -22,7 +22,7 @@ from gencomm.channel import (DRAW_ROWS, ChannelConfig, apply_channel, mmse_equal
 from gencomm.config import ExperimentConfig
 from gencomm.denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
                               MlpDenoiser)
-from gencomm.errors import NormalizationError
+from gencomm.errors import ContractError, NormalizationError
 from gencomm.jscc import CodecConfig, make_linear_codec
 from gencomm.ldpc import ldpc_make
 from gencomm.metrics import mse
@@ -253,6 +253,8 @@ class TestRowFailures:
         assert [r.trial_id for r in got.rows] == list(range(cfg.trials))
         assert [(r.trial_id, r.error.partition(":")[0]) for r in got.rows if r.error] == [
             (1, "NormalizationError"), (4, "ContractError")]
+        assert [(r, type(e)) for r, e in enumerate(got.errors) if e] == [
+            (1, NormalizationError), (4, ContractError)]
         live = [out for t, out in enumerate(direct) if t not in (1, 4)]
         assert all(_same_fields(r, out.result) for r, out in zip(
             [r for r in got.rows if not r.error], live))
@@ -283,6 +285,12 @@ class TestRowFailures:
                 assert not row.prompt_ok
                 assert _same_fields(row, run_trial(ctx, row.trial_id).result)
         assert 0 < sum(bool(r.error) for r in rows[: cfg.trials]) < cfg.trials
+
+    def test_run_trial_raises_a_sampler_error(self):
+        # Without a side channel every row samples with "class:99".
+        ctx = build_context(_sweep_cfg("mlp", "awgn", 4, 1, prompt="class:99"), 0, 1.0)
+        with pytest.raises(ContractError, match="prompt class 99"):
+            run_trial(ctx, 0)
 
 
 def test_training_set_matches_per_sample_chain():

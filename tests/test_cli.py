@@ -447,6 +447,19 @@ class TestSimulateAndSweep:
         assert [line for line in out.read_text().splitlines()
                 if not line.startswith("#")] == want
 
+    @pytest.mark.parametrize("suffix", ["abc", "1e3"])
+    def test_malformed_prompt_class_fails_every_mlp_row(self, tmp_path, suffix):
+        body = ("[experiment]\ntrials = 2\npredictor = mlp\n"
+                f"prompt = class:{suffix}\n[sidechannel]\nenabled = false\n")
+        out = tmp_path / "bad.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, body), "--out", str(out),
+                     "--quiet"]) == 0
+        _, trials, aggregates = pipeline.read_results(out)
+        assert [t["error"] for t in trials] == [
+            f"ContractError: prompt class '{suffix}' is not an integer"] * 2
+        # Every row failed, so the aggregates' integer columns read back as NaN.
+        assert [(a["n_failed"], math.isnan(a["k"])) for a in aggregates] == [(2, True)] * 2
+
     def test_sweep_cbr_runs(self, tmp_path):
         cfg = str(CONFIGS / "cbr_sweep.cfg")
         out = tmp_path / "cbr.csv"

@@ -146,6 +146,15 @@ def test_empty_prompt_means_unconditional(tmp_path):
     assert cfg.prompt is None
 
 
+def test_multi_line_prompt_rejected(tmp_path):
+    # A continuation line would split the results file's `# prompt =` header.
+    with pytest.raises(ConfigurationError, match="prompt must be one line"):
+        load_config(_write(tmp_path, "[experiment]\nprompt = a cheetah\n  on grass\n"))
+    for text in ("a\nb", "a\rb"):
+        with pytest.raises(ConfigurationError, match="prompt must be one line"):
+            ExperimentConfig(prompt=text)
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown config section"):
         load_config(_write(tmp_path, "[mystery]\nx = 1\n"))

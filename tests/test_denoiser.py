@@ -248,8 +248,9 @@ class TestMlpDenoiser:
         free = prompt_to_index("a cheetah in tall grass", 10)
         assert 0 <= free < 10
         assert free == prompt_to_index("a cheetah in tall grass", 10)
-        with pytest.raises(ContractError):
-            prompt_to_index("class:11", 10)
+        for malformed in ("class:11", "class:abc", "class:1e3"):
+            with pytest.raises(ContractError):
+                prompt_to_index(malformed, 10)
 
     def test_time_embedding_shape_and_range(self):
         emb = time_embedding(np.array([0, 1, 500]), 32)

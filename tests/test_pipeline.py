@@ -345,9 +345,9 @@ class TestSweepSharing:
         contexts = []
         real = pipeline_mod.run_trials
 
-        def recording(ctx, trial_ids, isolate=True):
+        def recording(ctx, trial_ids):
             contexts.append(ctx)
-            return real(ctx, trial_ids, isolate)
+            return real(ctx, trial_ids)
 
         monkeypatch.setattr(pipeline_mod, "run_trials", recording)
         for seed in (1, 2):
