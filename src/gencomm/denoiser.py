@@ -317,6 +317,7 @@ class MlpDenoiser:
             "emb": rng.standard_normal((n_classes + 1, prompt_dim)) * 0.1,
         }
         self._temb = np.empty((0, time_dim))
+        self._h1 = self._h2 = np.empty((0, 1, hidden))  # predict's work buffers
 
     @property
     def null_index(self) -> int:
@@ -325,6 +326,8 @@ class MlpDenoiser:
     def _time_rows(self, ts):
         """`time_embedding` of the integer steps `ts` (an array or one step),
         looked up in a cached table that grows on demand."""
+        if np.min(ts, initial=0) < 0:  # a negative index would wrap around the table
+            raise ContractError(f"time steps must be >= 0, got {np.min(ts)}")
         top = np.max(ts, initial=0)
         if top >= len(self._temb):
             self._temb = time_embedding(np.arange(2 * top + 1), self.time_dim)
@@ -373,15 +376,23 @@ class MlpDenoiser:
         `forward_batch`: a gemm's summation order depends on the batch size,
         so only the stacked form gives every row the bits of a lone call. The
         batch shares one time-embedding row and one prompt row, broadcast
-        into the input.
+        into the input. The hidden layers reuse two work buffers of the
+        instance, so one MlpDenoiser must not predict from two threads at once.
         """
-        p = self.params
+        p, n = self.params, len(z_t)
         shared = np.concatenate([self._time_rows(t),
                                  p["emb"][prompt_to_index(prompt, self.n_classes)]])
-        x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (len(z_t), len(shared)))], axis=1)
-        h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
-        h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
-        return (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
+        x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (n, len(shared)))], axis=1)
+        if len(self._h1) < n:
+            self._h1, self._h2 = np.empty((2, n, 1, self.hidden))
+        h1, h2 = self._h1[:n], self._h2[:n]
+        np.matmul(x[:, None, :], p["w1"].T, out=h1)
+        np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
+        np.matmul(h1, p["w2"].T, out=h2)
+        np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
+        out = h2 @ p["w3"].T
+        out += p["b3"]
+        return out[:, 0]
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
@@ -402,9 +413,11 @@ def load_checkpoint(path) -> MlpDenoiser:
             model = MlpDenoiser(latent_dim=int(meta[1]), hidden=int(meta[2]),
                                 time_dim=int(meta[3]), prompt_dim=int(meta[4]),
                                 n_classes=int(meta[5]), seed=int(meta[6]))
-            for name in model.params:
-                model.params[name] = data[name].copy()
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            for name, init in model.params.items():
+                value = model.params[name] = data[name].copy()
+                if (value.dtype, value.shape) != (init.dtype, init.shape):  # sized by the meta
+                    raise ConfigurationError(f"checkpoint {name} is not float64 {init.shape}")
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from None
     return model
 

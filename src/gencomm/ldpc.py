@@ -99,7 +99,9 @@ def _systematic_form(H: np.ndarray):
         pivots.append(c)
         pivot_rows.append(lead[0])
     pivot_arr = np.array(pivots, dtype=np.int64)
-    free_arr = np.setdiff1d(np.arange(n), pivot_arr)
+    free = np.ones(n, dtype=bool)  # not np.setdiff1d, which imports numpy.ma
+    free[pivot_arr] = False
+    free_arr = np.flatnonzero(free)
     rows = work[pivot_rows].astype("<u8").view(np.uint8)
     reduced = np.unpackbits(rows, axis=1, count=n, bitorder="little")
     return pivot_arr, free_arr, reduced[:, free_arr]

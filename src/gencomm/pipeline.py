@@ -32,7 +32,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -121,8 +121,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def trial_states(master_seed: int, axis_index: int, trial_ids: list[int]) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of `default_rng(SeedSequence(master_seed, spawn_key=(axis_index, t)))`
-    for every trial id t at once: SeedSequence's mixing on 32-bit words in uint64 arrays, then
-    PCG64's seeding step on Python ints. The first trial is checked against numpy itself."""
+    for every trial id t at once: SeedSequence's mixing on 32-bit words (only the trial ids in
+    a uint64 array), then PCG64's seeding on Python ints. The first trial is checked by numpy."""
     if not 0 <= axis_index <= _MASK32 or not all(0 <= t <= _MASK32 for t in trial_ids):
         raise ContractError("axis index and trial ids must be in [0, 2**32)")
     const = 0x43B0D7E5
@@ -139,7 +139,7 @@ def trial_states(master_seed: int, axis_index: int, trial_ids: list[int]) -> lis
 
     words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words)) + [axis_index]  # the seed padded to the pool size
-    entropy = [np.array([w], dtype=np.uint64) for w in words] + [np.array(trial_ids, np.uint64)]
+    entropy = words + [np.array(trial_ids, np.uint64)]
     pool = [hashmix(w) for w in entropy[:4]]
     for i, j in itertools.permutations(range(4), 2):
         pool[j] = mix(pool[j], hashmix(pool[i]))
@@ -434,9 +434,13 @@ _TRIAL_COLUMNS = ["kind", "axis_index", "trial_id", "snr_db", "cbr", "warm_start
 _TEXT_COLUMNS = ("kind", "error")
 _INT_COLUMNS = {"axis_index", "trial_id", "warm_start", "k", "k_o", "n_trials",
                 "n_failed"}
-# A trial row's cells as `_fmt` writes them, with prompt_ok passed as "true"/"false".
+# The cells a sweep point's trial rows share.
+_POINT_COLUMNS = ("axis_index", "snr_db", "cbr", "warm_start", "k", "frechet_gauss")
+# A trial row's cells as `_fmt` writes them, with prompt_ok passed as "true"/"false". A
+# point's cells are filled in first; the row's own cells are left as "%%" for the second.
 _TRIAL_ROW = "trial," + ",".join(
-    "%d" if c in _INT_COLUMNS else "%s" if c in ("prompt_ok", "error") else "%.17g"
+    ("%" if c in _POINT_COLUMNS else "%%")
+    + ("d" if c in _INT_COLUMNS else "s" if c in ("prompt_ok", "error") else ".17g")
     for c in _TRIAL_COLUMNS[1:])
 
 
@@ -479,10 +483,16 @@ def write_results(
     agg_columns = ["kind", "axis_index", "n_trials", "n_failed", *agg_fields]
     lines = [f"# {key} = {_fmt(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
-    template = _TRIAL_ROW + (",%.17g" if include_timing else "")
-    head = attrgetter(*_TRIAL_COLUMNS[1:-2])
+    point_of = attrgetter(*_POINT_COLUMNS)
+    own_of = attrgetter(*(c for c in _TRIAL_COLUMNS[1:-2] if c not in _POINT_COLUMNS))
+    key = template = None
     for r in rows:
-        cells = (*head(r), "true" if r.prompt_ok else "false", r.error)
+        # A point's cells are formatted once per run of rows holding the same objects,
+        # matched by identity: 0.0 == -0.0, but their cells differ.
+        point = point_of(r)
+        if key is None or not all(map(is_, point, key)):
+            key, template = point, (_TRIAL_ROW + (",%%.17g" if include_timing else "")) % point
+        cells = (*own_of(r), "true" if r.prompt_ok else "false", r.error)
         lines.append(template % (cells + (r.wall_time,) if include_timing else cells))
     lines.append(",".join(agg_columns))
     for rec in aggregates:

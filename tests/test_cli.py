@@ -17,7 +17,7 @@ import gencomm
 from gencomm import pipeline
 from gencomm.cli import main
 from gencomm.config import SIZE_LIMITS
-from gencomm.denoiser import load_checkpoint
+from gencomm.denoiser import MlpDenoiser, load_checkpoint, save_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 from gencomm.verify import ALL_CHECKS
 
@@ -336,6 +336,28 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("fault", ["wrong_shape", "complex", "missing"])
+    def test_checkpoint_parameter_off_its_meta_is_configuration_error(self, tmp_path, capsys,
+                                                                      fault):
+        # The meta sizes the model (and predict's float64 work buffers); a parameter
+        # that disagrees with it used to load and fail inside the first matmul, or
+        # (complex) lose its imaginary part with a warning.
+        path = tmp_path / "model.npz"
+        model = MlpDenoiser(latent_dim=8)
+        if fault == "wrong_shape":
+            model.params["w2"] = np.zeros((128, 100))
+        elif fault == "complex":
+            model.params["w2"] = model.params["w2"].astype(np.complex128)
+        else:
+            del model.params["w2"]
+        save_checkpoint(model, path)
+        body = SMALL_SWEEP.replace("predictor = analytic",
+                                   f"predictor = mlp\nmlp_checkpoint = {path}")
+        assert main(["sweep-snr", "--config", write_cfg(tmp_path, body),
+                     "--out", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "w2" in err and "internal error" not in err
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_train_denoiser_rejects_steps_below_one(self, tmp_path, capsys, steps):

@@ -234,6 +234,24 @@ class TestMlpDenoiser:
                 want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
                 assert np.array_equal(model.predict(z_t, z_c, prompt, t), want)
 
+    def test_work_buffers_keep_lone_call_bits(self, rng):
+        # Batches that grow and shrink reuse the instance's work buffers. Every
+        # row keeps the bits of its lone call, and an array returned earlier,
+        # such as the prompt half of a guided step, is not changed by later calls.
+        model = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
+        lone = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
+        returned = []
+        for batch, t in zip((1, 200, 7, 1000, 3), (499, 1, 250, 17, 0)):
+            z_t, z_c = rng.standard_normal((2, batch, 6))
+            for prompt in ("class:3", None):
+                out = model.predict(z_t, z_c, prompt, t)
+                returned.append((out, out.copy()))
+                for r in range(batch):
+                    assert np.array_equal(out[r], lone.predict(z_t[r:r + 1], z_c[r:r + 1],
+                                                               prompt, t)[0]), (batch, r)
+        for out, copy in returned:
+            assert np.array_equal(out, copy)
+
     def test_prediction_pure(self, rng):
         model = MlpDenoiser(latent_dim=3, seed=7)
         z_t, z_c = rng.standard_normal((2, 1, 3))
@@ -460,6 +478,20 @@ class TestTrainingStepIdentity:
         batch = model._assemble(np.zeros((6, 2)), np.zeros((6, 2)),
                                 np.zeros(6, dtype=np.int64), ts)[:, temb_cols]
         assert np.array_equal(batch, time_embedding(ts, 32))
+
+    def test_negative_time_step_rejected(self):
+        # A negative index would wrap around the cached table: t=-1 read the
+        # row for t=0 on a fresh model and the row for t=800 after t=400.
+        model = MlpDenoiser(latent_dim=2, seed=0)
+        z = np.zeros((1, 2))
+        for grown in (False, True):
+            if grown:
+                model._time_rows(400)
+            for ts in (-1, np.array([3, -1])):
+                with pytest.raises(ContractError):
+                    model._time_rows(ts)
+            with pytest.raises(ContractError):
+                model.predict(z, z, None, -1)
 
     def test_prompt_columns_of_the_input_gradient(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,15 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gencomm
 from gencomm.errors import ConfigurationError, ContractError
 from gencomm.ldpc import (LLR_MAX, ROW_WEIGHT, _systematic_form, ldpc_decode,
                           ldpc_decode_batch, ldpc_encode, ldpc_make)
@@ -95,6 +100,27 @@ class TestSystematicForm:
         assert np.array_equal(code.info_positions, free)
         assert np.array_equal(code.packed_parity_gen, np.packbits(parity_gen, axis=1))
         assert code.packed_parity_gen.dtype == np.uint8
+
+    @pytest.mark.parametrize("n", [24, 1024])
+    def test_info_positions_are_the_sorted_complement(self, n):
+        code = ldpc_make(n, seed=3)
+        assert np.all(np.diff(code.info_positions) > 0)
+        assert np.array_equal(np.sort(np.concatenate([code.pivot_positions,
+                                                      code.info_positions])), np.arange(n))
+
+    def test_make_does_not_import_numpy_ma(self):
+        # np.setdiff1d imported numpy.ma on the first code built in a process.
+        script = ("import sys; from gencomm.ldpc import ldpc_make; "
+                  "before = 'numpy.ma' in sys.modules; ldpc_make(64, seed=1); "
+                  "print(before, 'numpy.ma' in sys.modules)")
+        src = str(Path(gencomm.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        before, after = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout.split()
+        if before == "True":
+            pytest.skip("numpy imports numpy.ma with numpy itself")
+        assert after == "False"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_deficient_and_odd_shapes(self, seed):

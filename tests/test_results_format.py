@@ -3,6 +3,7 @@ implementations that format every cell with `_fmt` and take each statistic
 over a Python list of the column's values. The two must agree byte for byte
 on any rows, including NaN, infinities, -0.0, subnormals and error notes."""
 
+import itertools
 import json
 import math
 import struct
@@ -140,6 +141,32 @@ def test_writer_matches_per_cell_reference(tmp_path_factory, rows, include_timin
         reference_write(rows, aggregates, metadata, want, fmt=fmt,
                         include_timing=include_timing)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("include_timing", [False, True])
+def test_writer_point_cells_match_by_identity(tmp_path, include_timing):
+    # Rows of a point share their point's cell objects, and the writer formats
+    # those cells once per run of rows. Here neighbouring runs hold cells equal
+    # in value but not the same objects (0.0 and -0.0, or two 0.25s), with some
+    # error rows (NaN frechet_gauss) between them; each must be written from its own.
+    def row(snr, cbr, fg, error=""):
+        return RunResult(axis_index=1, trial_id=len(rows), snr_db=snr, cbr=cbr, warm_start=500,
+                         k=2, k_o=0, mse_coarse=0.1, mse_refined=0.05, psnr_coarse=10.0,
+                         psnr_refined=13.0, frechet_gauss=fg, prompt_ok=True,
+                         wall_time=0.5, error=error)
+
+    signed = (0.0, -0.0)
+    rows = []
+    points = itertools.product(signed, (float("0.25"), float("0.25"), *signed), signed)
+    for i, (snr, cbr, fg) in enumerate(points):
+        rows.append(row(snr, cbr, fg))
+        rows.append(row(snr, cbr, fg))
+        if i % 3 == 2:
+            rows.append(row(snr, cbr, math.nan, "ContractError: x"))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_results(rows, [], {}, got, include_timing=include_timing)
+    reference_write(rows, [], {}, want, include_timing=include_timing)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.filterwarnings("error")
