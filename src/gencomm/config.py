@@ -9,7 +9,7 @@ Sections and keys, all optional with the defaults shown:
     trials = 100                  ; frechet_gauss bias ~78/trials; at most 100000
     predictor = analytic          ; analytic | mlp | exact-oracle
     sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
-    snr_points = 1 4 7 10 13
+    snr_points = 1 4 7 10 13      ; dB, each at least -1000
     cbr_points = 0.002 0.0033 0.0059 0.011  ; above k_prime/(C*H*W): k = k_prime
     prompt = class:3              ; empty -> no prompt, unconditional sampling
     peak = 1.0                    ; dynamic range used by the PSNR transform
@@ -17,7 +17,7 @@ Sections and keys, all optional with the defaults shown:
 
     [channel]
     kind = awgn                   ; awgn | rayleigh
-    snr_db = 10
+    snr_db = 10                   ; at least -1000
 
     [codec]
     k = 2
@@ -46,13 +46,14 @@ Sections and keys, all optional with the defaults shown:
 
     [sidechannel]
     enabled = true
-    snr_db = auto                 ; auto -> same as image channel
+    snr_db = auto                 ; auto -> same as image channel; at least -1000
     ldpc_n = 1024                 ; at most 8192
     ldpc_seed = 7070
     bp_iters = 50                 ; at most 1000
 
 Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
-but not NaN or -inf; CBR points must be > 0 and every other float finite.
+but not NaN or below -1000 dB (10^(-snr/10) overflows a float near -3083 dB);
+CBR points must be > 0 and every other float finite.
 The sizes that set an allocation or a loop have the upper limits noted
 above: at any one of them a 1024-trial sweep point (a `budget.cfg` sweep, for
 `trials`) peaks below about 0.6 GB. The guidance limit keeps a guided MLP
@@ -83,6 +84,7 @@ SWEEP_AXES = ("snr", "cbr", "none")
 # below PRIOR_VAR_SUM_LIMIT, about a ninth of the largest float.
 PRIOR_VAR_SUM_LIMIT = 2e307
 PRIOR_VAR_MIN_TERMS = 16
+SNR_DB_MIN = -1000.0  # every command runs clean here; the Rayleigh model overflows near -3000
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,9 @@ class ExperimentConfig:
         if self.sweep_axis == "cbr" and not self.cbr_points:
             raise ConfigurationError("cbr sweep requires cbr_points")
         snrs = (*self.snr_points, self.channel.snr_db, self.sidechannel_snr_db or 0.0)
-        if any(math.isnan(v) or v == -math.inf for v in snrs):  # +inf dB: noiseless
-            raise ConfigurationError("SNR values must be numbers or +inf dB, got NaN or -inf")
+        low = [v for v in snrs if not v >= SNR_DB_MIN]  # NaN too; +inf dB: noiseless
+        if low:
+            raise ConfigurationError(f"SNRs must be >= {SNR_DB_MIN:g} dB or +inf, got {low[0]}")
         if not all(math.isfinite(v) and v > 0.0 for v in self.cbr_points):
             raise ConfigurationError(f"cbr_points must be finite and > 0, got {self.cbr_points}")
         schedule.check_schedule(self.schedule_steps, self.beta_min, self.beta_max,

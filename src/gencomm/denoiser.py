@@ -161,18 +161,13 @@ class GaussianWorld:
         return cls(mu0=np.zeros(d), sigma0=sigma0, obs_matrix=obs_matrix,
                    obs_noise_cov=obs_noise_cov, nominal_scale=scale)
 
-    def sample_pair(self, rng: np.random.Generator, n: Optional[int] = None):
-        """Draw (z0, z_c) from the world's own law (used by the Monte Carlo
-        conditional-mean checks, which must match this model exactly)."""
-        squeeze = n is None
-        m = 1 if squeeze else n
-        l0 = psd_sqrt(self.sigma0)
-        lx = psd_sqrt(self.obs_noise_cov)
-        z0 = self.mu0 + rng.standard_normal((m, self.dim)) @ l0.T
-        z_c = z0 @ self.obs_matrix.T + rng.standard_normal((m, self.dim)) @ lx.T
-        if squeeze:
-            return z0[0], z_c[0]
-        return z0, z_c
+    def sample_pair(self, rng: np.random.Generator, n: int):
+        """Draw n pairs (z0, z_c), each (n, dim), from the world's own law (used
+        by the Monte Carlo conditional-mean checks, which must match this model
+        exactly)."""
+        z0 = self.mu0 + rng.standard_normal((n, self.dim)) @ psd_sqrt(self.sigma0).T
+        noise = rng.standard_normal((n, self.dim)) @ psd_sqrt(self.obs_noise_cov).T
+        return z0, z0 @ self.obs_matrix.T + noise
 
     def clean_posterior_cov(self) -> np.ndarray:
         """Cov(z0 | z_c): the conditional MMSE of decoding alone."""
@@ -260,22 +255,18 @@ def time_embedding(ts: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def prompt_to_index(prompt, n_classes: int) -> int:
+def prompt_to_index(prompt: Optional[str], n_classes: int) -> int:
     """Map a prompt to an embedding-table row; None and NULL_PROMPT map to
     the trailing null token, 'class:k' to k, other text to a stable hash."""
     if prompt is None or prompt == NULL_PROMPT:
         return n_classes
-    text = str(prompt)
-    if isinstance(prompt, (int, np.integer)):
-        idx = int(prompt)
-    elif text.startswith("class:"):
-        suffix = text[len("class:"):]
-        try:
-            idx = int(suffix)
-        except ValueError:
-            raise ContractError(f"prompt class {suffix!r} is not an integer") from None
-    else:
-        return zlib.crc32(text.encode("utf-8")) % n_classes
+    if not prompt.startswith("class:"):
+        return zlib.crc32(prompt.encode("utf-8")) % n_classes
+    suffix = prompt[len("class:"):]
+    try:
+        idx = int(suffix)
+    except ValueError:
+        raise ContractError(f"prompt class {suffix!r} is not an integer") from None
     if not 0 <= idx <= n_classes:
         raise ContractError(f"prompt class {idx} outside [0, {n_classes}]")
     return idx

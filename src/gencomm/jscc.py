@@ -5,9 +5,10 @@ seeded random projection with orthonormal rows, which keeps the system role
 (bandwidth compression with structured decode residuals) while staying
 analytically tractable.
 
-The codec works on (B, d) batches; `encode` and `decode` are its batch-of-one
-calls. Products are stacked matrix-vector products, one per row, so a row's
-bits do not depend on the batch it sits in.
+The codec has one batch API: `encode` and `decode` work on (B, d) arrays,
+and a single latent is a batch of one (`z[None]`). Products are stacked
+matrix-vector products, one per row, so a row's bits do not depend on the
+batch it sits in.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ZERO_POWER, power_scales
-from .errors import ConfigurationError, ContractError, NormalizationError
+from .channel import power_scales
+from .errors import ConfigurationError, ContractError
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,9 @@ class CodecConfig:
 class LinearCodec:
     """Projection codec x = P z with orthonormal rows P (2k x 2k').
 
-    encode power-normalizes the projected vector and returns the applied
-    multiplier, which the receiver needs back to undo the normalization
-    (decode divides by it). With tikhonov_lambda > 0 decode additionally
+    encode power-normalizes each projected row and returns the applied
+    multipliers, which the receiver needs back to undo the normalization
+    (decode divides by them). With tikhonov_lambda > 0 decode additionally
     shrinks by 1/(1 + lambda*sigma2).
     """
 
@@ -71,32 +72,22 @@ class LinearCodec:
     def n_in(self) -> int:
         return self.projection.shape[1]
 
-    def encode(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.n_in,):
-            raise ContractError(f"expected latent of shape ({self.n_in},), got {z.shape}")
-        x, scales = self.encode_batch(z[None])
-        if np.isnan(scales[0]):
-            raise NormalizationError(ZERO_POWER)
-        return x[0], scales[0]
-
-    def encode_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project and power-normalize each row of a (B, n_in) batch. Returns
         (symbols (B, n_out), multipliers (B,)); an all-zero projection gets a
         NaN multiplier and NaN symbols instead of an error, so the caller can
         fail that row alone."""
+        if z.ndim != 2 or z.shape[1] != self.n_in:
+            raise ContractError(f"expected latents of shape (B, {self.n_in}), got {z.shape}")
         x = (self.projection @ z[:, :, None])[:, :, 0]
         scales = power_scales(x)
         return x * scales[:, None], scales
 
-    def decode(self, y: np.ndarray, sigma2: float, scale: float = 1.0) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.n_out,):
-            raise ContractError(f"expected symbols of shape ({self.n_out},), got {y.shape}")
-        return self.decode_batch(y[None], sigma2, np.array([scale]))[0]
-
-    def decode_batch(self, y: np.ndarray, sigma2: float, scales: np.ndarray) -> np.ndarray:
-        """`decode` of each row of a (B, n_out) batch with its own multiplier."""
+    def decode(self, y: np.ndarray, sigma2: float, scales: np.ndarray) -> np.ndarray:
+        """Undo `encode` on each row of a (B, n_out) batch with its own
+        multiplier: P^T y / scale, shrunk first when tikhonov_lambda > 0."""
+        if y.ndim != 2 or y.shape[1] != self.n_out:
+            raise ContractError(f"expected symbols of shape (B, {self.n_out}), got {y.shape}")
         if self.tikhonov_lambda > 0.0:
             y = y / (1.0 + self.tikhonov_lambda * sigma2)
         return (self.projection.T @ y[:, :, None])[:, :, 0] / scales[:, None]

@@ -268,11 +268,11 @@ def transmit_latents(
     (B, d) arrays. Returns (z0, z_c, ok); a row whose projection is all zero
     is not ok and its z_c is NaN."""
     z0 = ctx.world.mu0 + (ctx.prior_root @ prior[:, :, None])[:, :, 0]
-    x, scales = ctx.codec.encode_batch(z0)
+    x, scales = ctx.codec.encode(z0)
     sigma2 = snr_to_sigma2(ctx.snr_db)
     y_c, h = apply_channel(pack_complex(x), chan,
                            ChannelConfig(ctx.cfg.channel.kind, ctx.snr_db))
-    z_c = ctx.codec.decode_batch(mmse_equalize(y_c, h, sigma2), sigma2, scales)
+    z_c = ctx.codec.decode(mmse_equalize(y_c, h, sigma2), sigma2, scales)
     return z0, z_c, ~np.isnan(scales)
 
 

@@ -1,8 +1,8 @@
 """Diffusion noise schedule and the closed-form reverse-update coefficients.
 
-The schedule stores beta_t, alpha_t = 1 - beta_t and the running product
-alpha_bar_t for t in 0..T, with the convention alpha_bar_0 = 1 so that the
-final reverse update lands on an exact clean state.
+The schedule stores beta_t and the running product alpha_bar_t of
+alpha_t = 1 - beta_t for t in 0..T, with the convention alpha_bar_0 = 1 so
+that the final reverse update lands on an exact clean state.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
 
     @property
@@ -76,11 +75,10 @@ def build_schedule(
         betas = np.linspace(beta_min, beta_max, T, dtype=np.float64)
     else:
         betas = np.linspace(math.sqrt(beta_min), math.sqrt(beta_max), T) ** 2
-    alphas = 1.0 - betas
     alpha_bars = np.empty(T + 1, dtype=np.float64)
     alpha_bars[0] = 1.0
-    alpha_bars[1:] = np.cumprod(alphas)
-    return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    alpha_bars[1:] = np.cumprod(1.0 - betas)
+    return NoiseSchedule(betas=betas, alpha_bars=alpha_bars)
 
 
 def residual_weight(warm_step: int, sched: NoiseSchedule) -> float:
@@ -95,20 +93,15 @@ def residual_weight(warm_step: int, sched: NoiseSchedule) -> float:
     return math.sqrt(ab) / math.sqrt(1.0 - ab)
 
 
-def coeffs_from_alpha_bars(ab_prev: float, ab_t: float) -> tuple[float, float]:
-    """Reverse-update coefficients (a, b) from two cumulative-product values:
+def update_coeffs(t_prev: int, t: int, sched: NoiseSchedule) -> tuple[float, float]:
+    """Coefficients (a, b) of one deterministic reverse step t -> t_prev:
     z_prev = a * z_t + b * z0_hat. `a` scales the current state, `b` the
-    predicted clean latent."""
-    if ab_t >= 1.0:
-        raise DomainError("alpha_bar at the source step must be < 1")
+    predicted clean latent. alpha_bar strictly decreases from alpha_bar(0) = 1,
+    so t > t_prev >= 0 gives alpha_bar(t) < 1."""
+    if not 0 <= t_prev < t <= sched.T:
+        raise DomainError(f"need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
+    ab_prev, ab_t = sched.alpha_bar(t_prev), sched.alpha_bar(t)
     root = math.sqrt(1.0 - ab_t)
     a = math.sqrt(1.0 - ab_prev) / root
     b = math.sqrt(ab_prev) - math.sqrt(ab_t * (1.0 - ab_prev)) / root
     return a, b
-
-
-def update_coeffs(t_prev: int, t: int, sched: NoiseSchedule) -> tuple[float, float]:
-    """Coefficients for one deterministic reverse step t -> t_prev."""
-    if not 0 <= t_prev < t <= sched.T:
-        raise DomainError(f"need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
-    return coeffs_from_alpha_bars(sched.alpha_bar(t_prev), sched.alpha_bar(t))

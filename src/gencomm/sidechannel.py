@@ -43,7 +43,6 @@ from .ldpc import ldpc_decode  # noqa: F401  (benchmarks/spans.py traces this bi
 
 DEFAULT_LDPC_N = 1024
 DEFAULT_LDPC_SEED = 7070
-LINK_FRAMES_PER_DECODE = 64  # frames `measure_link` holds and decodes at once
 MAX_PAYLOAD_BYTES = (1 << 16) - 1
 
 
@@ -105,7 +104,7 @@ def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
     dims = np.empty(normals.shape)
     dims[..., 0::2] = y.real
     dims[..., 1::2] = y.imag
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         llr = 2.0 * dims / 10.0 ** (-snr_db / 10.0)
     llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
     return np.clip(llr, -LLR_MAX, LLR_MAX)
@@ -186,13 +185,14 @@ def measure_link(
     Random info words per frame; with the per-dim conventions above snr_db
     equals Eb/N0 in dB at this code rate. Frames are drawn one after another
     from `rng`, k info bits then n normals as `transmit_bits` draws them, and
-    sent through the link LINK_FRAMES_PER_DECODE at a time as one batch.
+    sent through the link as one batch per `code.chunk_blocks` frames, the
+    decoder's own chunk. The grouping changes no draw, so no count.
     """
     frames = math.ceil(min_info_bits / code.k)
     bit_errors = 0
     frame_errors = 0
-    for lo in range(0, frames, LINK_FRAMES_PER_DECODE):
-        infos = np.empty((min(LINK_FRAMES_PER_DECODE, frames - lo), code.k), dtype=np.uint8)
+    for lo in range(0, frames, code.chunk_blocks):
+        infos = np.empty((min(code.chunk_blocks, frames - lo), code.k), dtype=np.uint8)
         normals = np.empty((len(infos), code.n))
         for i in range(len(infos)):
             infos[i] = rng.integers(0, 2, size=code.k)

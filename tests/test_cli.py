@@ -118,6 +118,9 @@ class TestExitCodes:
         "[world]\nprior_var = 1e308\n",
         "[world]\nprior_var = 5e-324\n",
         "[world]\nprior_var = 1e-310\n",
+        "[experiment]\nsnr_points = -7000\n",
+        "[channel]\nsnr_db = -7000\n",
+        "[experiment]\nsnr_points = 1\n[sidechannel]\nsnr_db = -7000\n",
     ], ids=["warm_start", "sidechannel_snr_db", "peak", "master_seed", "bp_iters",
             "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
             "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero", "codec_seed_negative",
@@ -125,7 +128,8 @@ class TestExitCodes:
             "singular_guard_nan", "peak_inf", "peak_square_overflows", "peak_square_underflows",
             "guidance_inf", "tikhonov_lambda_inf", "singular_guard_inf", "prior_var_inf",
             "prior_var_power_overflows", "prior_var_min_subnormal",
-            "prior_var_power_reciprocal_overflows"])
+            "prior_var_power_reciprocal_overflows", "snr_points_below_its_limit",
+            "channel_snr_below_its_limit", "sidechannel_snr_below_its_limit"])
     def test_bad_config_value_is_configuration_error(self, tmp_path, capsys, body):
         assert main(["simulate", "--config", write_cfg(tmp_path, body)]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -282,6 +286,20 @@ class TestExitCodes:
         header = lines[0].split(",")
         trials = [dict(zip(header, x.split(","))) for x in lines if x.startswith("trial,")]
         assert [t["k"] for t in trials] == ["8", "8"]
+
+    @pytest.mark.parametrize("command,body", [
+        ("sweep-snr", "predictor = analytic\n[channel]\nkind = awgn\n"),
+        ("sweep-snr", "predictor = mlp\n[channel]\nkind = rayleigh\n"),
+        ("sidechannel-test", ""),
+    ], ids=["analytic_awgn", "mlp_rayleigh", "sidechannel_test"])
+    def test_lowest_snr_runs_clean(self, tmp_path, command, body):
+        # -1000 dB is the limit; 10^(-snr/10) overflows a float near -3083 dB.
+        body = (f"[experiment]\ntrials = 2\nsnr_points = -1000\n{body}"
+                "[sidechannel]\nldpc_n = 256\nldpc_seed = 11\n")
+        out = tmp_path / "low.csv"
+        assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out),
+                     "--quiet"]) == 0
+        assert "Error" not in out.read_text()
 
     def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
         body = "[experiment]\ntrials = 2\nsnr_points = inf\n[sidechannel]\nenabled = false\n"
@@ -445,6 +463,14 @@ class TestSimulateAndSweep:
         assert main(["sweep-snr", "--config", str(CONFIGS / "budget.cfg"), "--seed", "7",
                      "--trials", "8", "--out", str(out), "--quiet"]) == 0
         golden = Path(__file__).resolve().parent / "data" / "golden_budget_sweep.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_cbr_sweep_matches_golden(self, tmp_path):
+        # The CBR path, which builds one codec per k, pinned byte for byte.
+        out = tmp_path / "cbr.csv"
+        assert main(["sweep-cbr", "--config", str(CONFIGS / "cbr_sweep.cfg"),
+                     "--out", str(out), "--quiet"]) == 0
+        golden = Path(__file__).resolve().parent / "data" / "golden_cbr_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("steps", [1, 5])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gencomm.denoiser import (AnalyticPredictor, GaussianWorld,
+from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
                               MlpDenoiser, TrainConfig,
                               load_checkpoint, loss_and_grads,
                               prepare_diffusion_batch, prompt_to_index,
@@ -131,7 +131,7 @@ class TestAnalyticEpsilon:
         pred = AnalyticPredictor(world, sched, gamma)
         probe_rng = np.random.default_rng(555)
         for _ in range(5):
-            z0_p, z_c_p = world.sample_pair(probe_rng)
+            z0_p, z_c_p = (a[0] for a in world.sample_pair(probe_rng, n=1))
             eps_p = probe_rng.standard_normal(d)
             z_t_p = (math.sqrt(ab) * z0_p
                      + math.sqrt(1 - ab) * (gamma * (z_c_p - z0_p) + eps_p))
@@ -208,7 +208,7 @@ class TestMlpDenoiser:
         model = MlpDenoiser(latent_dim=4, hidden=8, n_classes=5, seed=2)
         z_t, z_c = rng.standard_normal((2, 1, 4))
         absent = model.predict(z_t, z_c, None, 40)
-        explicit = model.predict(z_t, z_c, model.null_index, 40)
+        explicit = model.predict(z_t, z_c, NULL_PROMPT, 40)
         assert np.array_equal(absent, explicit)
 
     def test_golden_snapshot(self):
@@ -261,8 +261,8 @@ class TestMlpDenoiser:
 
     def test_prompt_mapping(self):
         assert prompt_to_index(None, 10) == 10
+        assert prompt_to_index(NULL_PROMPT, 10) == 10
         assert prompt_to_index("class:3", 10) == 3
-        assert prompt_to_index(4, 10) == 4
         free = prompt_to_index("a cheetah in tall grass", 10)
         assert 0 <= free < 10
         assert free == prompt_to_index("a cheetah in tall grass", 10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gencomm.channel import snr_to_sigma2
-from gencomm.errors import ConfigurationError, ContractError, NormalizationError
+from gencomm.errors import ConfigurationError, ContractError
 from gencomm.jscc import CodecConfig, cbr, make_linear_codec
 from gencomm.verify import check_codec_properties
 
@@ -28,10 +28,6 @@ class TestConstruction:
 
 
 class TestEncodeDecode:
-    def test_zero_latent_surfaces_normalization_error(self, wide_codec):
-        with pytest.raises(NormalizationError):
-            wide_codec.encode(np.zeros(16))
-
     def test_row_space_isometry(self, wide_codec, rng):
         coeffs = rng.standard_normal(4)
         z = wide_codec.projection.T @ coeffs  # lives in the row space
@@ -39,8 +35,8 @@ class TestEncodeDecode:
             np.linalg.norm(z), rel=1e-12)
 
     def test_encoded_length(self, wide_codec, rng):
-        x, _ = wide_codec.encode(rng.standard_normal(16))
-        assert x.shape == (4,)
+        x, scales = wide_codec.encode(rng.standard_normal((3, 16)))
+        assert x.shape == (3, 4) and scales.shape == (3,)
 
     def test_decode_projects_onto_row_space(self, rng):
         check_codec_properties(rng)
@@ -49,7 +45,7 @@ class TestEncodeDecode:
         codec = make_linear_codec(CodecConfig(k_prime=4, k=4), seed=3,
                                   tikhonov_lambda=2.0)
         plain = make_linear_codec(CodecConfig(k_prime=4, k=4), seed=3)
-        z = rng.standard_normal(8)
+        z = rng.standard_normal((1, 8))
         x, scale = codec.encode(z)
         sigma2 = snr_to_sigma2(3.0)
         shrunk = codec.decode(x, sigma2, scale)
@@ -57,10 +53,13 @@ class TestEncodeDecode:
         assert np.allclose(shrunk, ref / (1.0 + 2.0 * sigma2), atol=1e-12)
 
     def test_dimension_contracts(self, wide_codec):
-        with pytest.raises(ContractError):
-            wide_codec.encode(np.zeros(7))
-        with pytest.raises(ContractError):
-            wide_codec.decode(np.zeros(5), 0.0)
+        # A single latent is a batch of one: a 1-d input is refused like a wrong width.
+        for shape in ((16,), (1, 7), (2, 1, 16)):
+            with pytest.raises(ContractError):
+                wide_codec.encode(np.ones(shape))
+        for shape in ((4,), (1, 5), (2, 1, 4)):
+            with pytest.raises(ContractError):
+                wide_codec.decode(np.ones(shape), 0.0, np.ones(1))
 
 
 class TestCbr:

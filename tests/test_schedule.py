@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomm.errors import ConfigurationError, DomainError
-from gencomm.schedule import (build_schedule, coeffs_from_alpha_bars, residual_weight,
-                              update_coeffs)
+from gencomm.schedule import build_schedule, residual_weight, update_coeffs
 from gencomm.verify import check_schedule_tables
 
 # Frozen outputs of an independent plain-Python product-accumulation script
@@ -68,7 +67,8 @@ def test_schedule_invariants_property(T, bmin, spread, kind):
     assert np.all((sched.betas > 0) & (sched.betas < 1))
     assert np.all(np.diff(sched.alpha_bars) < 0)
     step_ratio = sched.alpha_bars[1:] / sched.alpha_bars[:-1]
-    assert np.max(np.abs(step_ratio - sched.alphas) / sched.alphas) <= 1e-13
+    alphas = 1.0 - sched.betas
+    assert np.max(np.abs(step_ratio - alphas) / alphas) <= 1e-13
 
 
 class TestResidualWeight:
@@ -91,14 +91,10 @@ class TestResidualWeight:
 
 class TestUpdateCoeffs:
     def test_direct_evaluation(self):
-        a, b = coeffs_from_alpha_bars(0.8, 0.5)
+        sched = build_schedule(T=2, beta_min=0.2, beta_max=0.375)  # alpha_bar 1, 0.8, 0.5
+        a, b = update_coeffs(1, 2, sched)
         assert a == pytest.approx(0.632456, abs=1e-6)
         assert b == pytest.approx(0.447214, abs=1e-6)
-
-    def test_equal_alpha_bars_identity_update(self):
-        a, b = coeffs_from_alpha_bars(0.37, 0.37)
-        assert a == pytest.approx(1.0, abs=1e-14)
-        assert b == pytest.approx(0.0, abs=1e-14)
 
     def test_first_line_of_coefficient_system(self, sched, rng):
         for _ in range(200):
@@ -113,5 +109,3 @@ class TestUpdateCoeffs:
             update_coeffs(5, 5, sched)
         with pytest.raises(DomainError):
             update_coeffs(7, 3, sched)
-        with pytest.raises(DomainError):
-            coeffs_from_alpha_bars(0.5, 1.0)

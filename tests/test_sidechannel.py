@@ -5,7 +5,7 @@ import pytest
 
 from gencomm.errors import DecodeError
 from gencomm.ldpc import LLR_MAX, ldpc_decode_batch, ldpc_encode, ldpc_make
-from gencomm.sidechannel import (LINK_FRAMES_PER_DECODE, bpsk_modulate, default_code,
+from gencomm.sidechannel import (awgn_llrs, bpsk_modulate, default_code,
                                  deframe_prompt, frame_prompt, measure_link, prompt_codeword,
                                  receive_prompts, send_prompt, transmit_bits, transmit_prompt)
 
@@ -53,6 +53,13 @@ class TestBpsk:
         llrs = transmit_bits(bits, float("inf"), rng)
         assert np.array_equal(llrs < 0, bits.astype(bool))
         assert np.all(np.abs(llrs) == 30.0)
+
+    def test_llrs_past_float_range_clip_without_warning(self, rng):
+        # At 3100 dB the noise variance 1e-310 is subnormal and 2y/1e-310
+        # overflows to inf, which the clip maps to the largest LLR.
+        bits = rng.integers(0, 2, size=64).astype(np.uint8)
+        llrs = awgn_llrs(bpsk_modulate(bits), rng.standard_normal(64), 3100.0)
+        assert np.array_equal(llrs, np.where(bits == 1, -LLR_MAX, LLR_MAX))
 
 
 class TestSendPrompt:
@@ -153,12 +160,12 @@ def test_measure_link_clean_channel(code, rng):
 
 def reference_measure_link(code, snr_db, min_info_bits, rng, max_iters=50):
     """The per-frame link loop: draw, encode and transmit one frame at a
-    time, then decode LINK_FRAMES_PER_DECODE frames per batch."""
+    time, then decode code.chunk_blocks frames per batch."""
     frames = math.ceil(min_info_bits / code.k)
     bit_errors = frame_errors = 0
-    for lo in range(0, frames, LINK_FRAMES_PER_DECODE):
+    for lo in range(0, frames, code.chunk_blocks):
         infos, llrs = [], []
-        for _ in range(min(LINK_FRAMES_PER_DECODE, frames - lo)):
+        for _ in range(min(code.chunk_blocks, frames - lo)):
             infos.append(rng.integers(0, 2, size=code.k).astype(np.uint8))
             llrs.append(transmit_bits(ldpc_encode(code, infos[-1]), snr_db, rng)[: code.n])
         res = ldpc_decode_batch(code, np.stack(llrs), max_iters)
@@ -171,7 +178,8 @@ def reference_measure_link(code, snr_db, min_info_bits, rng, max_iters=50):
 
 @pytest.mark.parametrize("frames", [1, 64, 65, 130])
 def test_measure_link_matches_per_frame_reference(code, frames):
-    # 1 dB leaves frame errors in most groups; 65 and 130 end in a short group.
+    # 1 dB leaves frame errors in most groups of 42 (the n=256 code's chunk);
+    # 64, 65 and 130 end in a short group.
     args = (code, 1.0, frames * code.k)
     got = measure_link(*args, np.random.default_rng(frames), max_iters=20)
     assert got == reference_measure_link(*args, np.random.default_rng(frames), max_iters=20)
