@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 import math
@@ -464,6 +465,19 @@ class TestSimulateAndSweep:
                      "--trials", "8", "--out", str(out), "--quiet"]) == 0
         golden = Path(__file__).resolve().parent / "data" / "golden_budget_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_train_denoiser_matches_golden(self, tmp_path):
+        # The training path, pinned: the loss curve byte for byte, and the
+        # checkpoint by its arrays, since the npz stamps its write time.
+        out = tmp_path / "model.npz"
+        assert main(["train-denoiser", "--config", str(CONFIGS / "budget.cfg"),
+                     "--steps", "50", "--out", str(out), "--quiet"]) == 0
+        golden = Path(__file__).resolve().parent / "data" / "golden_train_curve.csv"
+        assert Path(f"{out}.loss.csv").read_bytes() == golden.read_bytes()
+        with np.load(out) as data:
+            arrays = b"".join(data[name].tobytes() for name in sorted(data.files))
+        assert hashlib.sha256(arrays).hexdigest() == (
+            "416fbd27dd0b479c9bdeff518dfa86885aa823860470c2fd6369705b0735cc5b")
 
     def test_cbr_sweep_matches_golden(self, tmp_path):
         # The CBR path, which builds one codec per k, pinned byte for byte.

@@ -292,7 +292,7 @@ class _PerfectModel:
         self.prep = prep
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
-        return self.prep.eps, None
+        return self.prep.eps.copy(), None  # the loss overwrites the output
 
 
 def _toy_batch(sched, rng, d=4, n=64, dropout=0.0, decode_noise=0.25):
@@ -395,8 +395,10 @@ class TestTraining:
                       TrainConfig(learning_rate=1e6, steps=200),
                       sched, rng, gamma=GAMMA)
 
-    @pytest.mark.parametrize("kw", [{"steps": -1}, {"batch_size": 0}, {"batch_size": -4}],
-                             ids=["negative_steps", "zero_batch", "negative_batch"])
+    @pytest.mark.parametrize("kw", [{"steps": -1}, {"batch_size": 0}, {"batch_size": -4},
+                                    {"warm_start_step": 0}],
+                             ids=["negative_steps", "zero_batch", "negative_batch",
+                                  "zero_warm_start"])
     def test_config_rejects_bad_steps_and_batch_size(self, kw):
         with pytest.raises(ConfigurationError, match=next(iter(kw))):
             TrainConfig(**kw)
@@ -462,9 +464,9 @@ class TestTrainingStepIdentity:
         z = np.zeros((1, 2))
         temb_cols = slice(4, 4 + 32)  # after z_t and z_c
 
-        def row(t):
+        def row(t):  # a copy: _assemble writes into the input work buffer
             return model._assemble(z, z, np.zeros(1, dtype=np.int64),
-                                   np.array([t]))[0, temb_cols]
+                                   np.array([t]))[0, temb_cols].copy()
 
         before = [row(t) for t in range(11)]
         small = len(model._temb)
@@ -534,3 +536,63 @@ class TestTrainingStepIdentity:
         assert history == ref_history
         for name in ref.params:
             assert np.array_equal(model.params[name], ref.params[name]), name
+
+
+class TestWorkBuffers:
+    """The training step runs in buffers kept on the model; these pin what
+    each call may overwrite."""
+
+    def test_grads_survive_forward_only_and_predict_calls(self, sched, rng):
+        model = MlpDenoiser(latent_dim=4, hidden=16, seed=7)
+        prep = _toy_batch(sched, rng, n=32)
+        _, _, grads = loss_and_grads(model, prep, TrainConfig(), sched)
+        kept = {name: g.copy() for name, g in grads.items()}
+        for n in (32, 8, 64):  # the same, a smaller and a larger batch
+            loss_and_grads(model, _toy_batch(sched, rng, n=n), TrainConfig(), sched,
+                           want_grads=False)
+            model.predict(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)),
+                          "class:1", 40)
+        for name in kept:
+            assert np.array_equal(grads[name], kept[name]), name
+
+    def test_forward_only_calls_keep_the_loss(self, sched, rng):
+        # The loss overwrites forward_batch's output; it is recomputed per call.
+        model = MlpDenoiser(latent_dim=4, hidden=16, seed=7)
+        prep = _toy_batch(sched, rng, n=32)
+        first = loss_and_grads(model, prep, TrainConfig(), sched, want_grads=False)
+        loss_and_grads(model, _toy_batch(sched, rng, n=64), TrainConfig(), sched)
+        assert loss_and_grads(model, prep, TrainConfig(), sched, want_grads=False) == first
+
+    def test_replaced_parameter_is_trained(self, sched):
+        data = _training_set()
+        cfg = TrainConfig(steps=20, warm_start_step=500)
+        model = MlpDenoiser(latent_dim=16, seed=5)
+        ref = _ReferenceMlp(latent_dim=16, seed=5)
+        for m in (model, ref):
+            m.params["w2"] = 0.5 * m.params["w2"]
+        history = train(model, data, cfg, sched, np.random.default_rng(8), GAMMA)
+        ref_history = _reference_train(ref, data, cfg, sched, np.random.default_rng(8),
+                                       GAMMA)
+        assert history == ref_history
+        for name in ref.params:
+            assert np.array_equal(model.params[name], ref.params[name]), name
+
+    def test_parameters_and_buffers_start_on_cache_lines(self, sched, rng):
+        # Odd sizes, so a packed layout would put most views mid-line.
+        model = MlpDenoiser(latent_dim=5, hidden=7, time_dim=4, prompt_dim=3,
+                            n_classes=5, seed=1)
+        prep = _toy_batch(sched, rng, d=5, n=9)
+        loss_and_grads(model, prep, TrainConfig(), sched)
+        model.predict(prep.z_t, prep.z_c, None, 40)
+        x, hidden, out, dprompt = model._work(9)
+        arrays = [*model.params.values(), *model._grads.values(), x, *hidden, out,
+                  dprompt, model._h1, model._h2]
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
+
+    def test_replaced_parameter_of_another_shape_rejected(self, sched, rng):
+        model = MlpDenoiser(latent_dim=4, hidden=8, seed=6)
+        model.params["w2"] = np.zeros((8, 7))
+        data = (rng.standard_normal((64, 4)), rng.standard_normal((64, 4)),
+                np.zeros(64, dtype=np.int64))
+        with pytest.raises(ContractError, match="w2"):
+            train(model, data, TrainConfig(steps=1), sched, rng, gamma=GAMMA)
