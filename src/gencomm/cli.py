@@ -43,23 +43,31 @@ def _add_common(sub, config_required=True, trials=True):
     return sub
 
 
-def build_parser() -> _Parser:
+def _add_run(sub):
+    _add_common(sub).add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--timings", action="store_true",
+                     help="include per-trial wall time in results "
+                          "(non-reproducible byte-wise)")
+
+
+def _add_verify(sub):
+    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--out", default=None)
+    sub.add_argument("--quiet", action="store_true")
+
+
+def _add_train(sub):
+    _add_common(sub, trials=False).add_argument("--steps", type=int, default=2000)
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser. If `argv` starts with a subcommand (all calls do but a bare
+    --help or a malformed one), it builds only that one: argparse reads no other."""
     parser = _Parser(prog="gencomm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep-snr", "sweep-cbr"):
-        sub = _add_common(subs.add_parser(name))
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--timings", action="store_true",
-                         help="include per-trial wall time in results "
-                              "(non-reproducible byte-wise)")
-    v = subs.add_parser("verify")
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--out", default=None)
-    v.add_argument("--quiet", action="store_true")
-    _add_common(subs.add_parser("sidechannel-test"), config_required=False)
-    t = _add_common(subs.add_parser("train-denoiser"), trials=False)
-    t.add_argument("--steps", type=int, default=2000)
-    _add_common(subs.add_parser("sample"), trials=False)
+    first = argv[0] if argv else None
+    for name in [first] if first in _COMMANDS else _COMMANDS:
+        _COMMANDS[name][0](subs.add_parser(name))
     return parser
 
 
@@ -113,10 +121,6 @@ def cmd_verify(args) -> int:
     if args.quiet and failed:
         sys.stderr.write(f"{failed} invariant suite(s) failed\n")
     return 3 if failed else 0
-
-
-def cmd_simulate(args) -> int:
-    return _run_sweep(args, "none")
 
 
 def cmd_sidechannel_test(args) -> int:
@@ -191,14 +195,16 @@ def cmd_sample(args) -> int:
     return 0
 
 
+# Each subcommand, in the order --help lists them: what adds its arguments, and what runs it.
 _COMMANDS = {
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "sweep-snr": lambda a: _run_sweep(a, "snr"),
-    "sweep-cbr": lambda a: _run_sweep(a, "cbr"),
-    "sidechannel-test": cmd_sidechannel_test,
-    "train-denoiser": cmd_train_denoiser,
-    "sample": cmd_sample,
+    "simulate": (_add_run, lambda a: _run_sweep(a, "none")),
+    "sweep-snr": (_add_run, lambda a: _run_sweep(a, "snr")),
+    "sweep-cbr": (_add_run, lambda a: _run_sweep(a, "cbr")),
+    "verify": (_add_verify, cmd_verify),
+    "sidechannel-test": (lambda sub: _add_common(sub, config_required=False),
+                         cmd_sidechannel_test),
+    "train-denoiser": (_add_train, cmd_train_denoiser),
+    "sample": (lambda sub: _add_common(sub, trials=False), cmd_sample),
 }
 
 
@@ -212,9 +218,8 @@ def report_error(exc: GencommError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     except ConfigurationError as exc:
         return report_error(exc)
     except SystemExit as exc:  # --help
@@ -223,7 +228,7 @@ def main(argv=None) -> int:
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
             raise ConfigurationError(f"--out {args.out} is not a file in an existing directory")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except GencommError as exc:
         return report_error(exc)
     except Exception as exc:  # never leave an exception uncaught

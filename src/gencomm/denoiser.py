@@ -431,12 +431,15 @@ class MlpDenoiser:
         Each layer is a stacked row-times-matrix product, not the one gemm of
         `forward_batch`: a gemm's summation order depends on the batch size,
         so only the stacked form gives every row the bits of a lone call. The
-        batch shares one time-embedding row and one prompt row, broadcast
-        into the input. The hidden layers reuse two work buffers of the
-        instance, so one MlpDenoiser must not predict from two threads at once.
+        batch shares one prompt row and one time-embedding row, embedded here
+        (`forward_batch`'s table would grow with t), broadcast into the input.
+        The hidden layers reuse two work buffers of the instance, so one
+        MlpDenoiser must not predict from two threads at once.
         """
+        if t < 0:
+            raise ContractError(f"time steps must be >= 0, got {t}")
         p, n = self.params, len(z_t)
-        shared = np.concatenate([self._time_rows(t),
+        shared = np.concatenate([time_embedding(np.array([t]), self.time_dim)[0],
                                  p["emb"][prompt_to_index(prompt, self.n_classes)]])
         x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (n, len(shared)))], axis=1)
         if len(self._h1) < n:

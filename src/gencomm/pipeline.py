@@ -32,6 +32,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from operator import attrgetter, is_
 from typing import NamedTuple, Optional
 
@@ -220,13 +221,14 @@ class TrialOutput:
 
 
 class TrialRows(NamedTuple):
-    """A batch's rows and each row's error (None if it ran), with the stacked z0
-    and z0_hat of its error-free rows in that order."""
+    """A batch's rows and each row's error (None if it ran), with the stacked z0, z0_hat
+    and `columns` (a row per `_AGGREGATE_FIELDS`, frechet_gauss NaN) of its error-free rows."""
 
     rows: list[RunResult]
     z0: np.ndarray
     z0_hat: np.ndarray
     errors: list[Optional[GencommError]]
+    columns: np.ndarray
 
 
 class TrialDraws(NamedTuple):
@@ -251,9 +253,9 @@ def draw_batch(ctx: TrialContext, trial_ids: list[int]) -> TrialDraws:
     cuts = np.cumsum([d, rows * k, 0 if coded is None else coded.size])
     buf = np.empty((len(trial_ids), cuts[-1] + d))
     rng = np.random.Generator(np.random.PCG64(0))
-    for row, (state, inc) in zip(buf, states):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {}}
+    for row, (full["state"]["state"], full["state"]["inc"]) in zip(buf, states):
+        rng.bit_generator.state = full  # read, not kept, so one dict serves every row
         rng.standard_normal(out=row)
     prior, chan, noise, warm = np.split(buf, cuts, axis=1)
     llrs = None if coded is None else sidechannel.transmit_prompt(
@@ -298,7 +300,7 @@ def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
     except GencommError as exc:
         empty = np.empty((0, ctx.world.dim))
         return TrialRows([_failed_trial(ctx, t, exc) for t in trial_ids], empty, empty,
-                         [exc] * n)
+                         [exc] * n, np.empty((len(_AGGREGATE_FIELDS), 0)))
     z0, z_c, ok = transmit_latents(ctx, draws.prior, draws.channel)
     errors: list[Optional[GencommError]] = [
         None if row_ok else NormalizationError(ZERO_POWER) for row_ok in ok.tolist()]
@@ -334,23 +336,29 @@ def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
             for r in rows:
                 errors[r] = exc
 
-    m_coarse = mse(z0, z_c).tolist()
-    m_refined = mse(z0, z0_hat).tolist()
+    m_coarse, m_refined = mse(z0, z_c).tolist(), mse(z0, z0_hat).tolist()
+    p_coarse, p_refined = ([psnr(m, cfg.peak) if e is None else math.nan
+                            for m, e in zip(col, errors)] for col in (m_coarse, m_refined))
     shared = (time.perf_counter() - start) / max(n, 1)
-    cbr_value, warm, peak = cbr(ctx.codec_cfg), ctx.sampler_cfg.warm_start_step, cfg.peak
-    out = [RunResult(ctx.axis_index, t, ctx.snr_db, cbr_value, warm, ctx.codec_cfg.k, k_o[r],
-                     m_coarse[r], m_refined[r], psnr(m_coarse[r], peak),
-                     psnr(m_refined[r], peak), math.nan, prompt_ok[r], shared)
-           if errors[r] is None else _failed_trial(ctx, t, errors[r])
-           for r, t in enumerate(trial_ids)]
+    # RunResult's columns from snr_db on (`_AGGREGATE_FIELDS`), each a list or one shared value.
+    columns = (ctx.snr_db, cbr(ctx.codec_cfg), ctx.sampler_cfg.warm_start_step, ctx.codec_cfg.k,
+               k_o, m_coarse, m_refined, p_coarse, p_refined, math.nan, prompt_ok, shared)
+    out = list(map(RunResult, repeat(ctx.axis_index), trial_ids,
+                   *(c if isinstance(c, list) else repeat(c) for c in columns)))
+    for r, exc in enumerate(errors):
+        if exc is not None:
+            out[r] = _failed_trial(ctx, trial_ids[r], exc)
+    table = np.empty((len(columns), n))
+    for j, col in enumerate(columns):
+        table[j] = col
     live = np.array([e is None for e in errors], dtype=bool)
-    return TrialRows(out, z0[live], z0_hat[live], errors)
+    return TrialRows(out, z0[live], z0_hat[live], errors, table[:, live])
 
 
 def run_trial(ctx: TrialContext, trial_id: int) -> TrialOutput:
     """One full transmission + refinement; deterministic per (seed, ids).
     The row's error is raised."""
-    (result,), z0, z0_hat, (error,) = run_trials(ctx, [trial_id])
+    (result,), z0, z0_hat, (error,), _ = run_trials(ctx, [trial_id])
     if error is not None:
         raise error
     return TrialOutput(result=result, z0=z0[0], z0_hat=z0_hat[0])
@@ -392,24 +400,27 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], lis
         batches = [run_trials(ctx, ids[lo : lo + TRIALS_PER_BATCH])
                    for lo in range(0, len(ids), TRIALS_PER_BATCH)]
         rows = [r for b in batches for r in b.rows]
+        table = np.concatenate([b.columns for b in batches], axis=1).T
         z0 = np.concatenate([b.z0 for b in batches])
         if len(z0) >= ctx.world.dim + 1:
             fg = frechet_gauss(z0, np.concatenate([b.z0_hat for b in batches]))
+            table[:, _AGGREGATE_FIELDS.index("frechet_gauss")] = fg
             for r in rows:
                 if not r.error:
                     r.frechet_gauss = fg
         all_rows.extend(rows)
-        aggregates.extend(_aggregate(rows, axis_index))
+        aggregates.extend(_aggregate(table, len(rows), axis_index))
     return all_rows, aggregates
 
 
-def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
-    ok = [r for r in rows if not r.error]
+def _aggregate(table: np.ndarray, n_trials: int, axis_index: int) -> list[dict]:
+    """A point's mean and std rows from `table`, the (rows, `_AGGREGATE_FIELDS`)
+    values of its error-free rows out of `n_trials`."""
     fns = {"mean": np.mean, "std": np.std}
     stats = dict.fromkeys(fns, [math.nan] * len(_AGGREGATE_FIELDS))
-    if ok:
+    if len(table):
         # Fortran order: each column is contiguous, so its mean and std are a list's.
-        table = np.array(list(map(attrgetter(*_AGGREGATE_FIELDS), ok)), np.float64, order="F")
+        table = np.asfortranarray(table, np.float64)
         # An exactly recovered latent has PSNR +inf; its std is NaN.
         with np.errstate(invalid="ignore", over="ignore"):
             stats = {kind: fn(table, axis=0) for kind, fn in fns.items()}
@@ -420,8 +431,8 @@ def _aggregate(rows: list[RunResult], axis_index: int) -> list[dict]:
                     # overflow; scale it first.
                     scale = np.abs(table[:, j]).max()
                     stats[kind][j] = scale * fn(table[:, j] / scale)
-    return [{"kind": kind, "axis_index": axis_index, "n_trials": len(rows),
-             "n_failed": len(rows) - len(ok), **dict(zip(_AGGREGATE_FIELDS, map(float, values)))}
+    return [{"kind": kind, "axis_index": axis_index, "n_trials": n_trials,
+             "n_failed": n_trials - len(table), **dict(zip(_AGGREGATE_FIELDS, map(float, values)))}
             for kind, values in stats.items()]
 
 

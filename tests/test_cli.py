@@ -23,6 +23,7 @@ from gencomm.errors import ConfigurationError, TrainingError
 from gencomm.verify import ALL_CHECKS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = Path(__file__).resolve().parent / "data"
 # One PASS line per check, in order, shows that the default sizes run every check.
 VERIFY_REPORT = "".join(f"PASS {name}\n" for name, _ in ALL_CHECKS) + "21 passed, 0 failed\n"
 
@@ -406,6 +407,31 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    # The goldens are argparse's output on CPython 3.10 and 3.11 (the CI versions);
+    # later versions reword some messages and re-wrap some usage lines.
+    @pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                        reason="goldens hold the argparse text of Python 3.10 and 3.11")
+    @pytest.mark.parametrize("argv, golden", [
+        (["--help"], "help.txt"),
+        (["--help", "sweep-snr"], "help.txt"),
+        *[([c, "--help"], f"help-{c}.txt") for c in (
+            "simulate", "sweep-snr", "sweep-cbr", "verify", "sidechannel-test",
+            "train-denoiser", "sample")],
+        (["explode"], "error-unknown-command.txt"),
+        ([], "error-no-command.txt"),
+        *[([c], "error-no-config.txt") for c in (
+            "simulate", "sweep-snr", "sweep-cbr", "train-denoiser", "sample")],
+        (["sidechannel-test", "--steps", "3"], "error-unknown-flag.txt"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_parser_text_is_pinned(self, monkeypatch, capsys, argv, golden):
+        # Help goes to stdout with exit 0, a parse error to stderr with exit 1.
+        monkeypatch.setenv("COLUMNS", "80")
+        is_help = "--help" in argv
+        assert main(argv) == (0 if is_help else 1)
+        out, err = capsys.readouterr()
+        assert (out, err)[not is_help] == (DATA / "cli" / golden).read_text()
+        assert (out, err)[is_help] == ""
+
     def test_verify_report_file(self, tmp_path):
         out = tmp_path / "report.txt"
         assert main(["verify", "--seed", "7", "--quiet", "--out", str(out)]) == 0
@@ -463,8 +489,25 @@ class TestSimulateAndSweep:
         out = tmp_path / "budget.csv"
         assert main(["sweep-snr", "--config", str(CONFIGS / "budget.cfg"), "--seed", "7",
                      "--trials", "8", "--out", str(out), "--quiet"]) == 0
-        golden = Path(__file__).resolve().parent / "data" / "golden_budget_sweep.csv"
+        golden = DATA / "golden_budget_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_mlp_sweep_memory_does_not_grow_with_the_warm_start(self, tmp_path):
+        # A time-embedding table of every step up to twice the warm start took
+        # 82 MB here; the predictor now embeds only the steps it reads.
+        body = ("[experiment]\ntrials = 2\npredictor = mlp\nprompt =\n"
+                "[schedule]\nsteps = 100000\nbeta_max = 0.001\n"
+                "[sampler]\nwarm_start = 80000\n[sidechannel]\nenabled = false\n")
+        out = tmp_path / "deep.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body),
+                         "--out", str(out), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "Error" not in out.read_text()
+        assert peak < 16 << 20, peak
 
     def test_train_denoiser_matches_golden(self, tmp_path):
         # The training path, pinned: the loss curve byte for byte, and the
@@ -472,7 +515,7 @@ class TestSimulateAndSweep:
         out = tmp_path / "model.npz"
         assert main(["train-denoiser", "--config", str(CONFIGS / "budget.cfg"),
                      "--steps", "50", "--out", str(out), "--quiet"]) == 0
-        golden = Path(__file__).resolve().parent / "data" / "golden_train_curve.csv"
+        golden = DATA / "golden_train_curve.csv"
         assert Path(f"{out}.loss.csv").read_bytes() == golden.read_bytes()
         with np.load(out) as data:
             arrays = b"".join(data[name].tobytes() for name in sorted(data.files))
@@ -484,7 +527,7 @@ class TestSimulateAndSweep:
         out = tmp_path / "cbr.csv"
         assert main(["sweep-cbr", "--config", str(CONFIGS / "cbr_sweep.cfg"),
                      "--out", str(out), "--quiet"]) == 0
-        golden = Path(__file__).resolve().parent / "data" / "golden_cbr_sweep.csv"
+        golden = DATA / "golden_cbr_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("steps", [1, 5])
@@ -604,7 +647,7 @@ class TestOtherCommands:
         out = tmp_path / "link.csv"
         assert main(["sidechannel-test", "--config", cfg, "--seed", "7",
                      "--out", str(out), "--quiet"]) == 0
-        golden = Path(__file__).resolve().parent / "data" / "golden_link_ber.csv"
+        golden = DATA / "golden_link_ber.csv"
         assert out.read_bytes() == golden.read_bytes()
 
     def test_train_denoiser_writes_checkpoint_and_curve(self, tmp_path):

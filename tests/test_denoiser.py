@@ -234,6 +234,28 @@ class TestMlpDenoiser:
                 want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
                 assert np.array_equal(model.predict(z_t, z_c, prompt, t), want)
 
+    @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "table_grown"])
+    def test_predict_step_row_is_the_table_row(self, rng, grown):
+        # predict embeds its own step; it must read what row t of a table of
+        # every step holds, whether or not forward_batch grew the model's table.
+        table = time_embedding(np.arange(100_001), 32)
+        model = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
+        if grown:
+            z = rng.standard_normal((3, 6))
+            model.forward_batch(z, z, np.zeros(3, np.int64), np.array([1, 480, 600]))
+            assert len(model._temb) > 600
+        p = model.params
+        for t in (0, 1, 120, 480, 600, 999, 99_999, 100_000):
+            z_t, z_c = rng.standard_normal((2, 4, 6))
+            shared = np.concatenate([table[t], p["emb"][3]])
+            x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (4, len(shared)))], axis=1)
+            h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
+            h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
+            want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
+            assert np.array_equal(model.predict(z_t, z_c, "class:3", t), want), t
+        with pytest.raises(ContractError, match="time steps must be >= 0, got -1"):
+            model.predict(z_t, z_c, "class:3", -1)
+
     def test_work_buffers_keep_lone_call_bits(self, rng):
         # Batches that grow and shrink reuse the instance's work buffers. Every
         # row keeps the bits of its lone call, and an array returned earlier,
