@@ -36,6 +36,10 @@ from .schedule import NoiseSchedule
 NULL_PROMPT = "<null>"
 
 _CHECKPOINT_VERSION = 1
+# Rows per MLP GEMM. A GEMM of exactly this many rows (the last block zero-padded)
+# gives each row the same bits in any batch, at any position and BLAS thread count.
+# It equals TrainConfig().batch_size, so a training batch is one block.
+_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +337,7 @@ class MlpDenoiser:
             self._views[name][...] = value
         self.params = dict(self._views)
         self._temb = np.empty((0, time_dim))
-        self._h1 = self._h2 = np.empty((0, 1, hidden))  # predict's work buffers
-        self._x = np.empty((0, in_dim))  # the training work buffers, see _work
+        self._x = np.empty((0, in_dim))  # the work buffers, see _work
 
     @property
     def null_index(self) -> int:
@@ -351,15 +354,32 @@ class MlpDenoiser:
         return self._temb[ts]
 
     def _work(self, n):
-        """The first n rows of the training work buffers: the input, the two
-        hidden layers and dh2, the output, and the prompt columns of the input
-        gradient. They grow to the largest batch seen."""
-        if len(self._x) < n:
-            self._x = _aligned_zeros((n, self._x.shape[1]))
-            self._hid = [_aligned_zeros((n, self.hidden)) for _ in range(3)]
-            self._out = _aligned_zeros((n, self.latent_dim))
-            self._dprompt = _aligned_zeros((n, self.prompt_dim))
+        """The first n rows of the work buffers: the input, the two hidden
+        layers and dh2, the output, and the prompt columns of the input
+        gradient. They grow in whole blocks (one at least) to the largest batch."""
+        rows = max(-(-n // _BLOCK), 1) * _BLOCK
+        if len(self._x) < rows:
+            self._x = _aligned_zeros((rows, self._x.shape[1]))
+            self._hid = [_aligned_zeros((rows, self.hidden)) for _ in range(3)]
+            self._out = _aligned_zeros((rows, self.latent_dim))
+            self._dprompt = _aligned_zeros((rows, self.prompt_dim))
         return self._x[:n], [h[:n] for h in self._hid], self._out[:n], self._dprompt[:n]
+
+    def _forward(self, n):
+        """Runs the layers in place over the first n rows of the work buffers,
+        one GEMM per layer and block; returns the output rows."""
+        rows = -(-n // _BLOCK) * _BLOCK
+        self._x[n:rows] = 0.0  # padding: a stale inf or nan row would make the GEMM warn
+        x, h1, h2, out = (a[:rows].reshape(-1, _BLOCK, a.shape[1])
+                          for a in (self._x, *self._hid[:2], self._out))
+        p = self.params
+        np.matmul(x, p["w1"].T, out=h1)
+        np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
+        np.matmul(h1, p["w2"].T, out=h2)
+        np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
+        np.matmul(h2, p["w3"].T, out=out)
+        out += p["b3"]
+        return self._out[:n]
 
     def _bind_params(self):
         """Copy any parameter a caller replaced with a new array into its view
@@ -380,26 +400,17 @@ class MlpDenoiser:
                               axis=1, out=self._work(len(z_t))[0])
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
-        """Returns (output (B, d), cache for backward).
-
-        The output and the cached input and hidden layers are work buffers of
-        the instance: the next `forward_batch` call overwrites them, and the
-        caller may overwrite the output.
-        """
+        """Returns (output (B, d), cache for backward), both in the instance's
+        work buffers: the next `forward_batch` or `predict` call overwrites them,
+        and the caller may overwrite the output."""
         x = self._assemble(z_t, z_c, class_idx, ts)
-        _, (h1, h2, _), out, _ = self._work(len(x))
-        p = self.params
-        np.matmul(x, p["w1"].T, out=h1)
-        np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
-        np.matmul(h1, p["w2"].T, out=h2)
-        np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
-        np.matmul(h2, p["w3"].T, out=out)
-        out += p["b3"]
-        return out, (x, h1, h2, class_idx)
+        _, (h1, h2, _), _, _ = self._work(len(x))
+        return self._forward(len(x)), (x, h1, h2, class_idx)
 
     def backward_batch(self, cache, dout):
         """Gradients of sum(dout * out) with respect to every parameter.
 
+        The cache lives in the work buffers, which a later `predict` overwrites.
         The gradients are the instance's gradient buffers, which the next
         `backward_batch` call overwrites; `forward_batch` and `predict` leave
         them alone. Each hidden layer of the cache is overwritten by its tanh
@@ -426,32 +437,18 @@ class MlpDenoiser:
         return grads
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        """Inference on a (B, d) batch at one step and prompt.
-
-        Each layer is a stacked row-times-matrix product, not the one gemm of
-        `forward_batch`: a gemm's summation order depends on the batch size,
-        so only the stacked form gives every row the bits of a lone call. The
-        batch shares one prompt row and one time-embedding row, embedded here
-        (`forward_batch`'s table would grow with t), broadcast into the input.
-        The hidden layers reuse two work buffers of the instance, so one
-        MlpDenoiser must not predict from two threads at once.
-        """
+        """Inference on a (B, d) batch at one step and prompt, in `forward_batch`'s
+        layers and work buffers, so it overwrites that call's output and cache (and
+        one MlpDenoiser must not predict from two threads at once). The rows share
+        one time row and one prompt row, embedded here (the table would grow with t)."""
         if t < 0:
             raise ContractError(f"time steps must be >= 0, got {t}")
-        p, n = self.params, len(z_t)
+        n = len(z_t)
         shared = np.concatenate([time_embedding(np.array([t]), self.time_dim)[0],
-                                 p["emb"][prompt_to_index(prompt, self.n_classes)]])
-        x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (n, len(shared)))], axis=1)
-        if len(self._h1) < n:
-            self._h1, self._h2 = (_aligned_zeros((n, 1, self.hidden)) for _ in range(2))
-        h1, h2 = self._h1[:n], self._h2[:n]
-        np.matmul(x[:, None, :], p["w1"].T, out=h1)
-        np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
-        np.matmul(h1, p["w2"].T, out=h2)
-        np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
-        out = h2 @ p["w3"].T
-        out += p["b3"]
-        return out[:, 0]
+                                 self.params["emb"][prompt_to_index(prompt, self.n_classes)]])
+        np.concatenate([z_t, z_c, np.broadcast_to(shared, (n, len(shared)))], axis=1,
+                       out=self._work(n)[0])
+        return self._forward(n).copy()
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:

@@ -20,7 +20,8 @@ Determinism: every trial owns an isolated random stream, numpy's
 `default_rng(SeedSequence(master seed, spawn_key=(axis index, trial id)))`,
 drawn in the same order in every trial (z0, channel noise, side-channel
 noise, warm-start noise). Every batched product is a stacked matrix-vector
-product and every other step is elementwise or per row, so each row gets the
+product or, in the MLP layers, a GEMM over zero-padded blocks of a fixed row
+count, and every other step is elementwise or per row, so each row gets the
 bits of a lone trial. Sweep outputs are therefore identical across runs,
 batch sizes and `--threads` values.
 """

@@ -3,10 +3,13 @@ bits of a lone call, whatever the batch size, and a failing row fails alone.
 
 The reduction orders these rest on are pinned first: a stacked
 matrix-vector product (`W @ X[:, :, None]`, `X[:, None, :] @ W.T`) rounds
-like the lone product, and a plain gemm (`X @ W.T`) in general does not.
+like the lone product. A plain gemm (`X @ W.T`) in general does not, but a
+gemm over zero-padded blocks of a fixed row count, as in the MLP layers,
+gives each row the same bits at any position and in any batch.
 """
 
 import math
+import warnings
 from dataclasses import fields
 from unittest import mock
 
@@ -19,8 +22,8 @@ import gencomm.pipeline as pipeline_mod
 from gencomm.channel import (DRAW_ROWS, ChannelConfig, apply_channel, mmse_equalize,
                              normalize_power, pack_complex, power_scales, transmit)
 from gencomm.config import ExperimentConfig
-from gencomm.denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
-                              MlpDenoiser)
+from gencomm.denoiser import (_BLOCK, AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
+                              MlpDenoiser, TrainConfig)
 from gencomm.errors import ContractError, NormalizationError
 from gencomm.jscc import CodecConfig, LinearCodec, make_linear_codec
 from gencomm.ldpc import ldpc_make
@@ -37,6 +40,14 @@ def _rows_equal(batch, lone):
     return np.array_equal(batch, np.stack(lone))
 
 
+def _block_gemm(x, w):
+    """x @ w.T as one gemm per zero-padded block of _BLOCK rows."""
+    n = len(x)
+    blocks = np.zeros((-(-n // _BLOCK) * _BLOCK, x.shape[1]))
+    blocks[:n] = x
+    return (blocks.reshape(-1, _BLOCK, x.shape[1]) @ w.T).reshape(-1, len(w))[:n]
+
+
 class TestReductionOrder:
     @pytest.mark.parametrize("b", BATCH_SIZES)
     def test_stacked_matvec_matches_lone_product(self, rng, b):
@@ -44,6 +55,22 @@ class TestReductionOrder:
         x = rng.standard_normal((b, 40))
         assert _rows_equal((w @ x[:, :, None])[:, :, 0], [w @ r for r in x])
         assert _rows_equal((x[:, None, :] @ w.T)[:, 0], [(r[None] @ w.T)[0] for r in x])
+
+    @pytest.mark.parametrize("b", (1, 3, 40, 128, 129, 300))
+    @pytest.mark.parametrize("shape", [(128, 80), (128, 128), (16, 128)],
+                             ids=["layer1", "layer2", "layer3"])
+    def test_block_gemm_row_bits_do_not_depend_on_batch_or_position(self, rng, b, shape):
+        w = rng.standard_normal(shape)
+        x = rng.standard_normal((b, shape[1]))
+        lone = [_block_gemm(r[None], w)[0] for r in x]
+        assert _rows_equal(_block_gemm(x, w), lone)
+        order = rng.permutation(b)
+        assert _rows_equal(_block_gemm(x[order], w), [lone[i] for i in order])
+        assert _rows_equal(_block_gemm(np.vstack([x, x[::-1]]), w), lone + lone[::-1])
+
+    def test_block_is_one_training_batch(self):
+        # A default training batch is exactly one block, so it keeps a plain gemm's bits.
+        assert _BLOCK == TrainConfig().batch_size
 
     def test_row_power_matches_dot(self, rng):
         x = rng.standard_normal((17, 10))
@@ -122,15 +149,15 @@ class TestPredictorsAndSampler:
             assert _rows_equal(batch, lone)
 
     def test_mlp_inference_agrees_with_training_forward(self, rng):
-        # forward_batch keeps one gemm for training; inference does not use it,
-        # since a gemm's rounding may change with the batch size.
+        # Inference and training run one forward pass, in blocks of _BLOCK rows;
+        # 200 rows are more than one block.
         model = MlpDenoiser(latent_dim=8, seed=2)
-        z_t, z_c = rng.standard_normal((2, 64, 8))
+        z_t, z_c = rng.standard_normal((2, 200, 8))
         out = model.predict(z_t, z_c, "class:1", 250)
         again = model.predict(z_t[:5], z_c[:5], "class:1", 250)
         assert np.array_equal(out[:5], again)
-        gemm, _ = model.forward_batch(z_t, z_c, np.full(64, 1), np.full(64, 250))
-        assert np.allclose(gemm, out, rtol=1e-12, atol=1e-12)
+        gemm, _ = model.forward_batch(z_t, z_c, np.full(200, 1), np.full(200, 250))
+        assert np.array_equal(gemm, out)
 
     @pytest.mark.parametrize("name", ["analytic", "mlp", "oracle"])
     @pytest.mark.parametrize("b", BATCH_SIZES)
@@ -282,6 +309,19 @@ class TestRowFailures:
                 assert not row.prompt_ok
                 assert _same_fields(row, run_trial(ctx, row.trial_id).result)
         assert 0 < sum(bool(r.error) for r in rows[: cfg.trials]) < cfg.trials
+
+    def test_non_finite_mlp_row_leaves_no_trace_in_later_calls(self, rng):
+        # The padding rows of the last block are zeroed on every call, so an
+        # inf or nan row left in the input buffer cannot reach a later batch.
+        model = MlpDenoiser(latent_dim=8, seed=2)
+        z_t, z_c = rng.standard_normal((2, 7, 8))
+        z_t[3], z_c[5] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            model.predict(z_t, z_c, "class:1", 250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = model.predict(z_t[:2], z_c[:2], "class:1", 250)
+        assert np.isfinite(out).all()
 
     def test_run_trial_raises_a_sampler_error(self):
         # Without a side channel every row samples with "class:99".

@@ -591,11 +591,12 @@ class TestSimulateAndSweep:
 
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # One interpreter per thread count: OpenBLAS reads it once, at load.
+        # 130 trials make the MLP's GEMMs run over more than one 128-row block.
         script = textwrap.dedent("""\
             import sys
             from gencomm.cli import main
             cfg, out = sys.argv[1:]
-            sys.exit(main(["sweep-snr", "--config", cfg, "--trials", "20",
+            sys.exit(main(["sweep-snr", "--config", cfg, "--trials", "130",
                            "--out", f"{out}/sweep.csv", "--quiet"])
                      or main(["train-denoiser", "--config", cfg, "--steps", "50",
                               "--out", f"{out}/model.npz", "--quiet"]))

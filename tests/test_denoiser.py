@@ -195,6 +195,19 @@ class TestBayesDominance:
             f"analytic {loss_analytic:.3f}, mlp {loss_mlp:.3f}, zero {loss_zero:.3f}")
 
 
+def _block_gemm_net(p, x):
+    """The MLP as plain `x @ w.T` GEMMs over zero-padded blocks of 128 rows."""
+    n = len(x)
+    blocks = np.zeros((-(-n // 128) * 128, x.shape[1]))
+    blocks[:n] = x
+    out = []
+    for block in blocks.reshape(-1, 128, x.shape[1]):
+        h1 = np.tanh(block @ p["w1"].T + p["b1"])
+        h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
+        out.append(h2 @ p["w3"].T + p["b3"])
+    return np.concatenate(out)[:n]
+
+
 class TestMlpDenoiser:
     def test_zero_weights_zero_output(self, rng):
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=0)
@@ -223,15 +236,12 @@ class TestMlpDenoiser:
         # Inference as first written: the time and prompt rows gathered once
         # per batch row. One broadcast row of each must give the same bits.
         model = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
-        p = model.params
         for t in (1, 250, 500, 999):
             for prompt in (None, "class:3", "a cheetah in tall grass"):
                 z_t, z_c = rng.standard_normal((2, batch, 6))
                 idx = prompt_to_index(prompt, model.n_classes)
                 x = model._assemble(z_t, z_c, np.full(batch, idx), np.full(batch, t))
-                h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
-                h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
-                want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
+                want = _block_gemm_net(model.params, x)
                 assert np.array_equal(model.predict(z_t, z_c, prompt, t), want)
 
     @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "table_grown"])
@@ -249,9 +259,7 @@ class TestMlpDenoiser:
             z_t, z_c = rng.standard_normal((2, 4, 6))
             shared = np.concatenate([table[t], p["emb"][3]])
             x = np.concatenate([z_t, z_c, np.broadcast_to(shared, (4, len(shared)))], axis=1)
-            h1 = np.tanh((x[:, None, :] @ p["w1"].T)[:, 0] + p["b1"])
-            h2 = np.tanh((h1[:, None, :] @ p["w2"].T)[:, 0] + p["b2"])
-            want = (h2[:, None, :] @ p["w3"].T)[:, 0] + p["b3"]
+            want = _block_gemm_net(p, x)
             assert np.array_equal(model.predict(z_t, z_c, "class:3", t), want), t
         with pytest.raises(ContractError, match="time steps must be >= 0, got -1"):
             model.predict(z_t, z_c, "class:3", -1)
@@ -607,8 +615,7 @@ class TestWorkBuffers:
         loss_and_grads(model, prep, TrainConfig(), sched)
         model.predict(prep.z_t, prep.z_c, None, 40)
         x, hidden, out, dprompt = model._work(9)
-        arrays = [*model.params.values(), *model._grads.values(), x, *hidden, out,
-                  dprompt, model._h1, model._h2]
+        arrays = [*model.params.values(), *model._grads.values(), x, *hidden, out, dprompt]
         assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
     def test_replaced_parameter_of_another_shape_rejected(self, sched, rng):
