@@ -14,12 +14,12 @@ Each symbol is renormalized at once, as in Moffat, Neal & Witten (ACM TOIS
 settled and leave as one word, and the run of underflow bits (low = 01...,
 high = 10...) is counted and shifted out in one step. The bits are the same
 as those of the one-bit-at-a-time loop.
+
+The decoder finds each symbol by descending a Fenwick tree of the counts
+(Fenwick, Softw. Pract. Exp. 1994) instead of summing the table per symbol.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -36,6 +36,7 @@ _MASK = (1 << _STATE_BITS) - 1
 _TOP = 1 << (_STATE_BITS - 1)
 _LOW_BITS = _MASK >> 1
 _PHANTOM_BUDGET = 64
+_SLOTS = 512  # Fenwick tree slots: the power of two >= ALPHABET
 
 
 def _narrow(low: int, high: int, start: int, end: int, total: int):
@@ -62,6 +63,16 @@ def _update(freqs: list[int], total: int, symbol: int) -> int:
         freqs[:] = [(f + 1) // 2 for f in freqs]
         total = sum(freqs)
     return total
+
+
+def _fenwick(freqs: list[int]) -> list[int]:
+    """1-based Fenwick tree of `freqs`: slot i sums the i & -i counts ending at
+    symbol i - 1."""
+    tree = [0, *freqs] + [0] * (_SLOTS - ALPHABET)
+    for i in range(1, _SLOTS):
+        if i + (i & -i) <= _SLOTS:
+            tree[i + (i & -i)] += tree[i]
+    return tree
 
 
 def ac_encode(data: bytes) -> np.ndarray:
@@ -95,15 +106,20 @@ def ac_decode(bits: np.ndarray, max_bytes: int = MAX_TEXT_BYTES) -> bytes:
         raise ContractError("bitstream must be a 1-D array of 0/1 values")
     stream = (bits.astype(np.uint8) + ord("0")).tobytes().decode() + "0" * _PHANTOM_BUDGET
     freqs, total = [1] * ALPHABET, ALPHABET
+    tree = _fenwick(freqs)
     low, high = 0, _MASK
     code, pos = int(stream[:_STATE_BITS], 2), _STATE_BITS
     out = bytearray()
     while True:
-        cum = list(accumulate(freqs))
         value = ((code - low + 1) * total - 1) // (high - low + 1)
-        symbol = bisect_right(cum, value)
-        low, high, settled, _, under = _narrow(low, high, cum[symbol] - freqs[symbol],
-                                               cum[symbol], total)
+        # the symbols before the one holding value: the longest prefix summing to <= value
+        symbol, rest, step = 0, value, _SLOTS
+        while step := step >> 1:
+            if tree[symbol + step] <= rest:
+                symbol += step
+                rest -= tree[symbol]
+        start = value - rest
+        low, high, settled, _, under = _narrow(low, high, start, start + freqs[symbol], total)
         code = (code << settled) & _MASK | int("0" + stream[pos:pos + settled], 2)
         pos += settled
         code = code & _TOP | (code << under) & _LOW_BITS | int("0" + stream[pos:pos + under], 2)
@@ -115,4 +131,12 @@ def ac_decode(bits: np.ndarray, max_bytes: int = MAX_TEXT_BYTES) -> bytes:
         out.append(symbol)
         if len(out) > max_bytes:
             raise DecodeError(f"decoded size exceeded {max_bytes} bytes")
+        halves = total + INCREMENT >= HALVE_AT
         total = _update(freqs, total, symbol)
+        if halves:
+            tree = _fenwick(freqs)
+        else:
+            i = symbol + 1
+            while i <= _SLOTS:
+                tree[i] += INCREMENT
+                i += i & -i

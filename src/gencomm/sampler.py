@@ -19,8 +19,8 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
-from .schedule import NoiseSchedule, residual_weight, update_coeffs
+from .errors import ConfigurationError, ContractError, DomainError
+from .schedule import NoiseSchedule, inversion_coeffs, residual_weight, update_coeffs
 
 DEFAULT_GUIDANCE = 3.0
 DEFAULT_SINGULAR_GUARD = 1e-8
@@ -105,21 +105,22 @@ def residual_forward(
     eps: np.ndarray,
     sched: NoiseSchedule,
 ) -> np.ndarray:
-    """Forward process with the decode residual folded in:
+    """Forward process with the decode residual folded in, for one step `t` or
+    one step per row (an array shaped like z0 without its last axis):
     z_t = sqrt(abar_t) z0 + sqrt(1-abar_t) (gamma * (z_c - z0) + eps)."""
-    if z0.shape != z_c.shape or z0.shape != eps.shape:
-        raise ContractError(
-            f"shape mismatch: z0 {z0.shape}, z_c {z_c.shape}, eps {eps.shape}"
-        )
-    ab = sched.alpha_bar(t)
-    return math.sqrt(ab) * z0 + math.sqrt(1.0 - ab) * (gamma * (z_c - z0) + eps)
+    if z0.shape != z_c.shape or z0.shape != eps.shape or np.shape(t) not in ((), z0.shape[:-1]):
+        raise ContractError(f"shape mismatch: z0 {z0.shape}, z_c {z_c.shape}, "
+                            f"eps {eps.shape}, t {np.shape(t)}")
+    steps = np.asarray(t)
+    if steps.min(initial=0) < 0 or steps.max(initial=0) > sched.T:
+        raise DomainError(f"step index {t} outside [0, {sched.T}]")
+    ab = sched.alpha_bars[steps][..., None]
+    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * (gamma * (z_c - z0) + eps)
 
 
 def _inversion(t: int, gamma: float, sched: NoiseSchedule, guard: float):
-    """(sqrt(1-abar_t), sqrt(abar_t) - sqrt(1-abar_t)*gamma) of the clean-latent
-    inversion at step t, or None where that denominator is within `guard` of 0."""
-    root = math.sqrt(1.0 - sched.alpha_bar(t))
-    denom = math.sqrt(sched.alpha_bar(t)) - root * gamma
+    """`inversion_coeffs` at step t, or None where its denominator is within `guard` of 0."""
+    root, denom = inversion_coeffs(t, gamma, sched)
     return None if abs(denom) <= guard else (root, denom)
 
 

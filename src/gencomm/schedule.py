@@ -93,6 +93,13 @@ def residual_weight(warm_step: int, sched: NoiseSchedule) -> float:
     return math.sqrt(ab) / math.sqrt(1.0 - ab)
 
 
+def inversion_coeffs(t: int, gamma: float, sched: NoiseSchedule) -> tuple[float, float]:
+    """(sqrt(1-abar_t), sqrt(abar_t) - sqrt(1-abar_t)*gamma): the noise scale and the
+    clean-latent denominator of inverting the residual forward process at step t."""
+    root = math.sqrt(1.0 - sched.alpha_bar(t))
+    return root, math.sqrt(sched.alpha_bar(t)) - root * gamma
+
+
 def update_coeffs(t_prev: int, t: int, sched: NoiseSchedule) -> tuple[float, float]:
     """Coefficients (a, b) of one deterministic reverse step t -> t_prev:
     z_prev = a * z_t + b * z0_hat. `a` scales the current state, `b` the

@@ -50,40 +50,74 @@ class TestGaussianWorld:
         assert np.trace(cov) <= np.trace(world.sigma0) + 1e-12
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-10)
 
+    def test_decoded_moments_are_computed_once(self, sched):
+        codec = make_linear_codec(CodecConfig(k_prime=3, k=1), seed=4)
+        world = GaussianWorld.ar1(codec, snr_db=4.0, rho=0.7)
+        a = world.obs_matrix
+        mu_c, cross, cov_c = world.decoded_moments
+        assert world.decoded_moments is world.decoded_moments
+        assert np.array_equal(mu_c, a @ world.mu0)
+        assert np.array_equal(cross, world.sigma0 @ a.T)
+        assert np.array_equal(cov_c, a @ world.sigma0 @ a.T + world.obs_noise_cov)
+        # both readers see the cached arrays: scaling them moves both results
+        before = (world.clean_posterior_cov(),
+                  AnalyticPredictor(world, sched, GAMMA)._coefs(200)[2])
+        cov_c *= 2.0
+        after = (world.clean_posterior_cov(),
+                 AnalyticPredictor(world, sched, GAMMA)._coefs(200)[2])
+        assert not np.allclose(before[0], after[0])
+        assert not np.allclose(before[1], after[1])
+
+
+def check_equalizer_chain(kind, snr_db, rng):
+    # Simulate the real per-symbol chain (projection -> fixed nominal
+    # scale -> channel -> MMSE equalizer -> back-projection) and compare
+    # the empirical first two moments of z_c against the world's
+    # observation model.
+    from gencomm.channel import ChannelConfig, mmse_equalize, pack_complex, transmit
+
+    codec = make_linear_codec(CodecConfig(k_prime=3, k=2), seed=21)
+    world = GaussianWorld.ar1(codec, snr_db, kind=kind, rho=0.8)
+    d = world.dim
+    root = np.linalg.cholesky(world.sigma0 + 1e-12 * np.eye(d))
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    n = 40_000
+    z0s = rng.standard_normal((n, d)) @ root.T
+    z_cs = np.empty_like(z0s)
+    chan = ChannelConfig(kind, snr_db)
+    for i in range(n):
+        x = world.nominal_scale * (codec.projection @ z0s[i])
+        y, h = transmit(pack_complex(x), chan, rng)
+        z_cs[i] = (codec.projection.T @ mmse_equalize(y, h, sigma2)
+                   ) / world.nominal_scale
+    # conditional mean: E[z_c | z0] = obs_matrix @ z0 (cross-covariance)
+    cross_emp = (z_cs.T @ z0s) / n
+    cross_model = world.obs_matrix @ world.sigma0
+    assert np.max(np.abs(cross_emp - cross_model)) <= 0.05
+    # total second moment of z_c
+    cov_emp = (z_cs.T @ z_cs) / n
+    cov_model = (world.obs_matrix @ world.sigma0 @ world.obs_matrix.T
+                 + world.obs_noise_cov)
+    assert np.max(np.abs(cov_emp - cov_model)) <= 0.08, (
+        np.max(np.abs(cov_emp - cov_model)))
+
 
 class TestRayleighWorldModel:
     def test_matches_monte_carlo_equalizer_chain(self, rng):
-        # Simulate the real per-symbol chain (projection -> fixed nominal
-        # scale -> fading -> MMSE equalizer -> back-projection) and compare
-        # the empirical first two moments of z_c against the world's
-        # Gaussian-equivalent observation model.
-        from gencomm.channel import ChannelConfig, mmse_equalize, pack_complex, transmit
+        # Gaussian-equivalent model of the fading equalizer
+        check_equalizer_chain("rayleigh", 8.0, rng)
 
-        codec = make_linear_codec(CodecConfig(k_prime=3, k=2), seed=21)
-        snr_db = 8.0
-        world = GaussianWorld.ar1(codec, snr_db, kind="rayleigh", rho=0.8)
-        d = world.dim
-        root = np.linalg.cholesky(world.sigma0 + 1e-12 * np.eye(d))
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        n = 40_000
-        z0s = rng.standard_normal((n, d)) @ root.T
-        z_cs = np.empty_like(z0s)
-        chan = ChannelConfig("rayleigh", snr_db)
-        for i in range(n):
-            x = world.nominal_scale * (codec.projection @ z0s[i])
-            y, h = transmit(pack_complex(x), chan, rng)
-            z_cs[i] = (codec.projection.T @ mmse_equalize(y, h, sigma2)
-                       ) / world.nominal_scale
-        # conditional mean: E[z_c | z0] = obs_matrix @ z0 (cross-covariance)
-        cross_emp = (z_cs.T @ z0s) / n
-        cross_model = world.obs_matrix @ world.sigma0
-        assert np.max(np.abs(cross_emp - cross_model)) <= 0.05
-        # total second moment of z_c
-        cov_emp = (z_cs.T @ z_cs) / n
-        cov_model = (world.obs_matrix @ world.sigma0 @ world.obs_matrix.T
-                     + world.obs_noise_cov)
-        assert np.max(np.abs(cov_emp - cov_model)) <= 0.08, (
-            np.max(np.abs(cov_emp - cov_model)))
+
+class TestAwgnWorldModel:
+    def test_matches_monte_carlo_equalizer_chain(self, rng):
+        check_equalizer_chain("awgn", 8.0, rng)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known gap: the AWGN model leaves the equalizer gain "
+                              "1/(1+sigma2) off the noise, so it overstates the "
+                              "decoded noise by (1+sigma2)^2")
+    def test_matches_monte_carlo_equalizer_chain_at_1db(self, rng):
+        check_equalizer_chain("awgn", 1.0, rng)
 
 
 class TestAnalyticEpsilon:
@@ -181,8 +215,7 @@ class TestBayesDominance:
         err_an = np.empty(n_eval)
         for t_val in np.unique(prep.ts):
             mask = prep.ts == t_val
-            coefs = pred._coefs(int(t_val))
-            gain, mu_w = coefs[3], coefs[4]
+            gain, mu_w = pred._coefs(int(t_val))[2:]
             w = np.hstack([prep.z_c[mask], prep.z_t[mask]])
             z0_mean = world.mu0 + (w - mu_w) @ gain.T
             c = math.sqrt(1.0 - sched.alpha_bar(int(t_val)))
@@ -376,7 +409,7 @@ class TestLosses:
         for i in range(8):
             want = residual_forward(prep.z0[i], prep.z_c[i], int(prep.ts[i]),
                                     GAMMA, prep.eps[i], sched)
-            assert np.allclose(prep.z_t[i], want, atol=1e-14)
+            assert np.array_equal(prep.z_t[i], want)
 
     def test_empty_batch_rejected(self, sched, rng):
         with pytest.raises(ContractError):

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gencomm.denoiser as denoiser_mod
+import gencomm.sampler as sampler_mod
 from conftest import ZeroNoise
 from gencomm.denoiser import AnalyticPredictor, ExactRecoveryOracle, GaussianWorld
-from gencomm.errors import ConfigurationError, ContractError
+from gencomm.errors import ConfigurationError, ContractError, DomainError
 from gencomm.sampler import (SamplerConfig, _inversion, cfg_combine, predict_z0,
                              residual_forward, sample, sample_batch, sampler_step,
                              step_grid, warm_start)
-from gencomm.schedule import build_schedule, residual_weight, update_coeffs
+from gencomm.schedule import build_schedule, inversion_coeffs, residual_weight, update_coeffs
 from gencomm.verify import (check_cfg_identities, check_ddim_reduction,
                             check_exact_oracle_recovery, check_frozen_noise_trajectory,
                             check_inversion_roundtrip, check_warm_start_coincidence)
@@ -79,6 +81,65 @@ class TestResidualForward:
     def test_dimension_mismatch(self, sched):
         with pytest.raises(ContractError):
             residual_forward(np.zeros(3), np.zeros(4), 10, 0.1, np.zeros(3), sched)
+
+    def test_per_row_steps_match_one_step_calls_bitwise(self, sched, gamma, rng):
+        z0, z_c, eps = rng.standard_normal((3, 7, 5))
+        for ts in (rng.integers(1, WARM + 1, size=7), np.array([0, 1, 2, 999, 1000, 3, 3]),
+                   np.full(7, 250)):
+            got = residual_forward(z0, z_c, ts, gamma, eps, sched)
+            for i, t in enumerate(ts.tolist()):
+                assert np.array_equal(got[i],
+                                      residual_forward(z0[i], z_c[i], t, gamma, eps[i], sched))
+            # one shared step is the same as that step on every row
+            assert np.array_equal(residual_forward(z0, z_c, ts[:1].repeat(7), gamma, eps, sched),
+                                  residual_forward(z0, z_c, int(ts[0]), gamma, eps, sched))
+
+    @pytest.mark.parametrize("bad", [-1, 1001, 10**6])
+    def test_out_of_range_step_array_rejected(self, sched, rng, bad):
+        z0, z_c, eps = rng.standard_normal((3, 4, 2))
+        ts = np.array([1, 2, bad, 3])
+        with pytest.raises(DomainError):
+            residual_forward(z0, z_c, ts, 0.5, eps, sched)
+        with pytest.raises(DomainError):
+            residual_forward(z0[0], z_c[0], bad, 0.5, eps[0], sched)
+
+    def test_step_array_must_have_one_step_per_row(self, sched):
+        z = np.zeros((4, 2))
+        for ts in (np.ones(3, dtype=int), np.ones(2, dtype=int), np.ones((4, 2), dtype=int)):
+            with pytest.raises(ContractError):
+                residual_forward(z, z, ts, 0.5, z, sched)
+
+
+class TestInversionCoeffs:
+    def test_values(self, sched, gamma):
+        for t in (1, 37, WARM, sched.T):
+            ab = sched.alpha_bar(t)
+            root, denom = inversion_coeffs(t, gamma, sched)
+            assert root == math.sqrt(1.0 - ab)
+            assert denom == math.sqrt(ab) - math.sqrt(1.0 - ab) * gamma
+        with pytest.raises(DomainError):
+            inversion_coeffs(sched.T + 1, gamma, sched)
+
+    def test_each_reader_calls_it(self, sched, gamma, rng, monkeypatch):
+        # Swap in other coefficients: every reader must pick them up.
+        fake = (0.75, -1.5)
+        calls = []
+
+        def spy(t, g, s):
+            calls.append((t, g, s))
+            return fake
+
+        monkeypatch.setattr(sampler_mod, "inversion_coeffs", spy)
+        monkeypatch.setattr(denoiser_mod, "inversion_coeffs", spy)
+        d = 2
+        world = GaussianWorld(mu0=np.zeros(d), sigma0=np.eye(d), obs_matrix=np.eye(d),
+                              obs_noise_cov=0.2 * np.eye(d))
+        z0, z_t, z_c = rng.standard_normal((3, 1, d))
+        assert _inversion(77, gamma, sched, 0.0) == fake
+        assert AnalyticPredictor(world, sched, gamma)._coefs(77)[:2] == fake
+        got = ExactRecoveryOracle(z0, sched, gamma).predict(z_t, z_c, None, 77)
+        assert np.array_equal(got, (z_t - 0.75 * gamma * z_c + 1.5 * z0) / 0.75)
+        assert calls == [(77, gamma, sched)] * 3
 
 
 class TestPredictZ0:
