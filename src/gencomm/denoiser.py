@@ -54,8 +54,8 @@ _LAGUERRE_ORDER = 96
 def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rhs @ pinv(mat) for symmetric PSD mat.
 
-    Compressed codecs give rank-deficient joint covariances (the observation
-    noise lives in the projection's row space), where a plain solve silently
+    Compressed codecs give a rank-deficient Cov(z_c) (the decoded latent
+    lives in the projection's row space), where a plain solve silently
     produces garbage; the eigenvalue cutoff makes the degenerate directions
     contribute nothing instead.
     """
@@ -71,13 +71,19 @@ def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rayleigh_equalizer_stats(sigma2: float) -> tuple[float, float, float]:
-    """Moments of the per-symbol MMSE equalizer under unit-variance Rayleigh
-    fading, via Gauss-Laguerre quadrature over |h|^2 ~ Exp(1).
+def _equalizer_stats(kind: str, sigma2: float) -> tuple[float, float, float]:
+    """Moments of the per-symbol MMSE equalizer gain |h|^2 / (|h|^2 + sigma2)
+    over the channel's law of |h|^2: a point mass at 1 (AWGN), or Exp(1) by
+    Gauss-Laguerre quadrature (unit-variance Rayleigh fading).
 
     Returns (mean gain, gain variance, equalized noise variance per complex
     symbol)."""
-    nodes, weights = np.polynomial.laguerre.laggauss(_LAGUERRE_ORDER)
+    if kind == "awgn":
+        nodes = weights = np.ones(1)
+    elif kind == "rayleigh":
+        nodes, weights = np.polynomial.laguerre.laggauss(_LAGUERRE_ORDER)
+    else:
+        raise ConfigurationError(f"unknown channel kind {kind!r}")
     g = nodes / (nodes + sigma2)
     mean_gain = float(np.sum(weights * g))
     var_gain = float(np.sum(weights * g**2)) - mean_gain**2
@@ -93,10 +99,8 @@ class GaussianWorld:
     xi ~ N(0, obs_noise_cov). The observation model is built from a codec
     and channel configuration with a *fixed* nominal power-normalization
     scale, which keeps the pair exactly jointly Gaussian; the live pipeline
-    normalizes per trial. Under Rayleigh the equalizer is modelled by a
-    Gaussian equivalent. Under AWGN the model is not exact: its noise leaves
-    out the MMSE equalizer's gain 1/(1 + sigma2), so it overstates the decoded
-    noise covariance by (1 + sigma2)^2 (3.2x at 1 dB, 1.1x at 13 dB).
+    normalizes per trial. The MMSE equalizer is modelled by a Gaussian
+    equivalent, which is exact under AWGN (its gain is constant).
     """
 
     mu0: np.ndarray
@@ -154,18 +158,12 @@ class GaussianWorld:
         scale = 1.0 / math.sqrt(sym_power)
         shrink = 1.0 / (1.0 + codec.tikhonov_lambda * sigma2)
         gram = P.T @ P
-        if kind == "awgn":
-            gain = shrink / (1.0 + sigma2)
-            noise_dim_var = sigma2 / 2.0
-        elif kind == "rayleigh":
-            # Gaussian-equivalent model of the fading equalizer: mean gain on
-            # the signal, with gain jitter (on unit-power symbols) folded into
-            # the per-dim noise alongside the equalized channel noise.
-            mean_gain, var_gain, eq_noise = _rayleigh_equalizer_stats(sigma2)
-            gain = shrink * mean_gain
-            noise_dim_var = eq_noise / 2.0 + var_gain / 2.0
-        else:
-            raise ConfigurationError(f"unknown channel kind {kind!r}")
+        # Gaussian-equivalent model of the equalizer: mean gain on the signal,
+        # with gain jitter (on unit-power symbols; none under AWGN) folded into
+        # the per-dim noise alongside the equalized channel noise.
+        mean_gain, var_gain, eq_noise = _equalizer_stats(kind, sigma2)
+        gain = shrink * mean_gain
+        noise_dim_var = eq_noise / 2.0 + var_gain / 2.0
         obs_matrix = gain * gram
         obs_noise_cov = (shrink**2) * (noise_dim_var / scale**2) * gram
         return cls(mu0=np.zeros(d), sigma0=sigma0, obs_matrix=obs_matrix,
@@ -180,24 +178,26 @@ class GaussianWorld:
         return z0, z0 @ self.obs_matrix.T + noise
 
     @cached_property
-    def decoded_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(E[z_c], Cov(z0, z_c), Cov(z_c)) = (A mu0, sigma0 A^T, A sigma0 A^T + obs_noise_cov)
-        with A = obs_matrix, computed once."""
+    def posterior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, S) of the decode posterior, computed once: E[z0 | z_c] =
+        mu0 + G (z_c - A mu0) and Cov(z0 | z_c) = S, with A = obs_matrix."""
         a = self.obs_matrix
-        return a @ self.mu0, self.sigma0 @ a.T, a @ self.sigma0 @ a.T + self.obs_noise_cov
+        cross = self.sigma0 @ a.T
+        gain = _psd_solve_right(cross, a @ self.sigma0 @ a.T + self.obs_noise_cov)
+        return gain, self.sigma0 - gain @ cross.T
 
     def clean_posterior_cov(self) -> np.ndarray:
         """Cov(z0 | z_c): the conditional MMSE of decoding alone."""
-        _, cross, cov_c = self.decoded_moments
-        gain = _psd_solve_right(cross, cov_c)
-        return self.sigma0 - gain @ cross.T
+        return self.posterior[1]
 
 
 class AnalyticPredictor:
     """Bayes-optimal predictor for a GaussianWorld: the conditional mean
-    E[eps | z_t, z_c] in closed form. The forward process expresses eps
-    linearly in (z0, z_t, z_c); substituting the Gaussian conditional mean
-    E[z0 | z_t, z_c] gives the estimate. Ignores the prompt."""
+    E[eps | z_t, z_c] in closed form. Given z_c, the residual forward process
+    leaves z_t - c gamma z_c = denom z0 + c eps, with z0 ~ N(m, S) the decode
+    posterior, so E[eps | z_t, z_c] = c (denom^2 S + c^2 I)^-1 (z_t - c gamma z_c
+    - denom m), with (c, denom) of `inversion_coeffs`. The matrix is at least
+    c^2 I, so positive definite at every step t >= 1. Ignores the prompt."""
 
     uses_prompt = False
 
@@ -206,26 +206,14 @@ class AnalyticPredictor:
         self.sched = sched
         self.gamma = gamma
 
-    def _coefs(self, t: int):
-        """(c, denom) of `inversion_coeffs`, the gain of E[z0 | z_c, z_t] and E[z_c, z_t]."""
-        w = self.world
-        c, denom = inversion_coeffs(t, self.gamma, self.sched)
-        mu_c, s_0c, s_cc = w.decoded_moments
-        mu_t = denom * w.mu0 + c * self.gamma * mu_c
-        s_0t = denom * w.sigma0 + c * self.gamma * s_0c
-        s_ct = denom * s_0c.T + c * self.gamma * s_cc
-        s_tt = (denom**2 * w.sigma0 + denom * c * self.gamma * (s_0c + s_0c.T)
-                + (c * self.gamma) ** 2 * s_cc + c**2 * np.eye(w.dim))
-        cov_w = np.block([[s_cc, s_ct], [s_ct.T, s_tt]])
-        cross = np.hstack([s_0c, s_0t])
-        gain = _psd_solve_right(cross, cov_w)
-        return c, denom, gain, np.concatenate([mu_c, mu_t])
-
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        c, denom, gain, mu_w = self._coefs(t)
-        w = np.concatenate([z_c, z_t], axis=1)
-        z0_mean = self.world.mu0 + (gain @ (w - mu_w)[:, :, None])[:, :, 0]
-        return (z_t - c * self.gamma * z_c - denom * z0_mean) / c
+        w = self.world
+        gain, cov = w.posterior
+        c, denom = inversion_coeffs(t, self.gamma, self.sched)
+        weight = np.linalg.solve(denom**2 * cov + c**2 * np.eye(w.dim), c * np.eye(w.dim))
+        z0_mean = w.mu0 + (gain @ (z_c - w.obs_matrix @ w.mu0)[:, :, None])[:, :, 0]
+        resid = z_t - c * self.gamma * z_c - denom * z0_mean
+        return (weight @ resid[:, :, None])[:, :, 0]
 
 
 class ExactRecoveryOracle:

@@ -89,12 +89,8 @@ def warm_start(
     exact noise realization.
     """
     eps = rng.standard_normal(z_c.shape)
-    return _noised(z_c, eps, warm_step, sched), eps
-
-
-def _noised(z_c: np.ndarray, eps: np.ndarray, warm_step: int, sched: NoiseSchedule):
-    ab = sched.alpha_bar(warm_step)
-    return math.sqrt(ab) * z_c + math.sqrt(1.0 - ab) * eps
+    gamma = residual_weight(warm_step, sched)
+    return residual_forward(z_c, z_c, warm_step, gamma, eps, sched), eps
 
 
 def residual_forward(
@@ -218,7 +214,7 @@ def sample_batch(
         )
     grid = step_grid(cfg.warm_start_step, cfg.steps)
     gamma = residual_weight(cfg.warm_start_step, sched)
-    z = _noised(z_c, eps, cfg.warm_start_step, sched)
+    z = residual_forward(z_c, z_c, cfg.warm_start_step, gamma, eps, sched)
 
     guided = (prompt is not None and cfg.guidance != 1.0
               and getattr(predictor, "uses_prompt", True))

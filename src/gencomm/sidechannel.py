@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .arithmetic import ac_decode, ac_encode
+from .channel import snr_to_sigma2
 from .errors import DecodeError, FrameError
 from .ldpc import (DEFAULT_BP_ITERS, LLR_MAX, LdpcCode, ldpc_decode_batch, ldpc_encode,
                    ldpc_make)
@@ -105,7 +106,7 @@ def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
     dims[..., 0::2] = y.real
     dims[..., 1::2] = y.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        llr = 2.0 * dims / 10.0 ** (-snr_db / 10.0)
+        llr = 2.0 * dims / snr_to_sigma2(snr_db)
     llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
     return np.clip(llr, -LLR_MAX, LLR_MAX)
 

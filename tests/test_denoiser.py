@@ -1,8 +1,12 @@
+import dataclasses
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gencomm.config import load_config
 from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
                               MlpDenoiser, TrainConfig,
                               load_checkpoint, loss_and_grads,
@@ -10,8 +14,9 @@ from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
                               save_checkpoint, time_embedding, train)
 from gencomm.errors import ConfigurationError, ContractError, TrainingError
 from gencomm.jscc import CodecConfig, make_linear_codec
+from gencomm.pipeline import build_context
 from gencomm.sampler import residual_forward
-from gencomm.schedule import residual_weight
+from gencomm.schedule import inversion_coeffs, residual_weight
 from gencomm.verify import check_analytic_predictor, check_gradients, check_prompt_dropout
 
 GAMMA = 0.3
@@ -50,23 +55,27 @@ class TestGaussianWorld:
         assert np.trace(cov) <= np.trace(world.sigma0) + 1e-12
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-10)
 
-    def test_decoded_moments_are_computed_once(self, sched):
+    def test_posterior_is_computed_once(self, sched):
         codec = make_linear_codec(CodecConfig(k_prime=3, k=1), seed=4)
         world = GaussianWorld.ar1(codec, snr_db=4.0, rho=0.7)
         a = world.obs_matrix
-        mu_c, cross, cov_c = world.decoded_moments
-        assert world.decoded_moments is world.decoded_moments
-        assert np.array_equal(mu_c, a @ world.mu0)
-        assert np.array_equal(cross, world.sigma0 @ a.T)
-        assert np.array_equal(cov_c, a @ world.sigma0 @ a.T + world.obs_noise_cov)
+        gain, cov = world.posterior
+        assert world.posterior is world.posterior
+        cross = world.sigma0 @ a.T
+        cov_c = a @ world.sigma0 @ a.T + world.obs_noise_cov
+        assert np.allclose(gain, cross @ np.linalg.pinv(cov_c, hermitian=True, rcond=1e-12),
+                           rtol=0.0, atol=1e-10)
+        assert np.array_equal(cov, world.sigma0 - gain @ cross.T)
         # both readers see the cached arrays: scaling them moves both results
-        before = (world.clean_posterior_cov(),
-                  AnalyticPredictor(world, sched, GAMMA)._coefs(200)[2])
-        cov_c *= 2.0
-        after = (world.clean_posterior_cov(),
-                 AnalyticPredictor(world, sched, GAMMA)._coefs(200)[2])
+        pred = AnalyticPredictor(world, sched, GAMMA)
+        z_t, z_c = np.random.default_rng(8).standard_normal((2, 3, world.dim))
+        before = (world.clean_posterior_cov().copy(), pred.predict(z_t, z_c, None, 200))
+        cov *= 2.0
+        after = (world.clean_posterior_cov(), pred.predict(z_t, z_c, None, 200))
         assert not np.allclose(before[0], after[0])
         assert not np.allclose(before[1], after[1])
+        gain *= 2.0
+        assert not np.allclose(after[1], pred.predict(z_t, z_c, None, 200))
 
 
 def check_equalizer_chain(kind, snr_db, rng):
@@ -112,12 +121,67 @@ class TestAwgnWorldModel:
     def test_matches_monte_carlo_equalizer_chain(self, rng):
         check_equalizer_chain("awgn", 8.0, rng)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known gap: the AWGN model leaves the equalizer gain "
-                              "1/(1+sigma2) off the noise, so it overstates the "
-                              "decoded noise by (1+sigma2)^2")
     def test_matches_monte_carlo_equalizer_chain_at_1db(self, rng):
         check_equalizer_chain("awgn", 1.0, rng)
+
+
+def _exact(m):
+    """A float array as a list of rows of exact Fractions."""
+    return [[Fraction(float(x)) for x in row] for row in np.atleast_2d(m)]
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _tr(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _comb(*terms):
+    """sum of coef * matrix over the (coef, matrix) terms."""
+    return [[sum(coef * m[i][j] for coef, m in terms) for j in range(len(terms[0][1][0]))]
+            for i in range(len(terms[0][1]))]
+
+
+def _solve(a, b):
+    """Exact Gaussian elimination of a x = b."""
+    n = len(a)
+    rows = [row + [v] for row, v in zip(a, b)]
+    for i in range(n):
+        pivot = next(j for j in range(i, n) if rows[j][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for j in range(i + 1, n):
+            f = rows[j][i] / rows[i][i]
+            rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return x
+
+
+def exact_eps_mean(world, proj, c, denom, gamma, z_t, z_c):
+    """E[eps | z_t, z_c] in exact rational arithmetic, for a zero-mean world whose
+    z_c lies in the row space of the orthonormal-row projection `proj`: there
+    u = proj z_c determines z_c, and the joint covariance of (u, z_t) is full
+    rank. The world's float arrays and (c, denom, gamma) are taken as exact,
+    with z_t = denom z0 + c gamma z_c + c eps."""
+    s0, a, r, p = (_exact(m) for m in (world.sigma0, world.obs_matrix,
+                                       world.obs_noise_cov, proj))
+    c, denom, cg = Fraction(c), Fraction(denom), Fraction(c) * Fraction(gamma)
+    eye = [[Fraction(int(i == j)) for j in range(world.dim)] for i in range(world.dim)]
+    s_0c = _mul(s0, _tr(a))
+    s_cc = _comb((1, _mul(a, s_0c)), (1, r))
+    s_ct = _comb((denom, _tr(s_0c)), (cg, s_cc))
+    s_tt = _comb((denom**2, s0), (denom * cg, s_0c), (denom * cg, _tr(s_0c)),
+                 (cg**2, s_cc), (c**2, eye))
+    s_uu, s_ut = _mul(_mul(p, s_cc), _tr(p)), _mul(p, s_ct)
+    joint = [ru + rt for ru, rt in zip(s_uu, s_ut)] + [ru + rt for ru, rt in zip(_tr(s_ut), s_tt)]
+    u = _mul(p, _exact(z_c[:, None]))
+    x = _solve(joint, [row[0] for row in u] + [Fraction(float(v)) for v in z_t])
+    # Cov(eps, (u, z_t)) = [0, c I]
+    return np.array([float(c * v) for v in x[len(p):]])
 
 
 class TestAnalyticEpsilon:
@@ -176,6 +240,23 @@ class TestAnalyticEpsilon:
             assert np.all(np.abs(analytic - mc) <= 3.0 * se), (
                 f"analytic {analytic} vs regression {mc} +- {se}")
 
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("t", [1, 7])
+    def test_matches_exact_rational_reference(self, kind, t):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "snr_sweep.cfg")
+        cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, kind=kind))
+        ctx = build_context(cfg, snr_db=1.0)
+        world, proj = ctx.world, ctx.codec.projection
+        rng = np.random.default_rng(3)
+        z0, z_c = (v[0] for v in world.sample_pair(rng, n=1))
+        # onto the support: sample_pair leaks ~1e-8 through psd_sqrt's null space
+        z_c = proj.T @ (proj @ z_c)
+        c, denom = inversion_coeffs(t, ctx.gamma, ctx.sched)
+        z_t = denom * z0 + c * ctx.gamma * z_c + c * rng.standard_normal(world.dim)
+        want = exact_eps_mean(world, proj, c, denom, ctx.gamma, z_t, z_c)
+        got = AnalyticPredictor(world, ctx.sched, ctx.gamma).predict(z_t[None], z_c[None], None, t)[0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_prediction_is_pure(self, sched, rng):
         codec = make_linear_codec(CodecConfig(k_prime=2, k=1), seed=12)
         world = GaussianWorld.ar1(codec, snr_db=10.0, rho=0.8)
@@ -215,13 +296,7 @@ class TestBayesDominance:
         err_an = np.empty(n_eval)
         for t_val in np.unique(prep.ts):
             mask = prep.ts == t_val
-            gain, mu_w = pred._coefs(int(t_val))[2:]
-            w = np.hstack([prep.z_c[mask], prep.z_t[mask]])
-            z0_mean = world.mu0 + (w - mu_w) @ gain.T
-            c = math.sqrt(1.0 - sched.alpha_bar(int(t_val)))
-            denom = math.sqrt(sched.alpha_bar(int(t_val))) - c * gamma
-            eps_hat = (prep.z_t[mask] - c * gamma * prep.z_c[mask]
-                       - denom * z0_mean) / c
+            eps_hat = pred.predict(prep.z_t[mask], prep.z_c[mask], None, int(t_val))
             err_an[mask] = np.sum((eps_hat - prep.eps[mask]) ** 2, axis=1)
         loss_analytic = float(np.mean(err_an))
         assert loss_analytic <= loss_mlp <= loss_zero, (

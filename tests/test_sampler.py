@@ -136,7 +136,11 @@ class TestInversionCoeffs:
                               obs_noise_cov=0.2 * np.eye(d))
         z0, z_t, z_c = rng.standard_normal((3, 1, d))
         assert _inversion(77, gamma, sched, 0.0) == fake
-        assert AnalyticPredictor(world, sched, gamma)._coefs(77)[:2] == fake
+        # posterior G = I / 1.2, S = I / 6: eps = c (denom^2 S + c^2 I)^-1 (z_t - c gamma z_c
+        # - denom G z_c)
+        got = AnalyticPredictor(world, sched, gamma).predict(z_t, z_c, None, 77)
+        want = 0.75 / (1.5**2 / 6.0 + 0.75**2) * (z_t - 0.75 * gamma * z_c + 1.5 * z_c / 1.2)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         got = ExactRecoveryOracle(z0, sched, gamma).predict(z_t, z_c, None, 77)
         assert np.array_equal(got, (z_t - 0.75 * gamma * z_c + 1.5 * z0) / 0.75)
         assert calls == [(77, gamma, sched)] * 3
