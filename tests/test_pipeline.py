@@ -241,29 +241,6 @@ class TestBatchedSideChannel:
         for row, want in zip(rows, direct):
             assert _same_fields(row, want), (row, want)
 
-    def test_failure_in_one_trial_side_channel(self, monkeypatch):
-        import gencomm.pipeline as pipeline_mod
-
-        cfg = self._cfg()
-        ctx = build_context(cfg, 0, 1.0)
-        direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
-        real = pipeline_mod.draw_batch
-
-        def poisoned(ctx, trial_ids):
-            draws = real(ctx, trial_ids)
-            if 2 in trial_ids:
-                draws.prompt_llrs[trial_ids.index(2), 0, 5] = np.nan
-            return draws
-
-        monkeypatch.setattr(pipeline_mod, "draw_batch", poisoned)
-        rows, aggregates = sweep(cfg)
-        assert [r.trial_id for r in rows if r.error] == [2]
-        assert "ContractError" in rows[2].error
-        for row, want in zip(rows, direct):
-            if row.trial_id != 2:
-                assert _same_fields(row, want)
-        assert next(a for a in aggregates if a["kind"] == "mean")["n_failed"] == 1
-
     def test_batch_size_changes_nothing(self, monkeypatch):
         import gencomm.pipeline as pipeline_mod
 

@@ -302,20 +302,16 @@ class TestSample:
                    SamplerConfig(steps=1, warm_start_step=WARM), sched,
                    np.random.default_rng(0))
 
-    def test_guard_below_the_residual_calls_every_step(self, sched, rng):
-        # Most warm steps cancel to exactly 0; take one that leaves a rounding
-        # residual, which a guard of 1e-300 does not cover.
-        warm = next(w for w in range(100, sched.T)
-                    if _inversion(w, residual_weight(w, sched), sched, 0.0) is not None)
+    def test_steep_schedule_steps_within_the_tolerance_are_singular(self, rng):
+        # Under constant beta = 0.5 every grid step's denominator is below 1e-8
+        # (6e-61 at t = 400), not only the warm start's: none may be divided by.
+        steep = build_schedule(T=1000, beta_min=0.5, beta_max=0.5)
         z_c = rng.standard_normal(3)
-        calls = {}
-        for guard in (1e-8, 1e-300):
-            pred = CountingPredictor(3)
-            cfg = SamplerConfig(steps=5, warm_start_step=warm, guidance=3.0,
-                                singular_guard=guard)
-            sample(z_c, pred, "class:1", cfg, sched, np.random.default_rng(0))
-            calls[guard] = (pred.cond_calls, pred.uncond_calls)
-        assert calls == {1e-8: (4, 4), 1e-300: (5, 5)}
+        pred = CountingPredictor(3)
+        out, _ = sample(z_c, pred, "class:1", SamplerConfig(steps=5, warm_start_step=500),
+                        steep, np.random.default_rng(0))
+        assert (pred.cond_calls, pred.uncond_calls) == (0, 0)
+        assert np.array_equal(out, z_c)
 
     def test_trace_has_no_prediction_at_the_singular_step(self, sched, rng):
         cfg = SamplerConfig(steps=5, warm_start_step=WARM, guidance=3.0)

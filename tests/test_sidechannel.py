@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gencomm.config import SNR_DB_MIN
 from gencomm.errors import DecodeError
 from gencomm.ldpc import LLR_MAX, ldpc_decode_batch, ldpc_encode, ldpc_make
 from gencomm.sidechannel import (awgn_llrs, bpsk_modulate, default_code,
@@ -60,6 +61,17 @@ class TestBpsk:
         bits = rng.integers(0, 2, size=64).astype(np.uint8)
         llrs = awgn_llrs(bpsk_modulate(bits), rng.standard_normal(64), 3100.0)
         assert np.array_equal(llrs, np.where(bits == 1, -LLR_MAX, LLR_MAX))
+
+    @pytest.mark.parametrize("snr_db", [SNR_DB_MIN, 0.0, math.inf])
+    @pytest.mark.parametrize("extreme", [False, True], ids=["normal", "pm1e308"])
+    def test_prompt_llrs_are_finite_within_the_clip(self, code, rng, snr_db, extreme):
+        # The pipeline decodes these LLRs unchecked: every SNR a config accepts,
+        # and any finite noise draw, must give finite LLRs within +-LLR_MAX.
+        normals = rng.standard_normal((3, prompt_codeword("class:3", code).size))
+        if extreme:
+            normals = np.where(normals < 0.0, -1e308, 1e308)
+        llrs = transmit_prompt("class:3", snr_db, normals, code)
+        assert np.all(np.isfinite(llrs)) and np.max(np.abs(llrs)) <= LLR_MAX
 
 
 class TestSendPrompt:
