@@ -147,9 +147,13 @@ class TestExitCodes:
         ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
         ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
         ("[world]\nprior_var = 1e307\n", "prior_var must be <= 1.25e+306 at k_prime = 8"),
+        # The singular-step tolerance is a fixed constant now; a config that
+        # still sets it is refused rather than silently run at another value.
+        ("[sampler]\nsingular_guard = 1e-9\n",
+         "unknown key 'singular_guard' in section [sampler]"),
     ], ids=["schedule_kind", "schedule_steps", "beta_min_above_beta_max", "sampler_steps",
             "guidance_negative", "warm_start_above_schedule",
-            "tikhonov_lambda_negative", "prior_var_above_its_window"])
+            "tikhonov_lambda_negative", "prior_var_above_its_window", "singular_guard_retired"])
     def test_bad_value_fails_every_command_that_reads_a_config(self, tmp_path, capsys, argv,
                                                                body, message):
         # Only the schedule, sampler, codec or point builders checked these, and

@@ -241,6 +241,31 @@ class TestBatchedSideChannel:
         for row, want in zip(rows, direct):
             assert _same_fields(row, want), (row, want)
 
+    def test_failure_in_one_trial_side_channel(self, monkeypatch):
+        import gencomm.pipeline as pipeline_mod
+
+        cfg = self._cfg()
+        ctx = build_context(cfg, 0, 1.0)
+        direct = [run_trial(ctx, t).result for t in range(cfg.trials)]
+        real = pipeline_mod.draw_batch
+
+        def poisoned(ctx, trial_ids):
+            # z0 = 0 in trial 2: its latent has no power to normalise.
+            draws = real(ctx, trial_ids)
+            if 2 in trial_ids:
+                draws.prior[trial_ids.index(2)] = 0.0
+            return draws
+
+        monkeypatch.setattr(pipeline_mod, "draw_batch", poisoned)
+        rows, aggregates = sweep(cfg)
+        assert [r.trial_id for r in rows if r.error] == [2]
+        assert "NormalizationError" in rows[2].error
+        assert {r.prompt_ok for r in rows if not r.error} == {True, False}
+        for row, want in zip(rows, direct):
+            if row.trial_id != 2:
+                assert _same_fields(row, want)
+        assert next(a for a in aggregates if a["kind"] == "mean")["n_failed"] == 1
+
     def test_batch_size_changes_nothing(self, monkeypatch):
         import gencomm.pipeline as pipeline_mod
 
