@@ -33,7 +33,6 @@ import numpy as np
 
 from .channel import snr_to_sigma2
 from .errors import ConfigurationError, ContractError, RankError, TrainingError
-from .metrics import psd_sqrt
 from .sampler import residual_forward
 from .schedule import NoiseSchedule, inversion_coeffs
 
@@ -65,12 +64,6 @@ def _psd_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise RankError(f"covariance eigendecomposition failed: {exc}") from exc
     return np.where(vals > max(float(vals.max()), 1.0) * 1e-12, vals, 0.0), vecs
-
-
-def _psd_root(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric PSD matrix, zero off its support."""
-    vals, vecs = _psd_eigh(mat)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def _psd_solve_right(rhs: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -181,14 +174,6 @@ class GaussianWorld:
         obs_noise_cov = (shrink**2) * (noise_dim_var / scale**2) * gram
         return cls(mu0=np.zeros(d), sigma0=sigma0, obs_matrix=obs_matrix,
                    obs_noise_cov=obs_noise_cov, nominal_scale=scale)
-
-    def sample_pair(self, rng: np.random.Generator, n: int):
-        """Draw n pairs (z0, z_c), each (n, dim), from the world's own law (used
-        by the Monte Carlo conditional-mean checks, which must match this model
-        exactly)."""
-        z0 = self.mu0 + rng.standard_normal((n, self.dim)) @ psd_sqrt(self.sigma0).T
-        noise = rng.standard_normal((n, self.dim)) @ _psd_root(self.obs_noise_cov).T
-        return z0, z0 @ self.obs_matrix.T + noise
 
     @cached_property
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ DEFAULT_GUIDANCE = 3.0
 # An inversion denominator within this of 0 is singular and `predict_z0` returns z_c
 # there: the warm-start step's cancels to a rounding residual (~1e-16), and a steep
 # schedule's steps fall as low as 1e-121 (constant beta = 0.5, T = 1000).
-DEFAULT_SINGULAR_GUARD = 1e-8
+_SINGULAR_TOL = 1e-8
 
 
 class EpsilonPredictor(Protocol):
@@ -114,11 +114,11 @@ def residual_forward(
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * (gamma * (z_c - z0) + eps)
 
 
-def _inversion(t: int, gamma: float, sched: NoiseSchedule,
-               guard: float = DEFAULT_SINGULAR_GUARD):
-    """`inversion_coeffs` at step t, or None where its denominator is within `guard` of 0."""
+def _inversion(t: int, gamma: float, sched: NoiseSchedule):
+    """`inversion_coeffs` at step t, or None where its denominator is within
+    `_SINGULAR_TOL` of 0."""
     root, denom = inversion_coeffs(t, gamma, sched)
-    return None if abs(denom) <= guard else (root, denom)
+    return None if abs(denom) <= _SINGULAR_TOL else (root, denom)
 
 
 def predict_z0(
@@ -128,16 +128,15 @@ def predict_z0(
     t: int,
     gamma: float,
     sched: NoiseSchedule,
-    guard: float = DEFAULT_SINGULAR_GUARD,
 ) -> np.ndarray:
     """Invert the residual forward process for the clean latent.
 
     At the warm-start step the denominator sqrt(abar) - sqrt(1-abar)*gamma
-    cancels exactly, so below `guard` the decoded latent itself is returned:
-    there the state is the decoded latent plus pure noise and carries no
-    further information about z0; `eps_hat` is not read there.
+    cancels exactly, so below `_SINGULAR_TOL` the decoded latent itself is
+    returned: there the state is the decoded latent plus pure noise and carries
+    no further information about z0; `eps_hat` is not read there.
     """
-    coeffs = _inversion(t, gamma, sched, guard)
+    coeffs = _inversion(t, gamma, sched)
     if coeffs is None:
         return z_c.copy()
     root, denom = coeffs

@@ -8,7 +8,7 @@ import pytest
 
 from gencomm.config import load_config
 from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
-                              MlpDenoiser, TrainConfig,
+                              MlpDenoiser, TrainConfig, _psd_eigh,
                               load_checkpoint, loss_and_grads,
                               prepare_diffusion_batch, prompt_to_index,
                               save_checkpoint, time_embedding, train)
@@ -27,6 +27,20 @@ GOLDEN_PROBE_OUT = [0.18051467258291917, 0.06874601223701958,
                     0.40172909638460486, 0.039522918496625856]
 
 
+def sample_pair(world, rng, n):
+    """Draw n pairs (z0, z_c), each (n, dim), from the world's own law.
+
+    Both roots zero the eigenvalues the predictor's solves treat as null, so
+    z_c stays on the codec's support as the model puts it."""
+    def root(mat):
+        vals, vecs = _psd_eigh(mat)
+        return (vecs * np.sqrt(vals)) @ vecs.T
+
+    z0 = world.mu0 + rng.standard_normal((n, world.dim)) @ root(world.sigma0).T
+    noise = rng.standard_normal((n, world.dim)) @ root(world.obs_noise_cov).T
+    return z0, z0 @ world.obs_matrix.T + noise
+
+
 class TestGaussianWorld:
     def test_validates_shapes_and_symmetry(self):
         with pytest.raises(ConfigurationError):
@@ -41,7 +55,7 @@ class TestGaussianWorld:
     def test_sample_pair_matches_model_moments(self, rng):
         codec = make_linear_codec(CodecConfig(k_prime=3, k=1), seed=1)
         world = GaussianWorld.ar1(codec, snr_db=10.0, rho=0.8)
-        z0, z_c = world.sample_pair(rng, n=200_000)
+        z0, z_c = sample_pair(world, rng, n=200_000)
         want_cov_c = (world.obs_matrix @ world.sigma0 @ world.obs_matrix.T
                       + world.obs_noise_cov)
         got_cov_c = np.cov(z_c, rowvar=False)
@@ -56,7 +70,7 @@ class TestGaussianWorld:
         cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, kind=kind))
         ctx = build_context(cfg, snr_db=1.0)
         proj = ctx.codec.projection
-        _, z_c = ctx.world.sample_pair(np.random.default_rng(3), n=1000)
+        _, z_c = sample_pair(ctx.world, np.random.default_rng(3), n=1000)
         assert np.max(np.abs(z_c - (z_c @ proj.T) @ proj)) <= 1e-14
 
     def test_clean_posterior_cov_bounds(self):
@@ -224,7 +238,7 @@ class TestAnalyticEpsilon:
         t = 350
         gamma = residual_weight(500, sched)
         n = 1_000_000
-        z0, z_c = world.sample_pair(rng, n=n)
+        z0, z_c = sample_pair(world, rng, n=n)
         eps = rng.standard_normal((n, d))
         ab = sched.alpha_bar(t)
         z_t = (math.sqrt(ab) * z0
@@ -240,7 +254,7 @@ class TestAnalyticEpsilon:
         pred = AnalyticPredictor(world, sched, gamma)
         probe_rng = np.random.default_rng(555)
         for _ in range(5):
-            z0_p, z_c_p = (a[0] for a in world.sample_pair(probe_rng, n=1))
+            z0_p, z_c_p = (a[0] for a in sample_pair(world, probe_rng, n=1))
             eps_p = probe_rng.standard_normal(d)
             z_t_p = (math.sqrt(ab) * z0_p
                      + math.sqrt(1 - ab) * (gamma * (z_c_p - z0_p) + eps_p))
@@ -259,7 +273,7 @@ class TestAnalyticEpsilon:
         ctx = build_context(cfg, snr_db=1.0)
         world, proj = ctx.world, ctx.codec.projection
         rng = np.random.default_rng(3)
-        z0, z_c = (v[0] for v in world.sample_pair(rng, n=1))
+        z0, z_c = (v[0] for v in sample_pair(world, rng, n=1))
         c, denom = inversion_coeffs(t, ctx.gamma, ctx.sched)
         z_t = denom * z0 + c * ctx.gamma * z_c + c * rng.standard_normal(world.dim)
         want = exact_eps_mean(world, proj, c, denom, ctx.gamma, z_t, z_c)
@@ -286,7 +300,7 @@ class TestBayesDominance:
         gamma = residual_weight(warm, sched)
 
         n_train = 4096
-        z0_tr, z_c_tr = world.sample_pair(rng, n=n_train)
+        z0_tr, z_c_tr = sample_pair(world, rng, n=n_train)
         labels = np.zeros(n_train, dtype=np.int64)
         model = MlpDenoiser(latent_dim=d, hidden=64, seed=5)
         tc = TrainConfig(learning_rate=2e-2, batch_size=128, steps=1500,
@@ -294,7 +308,7 @@ class TestBayesDominance:
         train(model, (z0_tr, z_c_tr, labels), tc, sched, rng, gamma=gamma)
 
         n_eval = 100_000
-        z0, z_c = world.sample_pair(rng, n=n_eval)
+        z0, z_c = sample_pair(world, rng, n=n_eval)
         prep = prepare_diffusion_batch(z0, z_c, np.zeros(n_eval, dtype=np.int64),
                                        sched, gamma, warm, 0.0, rng,
                                        model.null_index)

@@ -135,7 +135,7 @@ class TestInversionCoeffs:
         world = GaussianWorld(mu0=np.zeros(d), sigma0=np.eye(d), obs_matrix=np.eye(d),
                               obs_noise_cov=0.2 * np.eye(d))
         z0, z_t, z_c = rng.standard_normal((3, 1, d))
-        assert _inversion(77, gamma, sched, 0.0) == fake
+        assert _inversion(77, gamma, sched) == fake
         # posterior G = I / 1.2, S = I / 6: eps = c (denom^2 S + c^2 I)^-1 (z_t - c gamma z_c
         # - denom G z_c)
         got = AnalyticPredictor(world, sched, gamma).predict(z_t, z_c, None, 77)
