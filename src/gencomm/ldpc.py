@@ -9,7 +9,7 @@ Decoding is flooding belief propagation with early exit.
 
 Batch axis: `ldpc_decode_batch` decodes B codewords as one block-diagonal code
 in chunks of CHUNK_EDGES (32768) edges, but of at least MIN_CHUNK_BLOCKS (32)
-blocks, so a gather row holds at least 256 bytes. Messages are slot-outer with
+blocks, so a gather row holds at least 128 bytes. Messages are slot-outer with
 the block innermost, (6, m, nb): edge (j*m + c)*nb + b is slot j of check c of
 active block b, so a slot is one contiguous run and the gathers move rows of nb
 values. Each block gets a lone decode's bits: left products th0*th1*... and
@@ -18,12 +18,17 @@ and a variable adds its three messages left to right in check order, as numpy's
 axis-1 sum does. Converged blocks are frozen: the last live columns move into
 their places and the arrays shrink to the live width.
 
-Messages are kept at half scale: v2c / 2, clipped at LLR_MAX / 2, and c2v / 2 =
-arctanh of the product. Doubling commutes with rounding, so every sum is
-exactly half of the full-scale one and no pass multiplies by 0.5 or 2. The one
-exception is an LLR that is an odd multiple of the smallest subnormal, whose
-half rounds; a chunk holding one runs at full scale. Iteration 1's tanh is
-taken once per variable, before its value is spread to the variable's edges.
+Messages are float32 and kept at half scale: v2c / 2, and c2v / 2 = arctanh of
+the running product of tanh(v2c / 2), so no pass multiplies by 0.5 or 2. The
+float64 channel LLRs are clipped to float32's range and halved into float32 (a
+float64 subnormal turns into a zero of its sign; the iteration-0 hard decision
+still reads the float64 value). v2c is not clipped at LLR_MAX: float32 tanh is
+exactly ±1 from |x| of about 9 to 10 on, below LLR_MAX / 2, so a clip there
+would move no value. Five saturated tanh multiply to exactly ±1, whose arctanh
+is infinite, so the running product is clamped to ±(1 - 2**-24), the largest
+float32 below 1, before arctanh: that caps a check message at about ±8.66 at
+half scale, ±17.3 at full scale. Iteration 1's tanh is taken once per variable,
+before its value is spread to the variable's edges.
 
 Sign convention: positive LLR means bit 0.
 """
@@ -40,10 +45,13 @@ LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
 CHUNK_EDGES = 32768  # message-array edges per decode chunk, but at least
-MIN_CHUNK_BLOCKS = 32  # this many blocks, so a gather row holds 256 bytes
+MIN_CHUNK_BLOCKS = 32  # this many blocks, so a gather row holds 128 bytes
 DEFAULT_BP_ITERS = 50
 MAKE_ATTEMPTS = 20  # random constructions tried before giving up
 REDUCE_4CYCLE_PASSES = 8  # bounded effort of the 4-cycle repair
+_F32_MAX = float(np.finfo(np.float32).max)
+# Largest float32 below 1: the running product's clamp, so arctanh stays finite.
+_PRODUCT_MAX = np.nextafter(np.float32(1), np.float32(0))
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1) % 2
 
 
@@ -235,29 +243,23 @@ def ldpc_decode_batch(
 def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
                   out: BatchDecodeResult) -> None:
     """Flooding BP on blocks first.. of `out`, block b in column b of the (6, m,
-    nb) messages and (n, nb) sums, at half scale (see the module docstring):
-    v2c / 2 turns into tanh(v2c / 2) in place, and the three c2v / 2 of every
-    variable are gathered by one take into (3, n, nb)."""
+    nb) messages and (n, nb) sums, in float32 at half scale (see the module
+    docstring): v2c / 2 turns into tanh(v2c / 2) in place, and the three c2v / 2
+    of every variable are gathered by one take into (3, n, nb)."""
     active = np.arange(first, first + len(llrs))
-    half = np.multiply(llrs.T, 0.5, order="C")   # (n, nb) channel LLRs / 2
     bits = np.less(llrs.T, 0, order="C")
-    # clip(x, ±LLR_MAX) / 2 == clip(x / 2, ±LLR_MAX / 2), rounding included.
-    th = np.tanh(np.clip(half, -LLR_MAX / 2, LLR_MAX / 2))
-    th = np.take(th, code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
-    # Halving rounds only an odd multiple of the smallest subnormal; a chunk
-    # holding one keeps full-scale messages, as a lone decode's are.
-    full = not np.array_equal(half + half, llrs.T)
-    lam, bound = (np.array(llrs.T, order="C"), LLR_MAX) if full else (half, LLR_MAX / 2)
-    c_buf, odd_buf = np.empty(th.size), np.empty(th.size, dtype=bool)
-    total_buf = np.empty(lam.size)
+    # Channel LLRs / 2, (n, nb). The clip keeps an LLR beyond float32's range
+    # finite and moves no decision: no sum of c2v / 2 (each at most
+    # arctanh(_PRODUCT_MAX) in size) can outweigh float32's largest value.
+    lam = np.multiply(np.clip(llrs, -_F32_MAX, _F32_MAX).T, 0.5, dtype=np.float32, order="C")
+    th = np.take(np.tanh(lam), code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
+    c_buf, odd_buf = np.empty(th.size, dtype=np.float32), np.empty(th.size, dtype=bool)
+    total_buf = np.empty(lam.size, dtype=np.float32)
     for it in range(1, max_iters + 1):
         # Work arrays: the leading part of each buffer, as the columns shrink.
         c, odd = c_buf[:th.size].reshape(th.shape), odd_buf[:th.size].reshape(th.shape)
         total = total_buf[:lam.size].reshape(lam.shape)
         if it > 1:
-            np.clip(th, -bound, bound, out=th)
-            if full:
-                th *= 0.5
             np.tanh(th, out=th)
         # Left, then right running products in cumprod's order; slot 0 ends as th5*...*th1.
         np.multiply(th[0], th[1], out=c[2])
@@ -270,9 +272,8 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
             c[0] *= th[j]
         np.multiply(th[0], c[0], out=c[1])
         c[0] *= th[1]
+        np.clip(c, -_PRODUCT_MAX, _PRODUCT_MAX, out=c)
         np.arctanh(c, out=c)
-        if full:
-            c *= 2.0
         # lam + ((c2v[e0] + c2v[e1]) + c2v[e2]): numpy's axis-1 sum order. The
         # (3, n, nb) gathered c2v reuse th's buffer, which the products consumed.
         edges = c.reshape(-1, len(active))
