@@ -262,14 +262,16 @@ def prompt_to_index(prompt: Optional[str], n_classes: int) -> int:
     return idx
 
 
-def _aligned_zeros(shape) -> np.ndarray:
-    """Zeros whose data starts on a 64-byte cache line. numpy aligns to 16
-    bytes only; on a 2-vCPU AVX-512 Xeon, MLP inference at 200 rows ran about
-    20% slower, with the same bits, when the weights started 16 or 48 bytes
-    into a line."""
+def _aligned_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zeros of `dtype` whose data starts on a 64-byte cache line: the MLP's
+    float64 parameters, gradients and training buffers, and its float32
+    inference weights and buffers. numpy aligns to 16 bytes only; on a 2-vCPU
+    AVX-512 Xeon, MLP inference at 200 rows ran about 20% slower, with the same
+    bits, when the weights started 16 or 48 bytes into a line."""
+    itemsize = np.dtype(dtype).itemsize
     size = math.prod(shape)
-    raw = np.zeros(size + 7)
-    start = -raw.ctypes.data % 64 // 8
+    raw = np.zeros(size + 64 // itemsize - 1, dtype)
+    start = -raw.ctypes.data % 64 // itemsize
     return raw[start:start + size].reshape(shape)
 
 
@@ -309,22 +311,30 @@ class MlpDenoiser:
             "emb": rng.standard_normal((n_classes + 1, prompt_dim)) * 0.1,
         }
         # Every parameter and its gradient is a view of one flat array, so a
-        # training update is one pass over each; each view starts a cache line.
+        # training update is one pass over each, and predict's float32 weights
+        # are views of a third, refreshed by one copy; each view starts a cache line.
         spans, end = {}, 0
         for name, value in init.items():
-            start = -(-end // 8) * 8  # 8 float64s to a line
+            start = -(-end // 16) * 16  # 16 float32s to a line, 2 lines of float64s
             spans[name], end = slice(start, start + value.size), start + value.size
         self._flat, self._grad_flat = _aligned_zeros((end,)), _aligned_zeros((end,))
-        views = {name: self._flat[span].reshape(init[name].shape)
-                 for name, span in spans.items()}
-        self._grads = {name: self._grad_flat[span].reshape(init[name].shape)
-                       for name, span in spans.items()}
+        self._flat32 = _aligned_zeros((end,), np.float32)
+
+        def views_of(flat):
+            return {name: flat[span].reshape(init[name].shape) for name, span in spans.items()}
+
+        views, self._grads, self._params32 = map(views_of, (self._flat, self._grad_flat,
+                                                             self._flat32))
         for name, value in init.items():
             views[name][...] = value
         # Read-only, so every parameter stays a view of the flat array: write into it.
         self.params = MappingProxyType(views)
         self._temb = np.empty((0, time_dim))
-        self._x = np.empty((0, in_dim))  # the work buffers, see _work
+        # The work buffers, see _work: the input, the two hidden layers and the
+        # output, then in training's set only dh2 and the prompt input gradient.
+        layers = (in_dim, hidden, hidden, latent_dim)
+        self._bufs = {np.float64: [np.empty((0, w)) for w in (*layers, hidden, prompt_dim)],
+                      np.float32: [np.empty((0, w), np.float32) for w in layers]}
 
     @property
     def null_index(self) -> int:
@@ -341,33 +351,33 @@ class MlpDenoiser:
             self._temb = time_embedding(np.arange(2 * top + 1), self.time_dim)
         return self._temb[ts]
 
-    def _work(self, n):
-        """The first n rows of the work buffers: the input, the two hidden
-        layers and dh2, the output, and the prompt columns of the input
-        gradient. They grow in whole blocks (one at least) to the largest batch."""
+    def _work(self, n, dtype=np.float64):
+        """The first n rows of one set of work buffers: training's float64 set
+        (input, h1, h2, output, dh2, prompt input gradient) or predict's float32
+        set (input, h1, h2, output). Each set grows in whole blocks (one at
+        least) to the largest batch it has served."""
         rows = max(-(-n // _BLOCK), 1) * _BLOCK
-        if len(self._x) < rows:
-            self._x = _aligned_zeros((rows, self._x.shape[1]))
-            self._hid = [_aligned_zeros((rows, self.hidden)) for _ in range(3)]
-            self._out = _aligned_zeros((rows, self.latent_dim))
-            self._dprompt = _aligned_zeros((rows, self.prompt_dim))
-        return self._x[:n], [h[:n] for h in self._hid], self._out[:n], self._dprompt[:n]
+        bufs = self._bufs[dtype]
+        if len(bufs[0]) < rows:
+            bufs[:] = [_aligned_zeros((rows, b.shape[1]), dtype) for b in bufs]
+        return [b[:n] for b in bufs]
 
-    def _forward(self, n):
-        """Runs the layers in place over the first n rows of the work buffers,
-        one GEMM per layer and block; returns the output rows."""
+    def _forward(self, n, dtype=np.float64):
+        """Runs the layers in place over the first n rows of the work buffers of
+        `dtype`, with the weights of that dtype, one GEMM per layer and block;
+        returns the output rows."""
         rows = -(-n // _BLOCK) * _BLOCK
-        self._x[n:rows] = 0.0  # padding: a stale inf or nan row would make the GEMM warn
-        x, h1, h2, out = (a[:rows].reshape(-1, _BLOCK, a.shape[1])
-                          for a in (self._x, *self._hid[:2], self._out))
-        p = self.params
+        bufs = self._bufs[dtype]
+        bufs[0][n:rows] = 0.0  # padding: a stale inf or nan row would make the GEMM warn
+        x, h1, h2, out = (a[:rows].reshape(-1, _BLOCK, a.shape[1]) for a in bufs[:4])
+        p = self.params if dtype is np.float64 else self._params32
         np.matmul(x, p["w1"].T, out=h1)
         np.tanh(np.add(h1, p["b1"], out=h1), out=h1)
         np.matmul(h1, p["w2"].T, out=h2)
         np.tanh(np.add(h2, p["b2"], out=h2), out=h2)
         np.matmul(h2, p["w3"].T, out=out)
         out += p["b3"]
-        return self._out[:n]
+        return bufs[3][:n]
 
     def _assemble(self, z_t, z_c, class_idx, ts):
         """concat(z_t, z_c, time emb, prompt emb), in the input work buffer."""
@@ -376,23 +386,24 @@ class MlpDenoiser:
 
     def forward_batch(self, z_t, z_c, class_idx, ts):
         """Returns (output (B, d), cache for backward), both in the instance's
-        work buffers: the next `forward_batch` or `predict` call overwrites them,
-        and the caller may overwrite the output."""
+        float64 work buffers: the next `forward_batch` call overwrites them,
+        `predict` leaves them alone, and the caller may overwrite the output."""
         x = self._assemble(z_t, z_c, class_idx, ts)
-        _, (h1, h2, _), _, _ = self._work(len(x))
+        _, h1, h2, *_ = self._work(len(x))
         return self._forward(len(x)), (x, h1, h2, class_idx)
 
     def backward_batch(self, cache, dout):
         """Gradients of sum(dout * out) with respect to every parameter.
 
-        The cache lives in the work buffers, which a later `predict` overwrites.
+        The cache lives in the float64 work buffers, which the next
+        `forward_batch` overwrites and `predict` does not touch.
         The gradients are the instance's gradient buffers, which the next
         `backward_batch` call overwrites; `forward_batch` and `predict` leave
         them alone. Each hidden layer of the cache is overwritten by its tanh
         derivative once it is last read, and h2's then holds dh1.
         """
         x, h1, h2, class_idx = cache
-        _, (_, _, dh2), _, dprompt = self._work(len(dout))
+        *_, dh2, dprompt = self._work(len(dout))
         p, grads = self.params, self._grads
         np.matmul(dout.T, h2, out=grads["w3"])
         np.sum(dout, axis=0, out=grads["b3"])
@@ -412,20 +423,24 @@ class MlpDenoiser:
         return grads
 
     def predict(self, z_t, z_c, prompt, t: int) -> np.ndarray:
-        """Inference on a (B, d) batch at one step and prompt, in `forward_batch`'s
-        layers and work buffers, so it overwrites that call's output and cache (and
-        one MlpDenoiser must not predict from two threads at once). The rows share
-        one time row and one prompt row, embedded here (the table would grow with t).
-        A batch under `_BLOCK` rows still pays for a whole block: one row costs
-        about as much as 128 (282 us against 32 us for unblocked layers, 2 CPUs)."""
+        """Inference on a (B, d) batch at one step and prompt, returned as a fresh
+        float64 array. It runs `forward_batch`'s layers in float32: on a float32
+        copy of the parameters, taken on each call so that an in-place write to
+        `params` reaches it, and in work buffers of its own, so that it leaves a
+        training step's output, cache and gradients alone (one MlpDenoiser must
+        still not predict from two threads at once). The rows share one time row
+        and one prompt row, embedded here (the table would grow with t). A batch
+        under `_BLOCK` rows still pays for a whole block: one row costs about as
+        much as 128."""
         if t < 0:
             raise ContractError(f"time steps must be >= 0, got {t}")
         n = len(z_t)
+        np.copyto(self._flat32, self._flat)
         shared = np.concatenate([time_embedding(np.array([t]), self.time_dim)[0],
                                  self.params["emb"][prompt_to_index(prompt, self.n_classes)]])
         np.concatenate([z_t, z_c, np.broadcast_to(shared, (n, len(shared)))], axis=1,
-                       out=self._work(n)[0])
-        return self._forward(n).copy()
+                       out=self._work(n, np.float32)[0])
+        return self._forward(n, np.float32).astype(np.float64)
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
@@ -450,6 +465,11 @@ def load_checkpoint(path) -> MlpDenoiser:
                 value = data[name]
                 if (value.dtype, value.shape) != (view.dtype, view.shape):  # sized by the meta
                     raise ConfigurationError(f"checkpoint {name} is not float64 {view.shape}")
+                # predict casts to float32, where these would become inf or nan
+                if not np.all(np.abs(value) <= np.finfo(np.float32).max):
+                    raise ConfigurationError(
+                        f"checkpoint {name} holds a value that is not finite or is "
+                        "beyond float32's range")
                 view[...] = value
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from None

@@ -43,7 +43,7 @@ def _rows_equal(batch, lone):
 def _block_gemm(x, w):
     """x @ w.T as one gemm per zero-padded block of _BLOCK rows."""
     n = len(x)
-    blocks = np.zeros((-(-n // _BLOCK) * _BLOCK, x.shape[1]))
+    blocks = np.zeros((-(-n // _BLOCK) * _BLOCK, x.shape[1]), x.dtype)
     blocks[:n] = x
     return (blocks.reshape(-1, _BLOCK, x.shape[1]) @ w.T).reshape(-1, len(w))[:n]
 
@@ -150,14 +150,19 @@ class TestPredictorsAndSampler:
 
     def test_mlp_inference_agrees_with_training_forward(self, rng):
         # Inference and training run one forward pass, in blocks of _BLOCK rows;
-        # 200 rows are more than one block.
+        # 200 rows are more than one block. Inference runs it in float32, on the
+        # float32 casts of training's input and parameters.
         model = MlpDenoiser(latent_dim=8, seed=2)
         z_t, z_c = rng.standard_normal((2, 200, 8))
         out = model.predict(z_t, z_c, "class:1", 250)
         again = model.predict(z_t[:5], z_c[:5], "class:1", 250)
         assert np.array_equal(out[:5], again)
-        gemm, _ = model.forward_batch(z_t, z_c, np.full(200, 1), np.full(200, 250))
-        assert np.array_equal(gemm, out)
+        _, (x, *_) = model.forward_batch(z_t, z_c, np.full(200, 1), np.full(200, 250))
+        p = {name: value.astype(np.float32) for name, value in model.params.items()}
+        h = x.astype(np.float32)
+        for layer in ("1", "2"):
+            h = np.tanh(_block_gemm(h, p["w" + layer]) + p["b" + layer])
+        assert np.array_equal(_block_gemm(h, p["w3"]) + p["b3"], out)
 
     @pytest.mark.parametrize("name", ["analytic", "mlp", "oracle"])
     @pytest.mark.parametrize("b", BATCH_SIZES)

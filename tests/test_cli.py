@@ -358,12 +358,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "internal error" not in err
 
-    @pytest.mark.parametrize("fault", ["wrong_shape", "complex", "missing"])
+    @pytest.mark.parametrize("fault", ["wrong_shape", "complex", "missing", "nan", "inf",
+                                       "beyond_float32"])
     def test_checkpoint_parameter_off_its_meta_is_configuration_error(self, tmp_path, capsys,
                                                                       fault):
-        # The meta sizes the model (and predict's float64 work buffers); a parameter
-        # that disagrees with it used to load and fail inside the first matmul, or
-        # (complex) lose its imaginary part with a warning.
+        # The meta sizes the model (and its float64 parameters, which predict
+        # copies to float32); a parameter that disagrees with it used to load and
+        # fail inside the first matmul, or (complex) lose its imaginary part with
+        # a warning. A nan weight wrote NaN cells and exited 0, an inf weight
+        # failed in the matmul, and one past float32's range fails in the cast.
         path = tmp_path / "model.npz"
         save_checkpoint(MlpDenoiser(latent_dim=8), path)
         with np.load(path) as data:
@@ -372,8 +375,10 @@ class TestExitCodes:
             arrays["w2"] = np.zeros((128, 100))
         elif fault == "complex":
             arrays["w2"] = arrays["w2"].astype(np.complex128)
-        else:
+        elif fault == "missing":
             del arrays["w2"]
+        else:
+            arrays["w2"][3, 4] = {"nan": np.nan, "inf": -np.inf, "beyond_float32": 1e39}[fault]
         np.savez(path, **arrays)
         body = SMALL_SWEEP.replace("predictor = analytic",
                                    f"predictor = mlp\nmlp_checkpoint = {path}")
@@ -595,6 +600,8 @@ class TestSimulateAndSweep:
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # One interpreter per thread count: OpenBLAS reads it once, at load.
         # 130 trials make the MLP's GEMMs run over more than one 128-row block.
+        # 4 threads as on a 4-vCPU CI runner: sgemm (predict) splits its work
+        # among threads unlike dgemm (training).
         script = textwrap.dedent("""\
             import sys
             from gencomm.cli import main
@@ -606,7 +613,7 @@ class TestSimulateAndSweep:
         """)
         src = str(Path(gencomm.__file__).resolve().parent.parent)
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             out = tmp_path / threads
             out.mkdir()
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
@@ -615,7 +622,7 @@ class TestSimulateAndSweep:
                             str(out)], env=env, check=True)
             outputs.append([(out / name).read_bytes()
                             for name in ("sweep.csv", "model.npz", "model.npz.loss.csv")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_quiet_silences_stderr(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_SWEEP)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gencomm.cli import main
 from gencomm.config import load_config
 from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
                               MlpDenoiser, TrainConfig, _psd_eigh,
@@ -14,7 +15,7 @@ from gencomm.denoiser import (NULL_PROMPT, AnalyticPredictor, GaussianWorld,
                               save_checkpoint, time_embedding, train)
 from gencomm.errors import ConfigurationError, ContractError, TrainingError
 from gencomm.jscc import CodecConfig, make_linear_codec
-from gencomm.pipeline import build_context
+from gencomm.pipeline import build_context, make_training_set
 from gencomm.sampler import residual_forward
 from gencomm.schedule import inversion_coeffs, residual_weight
 from gencomm.verify import check_analytic_predictor, check_gradients, check_prompt_dropout
@@ -327,9 +328,11 @@ class TestBayesDominance:
 
 
 def _block_gemm_net(p, x):
-    """The MLP as plain `x @ w.T` GEMMs over zero-padded blocks of 128 rows."""
+    """The MLP as `predict` runs it: plain `x @ w.T` GEMMs over zero-padded
+    blocks of 128 rows, on the float32 casts of the parameters and the input."""
     n = len(x)
-    blocks = np.zeros((-(-n // 128) * 128, x.shape[1]))
+    p = {name: value.astype(np.float32) for name, value in p.items()}
+    blocks = np.zeros((-(-n // 128) * 128, x.shape[1]), np.float32)
     blocks[:n] = x
     out = []
     for block in blocks.reshape(-1, 128, x.shape[1]):
@@ -395,6 +398,19 @@ class TestMlpDenoiser:
         with pytest.raises(ContractError, match="time steps must be >= 0, got -1"):
             model.predict(z_t, z_c, "class:3", -1)
 
+    def test_in_place_parameter_write_reaches_the_next_predict(self, rng):
+        # predict copies the parameters to float32 on every call, so a write
+        # into them, as a training step makes, is never served stale.
+        model = MlpDenoiser(latent_dim=6, hidden=24, n_classes=5, seed=9)
+        z_t, z_c = rng.standard_normal((2, 3, 6))
+        before = model.predict(z_t, z_c, "class:3", 250)
+        model.params["w3"][...] *= 2.0
+        model.params["emb"][3] += 1.0
+        x = model._assemble(z_t, z_c, np.full(3, 3), np.full(3, 250))
+        after = model.predict(z_t, z_c, "class:3", 250)
+        assert np.array_equal(after, _block_gemm_net(model.params, x))
+        assert not np.array_equal(after, before)
+
     def test_work_buffers_keep_lone_call_bits(self, rng):
         # Batches that grow and shrink reuse the instance's work buffers. Every
         # row keeps the bits of its lone call, and an array returned earlier,
@@ -444,6 +460,37 @@ class TestMlpDenoiser:
         z_t, z_c = rng.standard_normal((2, 1, 5))
         assert np.array_equal(loaded.predict(z_t, z_c, "class:2", 99),
                               model.predict(z_t, z_c, "class:2", 99))
+
+
+class TestFloat64Agreement:
+    @pytest.mark.parametrize("steps", [0, 2000], ids=["fresh", "trained"])
+    def test_predict_agrees_with_float64_forward(self, tmp_path, steps):
+        # predict runs in float32; training's forward_batch, in float64, on the
+        # same rows of budget.cfg's latents, steps and prompts. Measured over 5
+        # seeds: the largest |difference| was 1.3e-6 (fresh) and 2.0e-6 (2,000
+        # steps) on outputs up to 2.5 and 4.9, or at most 5.7e-7 of the largest
+        # output; the bound is 2e-6 of it, 17 float32 epsilons.
+        cfg_path = Path(__file__).resolve().parent.parent / "configs" / "budget.cfg"
+        ctx = build_context(load_config(cfg_path))
+        model = ctx.predictor
+        if steps:
+            out = tmp_path / "model.npz"
+            assert main(["train-denoiser", "--config", str(cfg_path), "--steps", str(steps),
+                         "--out", str(out), "--quiet"]) == 0
+            model = load_checkpoint(out)
+        rng = np.random.default_rng(31)
+        z0, z_c, _ = make_training_set(ctx, n=200, rng=rng)
+        worst = top = 0.0
+        for t in (1, 20, 100, 250, 500, 999):
+            for idx in (model.null_index, 0, 3, 9):
+                z_t = residual_forward(z0, z_c, t, ctx.gamma, rng.standard_normal(z0.shape),
+                                       ctx.sched)
+                prompt = NULL_PROMPT if idx == model.null_index else f"class:{idx}"
+                got = model.predict(z_t, z_c, prompt, t)
+                want, _ = model.forward_batch(z_t, z_c, np.full(200, idx), np.full(200, t))
+                worst = max(worst, float(np.max(np.abs(got - want))))
+                top = max(top, float(np.max(np.abs(want))))
+        assert worst <= 2e-6 * top, (worst, top)
 
 
 class _PerfectModel:
@@ -742,6 +789,23 @@ class TestWorkBuffers:
         for name in ref.params:
             assert np.array_equal(model.params[name], ref.params[name]), name
 
+    def test_predict_between_forward_and_backward_keeps_the_gradients(self, sched, rng):
+        # predict runs in float32 buffers of its own, so a call between a
+        # training step's forward and backward passes leaves the cache alone.
+        model = MlpDenoiser(latent_dim=4, hidden=16, seed=7)
+        prep = _toy_batch(sched, rng, n=32)
+        dout = rng.standard_normal((32, 4))
+        grads = []
+        for interleaved in (False, True):
+            _, cache = model.forward_batch(prep.z_t, prep.z_c, prep.class_idx, prep.ts)
+            if interleaved:
+                model.predict(rng.standard_normal((32, 4)), rng.standard_normal((32, 4)),
+                              "class:1", 40)
+            step = model.backward_batch(cache, dout)
+            grads.append({name: g.copy() for name, g in step.items()})
+        for name in grads[0]:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
     def test_parameters_and_buffers_start_on_cache_lines(self, sched, rng):
         # Odd sizes, so a packed layout would put most views mid-line.
         model = MlpDenoiser(latent_dim=5, hidden=7, time_dim=4, prompt_dim=3,
@@ -749,8 +813,9 @@ class TestWorkBuffers:
         prep = _toy_batch(sched, rng, d=5, n=9)
         loss_and_grads(model, prep, TrainConfig(), sched)
         model.predict(prep.z_t, prep.z_c, None, 40)
-        x, hidden, out, dprompt = model._work(9)
-        arrays = [*model.params.values(), *model._grads.values(), x, *hidden, out, dprompt]
+        arrays = [*model.params.values(), *model._grads.values(), *model._work(9),
+                  *model._params32.values(), *model._work(9, np.float32)]
+        assert [a.dtype for a in model._work(9, np.float32)] == [np.float32] * 4
         assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
     def test_replacing_a_parameter_raises(self):
