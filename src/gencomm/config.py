@@ -7,9 +7,9 @@ Sections and keys, all optional with the defaults shown:
     spec_version = 1
     master_seed = 7
     trials = 100                  ; frechet_gauss bias ~78/trials; at most 100000
-    predictor = analytic          ; analytic | mlp | exact-oracle
+    predictor = analytic          ; analytic | mlp
     sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
-    snr_points = 1 4 7 10 13      ; dB, each at least -1000
+    snr_points = 1 4 7 10 13      ; dB
     cbr_points = 0.002 0.0033 0.0059 0.011  ; above k_prime/(C*H*W): k = k_prime
     prompt = class:3              ; empty -> no prompt, unconditional sampling
     peak = 1.0                    ; dynamic range used by the PSNR transform
@@ -17,7 +17,7 @@ Sections and keys, all optional with the defaults shown:
 
     [channel]
     kind = awgn                   ; awgn | rayleigh
-    snr_db = 10                   ; at least -1000
+    snr_db = 10                   ; dB
 
     [codec]
     k = 2
@@ -40,19 +40,19 @@ Sections and keys, all optional with the defaults shown:
     guidance = 3.0                ; at most 100
 
     [world]
-    prior_var = 1.0               ; ~2.5e-309 to 2e307/max(2*k_prime, 16)
+    prior_var = 1.0               ; variance of each source coordinate
     prior_ar1_rho = 0.9           ; source correlation; 0 -> isotropic prior
 
     [sidechannel]
     enabled = true
-    snr_db = auto                 ; auto -> same as image channel; at least -1000
+    snr_db = auto                 ; dB; auto -> same as image channel
     ldpc_n = 1024                 ; at most 8192
     ldpc_seed = 7070
     bp_iters = 50                 ; at most 1000
 
-Unknown sections or keys are rejected. SNRs may be +inf (a noiseless channel)
-but not NaN or below -1000 dB (10^(-snr/10) overflows a float near -3083 dB);
-CBR points must be > 0 and every other float finite.
+Unknown sections or keys are rejected. Physical ranges (`RANGES`, inclusive): each
+SNR in [-50, 60] dB, or inf for a noiseless channel; `peak` and `prior_var` in
+[1e-6, 1e6]. CBR points must be > 0 and every other float finite.
 The sizes that set an allocation or a loop have the upper limits noted
 above: at any one of them a 1024-trial sweep point (a `budget.cfg` sweep, for
 `trials`) peaks below about 0.6 GB. The guidance limit keeps a guided MLP
@@ -75,15 +75,8 @@ from . import sampler, schedule, sidechannel
 
 SPEC_VERSION = 1
 
-PREDICTOR_CHOICES = ("analytic", "mlp", "exact-oracle")
+PREDICTOR_CHOICES = ("analytic", "mlp")
 SWEEP_AXES = ("snr", "cbr", "none")
-# A run sums squares of latents of variance ~prior_var over the 2*k_prime latent
-# dims (the codec's power, the squared error). prior_var times that count, read
-# as at least PRIOR_VAR_MIN_TERMS since one draw's tail sets a short sum, stays
-# below PRIOR_VAR_SUM_LIMIT, about a ninth of the largest float.
-PRIOR_VAR_SUM_LIMIT = 2e307
-PRIOR_VAR_MIN_TERMS = 16
-SNR_DB_MIN = -1000.0  # every command runs clean here; the Rayleigh model overflows near -3000
 
 
 @dataclass(frozen=True)
@@ -139,10 +132,6 @@ class ExperimentConfig:
             raise ConfigurationError("snr sweep requires snr_points")
         if self.sweep_axis == "cbr" and not self.cbr_points:
             raise ConfigurationError("cbr sweep requires cbr_points")
-        snrs = (*self.snr_points, self.channel.snr_db, self.sidechannel_snr_db or 0.0)
-        low = [v for v in snrs if not v >= SNR_DB_MIN]  # NaN too; +inf dB: noiseless
-        if low:
-            raise ConfigurationError(f"SNRs must be >= {SNR_DB_MIN:g} dB or +inf, got {low[0]}")
         if not all(math.isfinite(v) and v > 0.0 for v in self.cbr_points):
             raise ConfigurationError(f"cbr_points must be finite and > 0, got {self.cbr_points}")
         schedule.check_schedule(self.schedule_steps, self.beta_min, self.beta_max,
@@ -153,15 +142,11 @@ class ExperimentConfig:
         if self.warm_start is not None and warm > self.schedule_steps:
             raise ConfigurationError(f"warm_start ({warm}) exceeds schedule steps "
                                      f"({self.schedule_steps})")
-        for name in ("peak", "guidance", "tikhonov_lambda", "prior_var"):
+        for name in ("guidance", "tikhonov_lambda"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.peak > 0.0 and 0.0 < self.peak * self.peak < math.inf):
-            raise ConfigurationError(f"peak must be > 0 with peak^2 in (0, inf), got {self.peak}")
         if self.bp_iters < 0:
             raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
-        if not self.prior_var > 0.0:
-            raise ConfigurationError("prior_var must be > 0")
         if not self.tikhonov_lambda >= 0.0:
             raise ConfigurationError("tikhonov_lambda must be >= 0")
         if not 0.0 <= self.prior_ar1_rho < 1.0:
@@ -170,10 +155,13 @@ class ExperimentConfig:
             value = attrgetter(_SCHEMA[section, key][0])(self)
             if value > limit:
                 raise ConfigurationError(f"[{section}] {key} must be <= {limit}, got {value}")
-        terms = max(2 * self.codec.k_prime, PRIOR_VAR_MIN_TERMS)
-        if self.prior_var * terms > PRIOR_VAR_SUM_LIMIT:
-            raise ConfigurationError(f"prior_var must be <= {PRIOR_VAR_SUM_LIMIT / terms:.3g} "
-                                     f"at k_prime = {self.codec.k_prime}, got {self.prior_var}")
+        for (section, key), (low, high) in RANGES.items():
+            value = attrgetter(_SCHEMA[section, key][0])(self)
+            snr = key in ("snr_points", "snr_db")
+            for v in value if isinstance(value, tuple) else [value]:
+                if v is not None and not (low <= v <= high or snr and v == math.inf):  # NaN too
+                    raise ConfigurationError(f"[{section}] {key} must be in [{low:g}, {high:g}]"
+                                             f"{' dB or inf' if snr else ''}, got {v}")
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -241,6 +229,12 @@ SIZE_LIMITS = {("experiment", "trials"): 100_000, ("codec", "k_prime"): 512,
                ("schedule", "steps"): 100_000, ("sampler", "steps"): 1000,
                ("sampler", "guidance"): 100, ("sidechannel", "ldpc_n"): 8192,
                ("sidechannel", "bp_iters"): 1000}
+# The physical ranges of the module docstring, inclusive; an SNR may also be +inf.
+SNR_DB_MIN, SNR_DB_MAX = -50.0, 60.0
+RANGES = {("experiment", "snr_points"): (SNR_DB_MIN, SNR_DB_MAX),
+          ("channel", "snr_db"): (SNR_DB_MIN, SNR_DB_MAX),
+          ("sidechannel", "snr_db"): (SNR_DB_MIN, SNR_DB_MAX),
+          ("experiment", "peak"): (1e-6, 1e6), ("world", "prior_var"): (1e-6, 1e6)}
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

@@ -6,9 +6,9 @@ Three predictor families implement the same behavioral contract as
 * AnalyticPredictor - exact conditional-mean predictor for a jointly
   Gaussian world (the verification oracle; it is Bayes-optimal for the
   squared-error noise-prediction objective and is never trained).
-* ExactRecoveryOracle - test-only predictor that knows the true clean
-  latent and answers with the noise estimate whose clean-latent inversion
-  is exact.
+* ExactRecoveryOracle - knows the true clean latent and answers with the
+  noise estimate whose clean-latent inversion is exact; `verify` and the
+  acceptance tests use it.
 * MlpDenoiser - a small trainable two-hidden-layer network with sinusoidal
   time embedding and a class-label prompt table including a learned null
   token, trained on the noise-prediction objective alone by plain gradient
@@ -148,19 +148,16 @@ class GaussianWorld:
         prior the orthonormal decode is already posterior-optimal on the
         observed subspace, so correlated priors are the reference setting.
         """
-        if not 0.0 <= rho < 1.0:
-            raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
+        if not (0.0 <= rho < 1.0 and prior_var > 0.0):
+            raise ConfigurationError(f"need 0 <= rho < 1 and prior_var > 0, got rho = {rho}, "
+                                     f"prior_var = {prior_var}")
         d = codec.n_in
         idx = np.arange(d)
         sigma0 = prior_var * rho ** np.abs(idx[:, None] - idx[None, :])
         P = codec.projection
         k = P.shape[0] // 2
         sigma2 = snr_to_sigma2(snr_db)
-        with np.errstate(all="ignore"):  # an overflow fails the check below
-            sym_power = np.trace(P @ sigma0 @ P.T) / k
-            inverse_power = 1.0 / sym_power  # scale**2 below; subnormal powers overflow it
-        if not (0.0 < sym_power < math.inf and inverse_power < math.inf):
-            raise ConfigurationError(f"prior gives transmit power {sym_power}")
+        sym_power = np.trace(P @ sigma0 @ P.T) / k
         scale = 1.0 / math.sqrt(sym_power)
         shrink = 1.0 / (1.0 + codec.tikhonov_lambda * sigma2)
         gram = P.T @ P
@@ -257,8 +254,8 @@ def prompt_to_index(prompt: Optional[str], n_classes: int) -> int:
         idx = int(suffix)
     except ValueError:
         raise ContractError(f"prompt class {suffix!r} is not an integer") from None
-    if not 0 <= idx <= n_classes:
-        raise ContractError(f"prompt class {idx} outside [0, {n_classes}]")
+    if not 0 <= idx < n_classes:
+        raise ContractError(f"prompt class {idx} outside [0, {n_classes - 1}]")
     return idx
 
 

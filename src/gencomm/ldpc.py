@@ -20,7 +20,7 @@ their places and the arrays shrink to the live width.
 
 Messages are float32 and kept at half scale: v2c / 2, and c2v / 2 = arctanh of
 the running product of tanh(v2c / 2), so no pass multiplies by 0.5 or 2. The
-float64 channel LLRs are clipped to float32's range and halved into float32 (a
+float64 channel LLRs, at most LLR_MAX in size, are halved into float32 (a
 float64 subnormal turns into a zero of its sign; the iteration-0 hard decision
 still reads the float64 value). v2c is not clipped at LLR_MAX: float32 tanh is
 exactly ±1 from |x| of about 9 to 10 on, below LLR_MAX / 2, so a clip there
@@ -49,7 +49,6 @@ MIN_CHUNK_BLOCKS = 32  # this many blocks, so a gather row holds 128 bytes
 DEFAULT_BP_ITERS = 50
 MAKE_ATTEMPTS = 20  # random constructions tried before giving up
 REDUCE_4CYCLE_PASSES = 8  # bounded effort of the 4-cycle repair
-_F32_MAX = float(np.finfo(np.float32).max)
 # Largest float32 below 1: the running product's clamp, so arctanh stays finite.
 _PRODUCT_MAX = np.nextafter(np.float32(1), np.float32(0))
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1) % 2
@@ -228,8 +227,9 @@ def ldpc_decode_batch(
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ContractError(f"expected (B, {code.n}) LLRs, got shape {llrs.shape}")
-    if not np.all(np.isfinite(llrs)):
-        raise ContractError("LLRs must be finite (clip infinities before decoding)")
+    # Two reductions, no array-sized temporary; a NaN fails both comparisons.
+    if not (llrs.min(initial=0.0) >= -LLR_MAX and llrs.max(initial=0.0) <= LLR_MAX):
+        raise ContractError(f"LLRs must lie in [-{LLR_MAX:g}, {LLR_MAX:g}] (clip them first)")
     if max_iters < 0:
         raise ContractError(f"max_iters must be >= 0, got {max_iters}")
     out = BatchDecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
@@ -248,10 +248,7 @@ def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
     of every variable are gathered by one take into (3, n, nb)."""
     active = np.arange(first, first + len(llrs))
     bits = np.less(llrs.T, 0, order="C")
-    # Channel LLRs / 2, (n, nb). The clip keeps an LLR beyond float32's range
-    # finite and moves no decision: no sum of c2v / 2 (each at most
-    # arctanh(_PRODUCT_MAX) in size) can outweigh float32's largest value.
-    lam = np.multiply(np.clip(llrs, -_F32_MAX, _F32_MAX).T, 0.5, dtype=np.float32, order="C")
+    lam = np.multiply(llrs.T, 0.5, dtype=np.float32, order="C")  # channel LLRs / 2, (n, nb)
     th = np.take(np.tanh(lam), code.slot_vars, axis=0).reshape(ROW_WEIGHT, code.m, -1)
     c_buf, odd_buf = np.empty(th.size, dtype=np.float32), np.empty(th.size, dtype=bool)
     total_buf = np.empty(lam.size, dtype=np.float32)

@@ -43,8 +43,7 @@ from .channel import (DRAW_ROWS, ZERO_POWER, ChannelConfig, apply_channel,
                       mmse_equalize, pack_complex, snr_to_sigma2)
 from .channel import transmit  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .config import ExperimentConfig
-from .denoiser import (AnalyticPredictor, ExactRecoveryOracle, GaussianWorld,
-                       MlpDenoiser, load_checkpoint)
+from .denoiser import AnalyticPredictor, GaussianWorld, MlpDenoiser, load_checkpoint
 from .errors import ConfigurationError, ContractError, GencommError, NormalizationError
 from .jscc import CodecConfig, cbr, make_linear_codec
 from .metrics import frechet_gauss, mse, psd_sqrt, psnr
@@ -189,19 +188,15 @@ def build_context(
         predictor = AnalyticPredictor(world, sched, gamma)
     elif cfg.predictor == "mlp" and prev and prev.codec_cfg.k_prime == codec_cfg.k_prime:
         predictor = prev.predictor
-    elif cfg.predictor == "mlp":
-        if cfg.mlp_checkpoint:
-            predictor = load_checkpoint(cfg.mlp_checkpoint)
-            if predictor.latent_dim != 2 * codec_cfg.k_prime:
-                raise ConfigurationError(
-                    f"checkpoint latent dim {predictor.latent_dim} does not match "
-                    f"codec latent dim {2 * codec_cfg.k_prime}"
-                )
-        else:
-            predictor = MlpDenoiser(latent_dim=2 * codec_cfg.k_prime,
-                                    seed=cfg.master_seed)
+    elif cfg.mlp_checkpoint:
+        predictor = load_checkpoint(cfg.mlp_checkpoint)
+        if predictor.latent_dim != 2 * codec_cfg.k_prime:
+            raise ConfigurationError(
+                f"checkpoint latent dim {predictor.latent_dim} does not match "
+                f"codec latent dim {2 * codec_cfg.k_prime}"
+            )
     else:
-        predictor = None  # exact-oracle, built per trial around the drawn z0
+        predictor = MlpDenoiser(latent_dim=2 * codec_cfg.k_prime, seed=cfg.master_seed)
     side_code = (sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
                  if cfg.prompt is not None and cfg.sidechannel_enabled else None)
     side_snr = cfg.sidechannel_snr_db if cfg.sidechannel_snr_db is not None else snr_db
@@ -313,18 +308,15 @@ def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
 
     # One sampler run per group of rows that share a received prompt (one group
     # if the predictor ignores it).
-    blind = ctx.predictor is None or not getattr(ctx.predictor, "uses_prompt", True)
+    blind = not getattr(ctx.predictor, "uses_prompt", True)
     groups: dict = {}
     for r, prompt in enumerate(prompts):
         if errors[r] is None:
             groups.setdefault(None if blind else prompt, []).append(r)
     z0_hat = np.full_like(z_c, np.nan)
     for prompt, rows in groups.items():
-        predictor = ctx.predictor
-        if predictor is None:
-            predictor = ExactRecoveryOracle(z0[rows], ctx.sched, ctx.gamma)
         try:
-            z0_hat[rows], _ = sample_batch(z_c[rows], predictor, prompt, ctx.sampler_cfg,
+            z0_hat[rows], _ = sample_batch(z_c[rows], ctx.predictor, prompt, ctx.sampler_cfg,
                                            ctx.sched, draws.warm[rows])
         except GencommError as exc:
             for r in rows:
@@ -414,16 +406,9 @@ def _aggregate(table: np.ndarray, n_trials: int, axis_index: int) -> list[dict]:
     if len(table):
         # Fortran order: each column is contiguous, so its mean and std are a list's.
         table = np.asfortranarray(table, np.float64)
-        # An exactly recovered latent has PSNR +inf; its std is NaN.
+        # The snr_db column of a noiseless point is +inf; its std is NaN.
         with np.errstate(invalid="ignore", over="ignore"):
             stats = {kind: fn(table, axis=0) for kind, fn in fns.items()}
-        for kind, fn in fns.items():
-            for j in np.flatnonzero(np.isinf(stats[kind])):
-                if np.isfinite(table[:, j]).all():
-                    # The sum or the squares of a finite column near 1e300
-                    # overflow; scale it first.
-                    scale = np.abs(table[:, j]).max()
-                    stats[kind][j] = scale * fn(table[:, j] / scale)
     return [{"kind": kind, "axis_index": axis_index, "n_trials": n_trials,
              "n_failed": n_trials - len(table), **dict(zip(_AGGREGATE_FIELDS, map(float, values)))}
             for kind, values in stats.items()]
@@ -564,7 +549,7 @@ def make_training_set(
     z0s, z_cs, ok = transmit_latents(ctx, draws[:, :d], draws[:, d:].reshape(n, rows, k))
     if not ok.all():
         raise NormalizationError(ZERO_POWER)
-    spread = math.sqrt(max(ctx.world.sigma0[0, 0], 1e-12))
+    spread = math.sqrt(ctx.world.sigma0[0, 0])
     quantiles = 0.5 * (1.0 + np.vectorize(math.erf)((z0s[:, 0] - ctx.world.mu0[0])
                                                     / (spread * math.sqrt(2.0))))
     labels = np.clip((quantiles * n_classes).astype(np.int64), 0, n_classes - 1)

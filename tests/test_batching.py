@@ -206,7 +206,7 @@ def _sweep_cfg(predictor, kind, seed, trials, prompt=None, sidechannel=False):
 
 
 class TestSweepBatchSize:
-    @given(predictor=st.sampled_from(["analytic", "mlp", "exact-oracle"]),
+    @given(predictor=st.sampled_from(["analytic", "mlp"]),
            kind=st.sampled_from(["awgn", "rayleigh"]),
            seed=st.integers(0, 2**31 - 1),
            trials=st.integers(1, 11),
@@ -230,7 +230,7 @@ class TestSweepBatchSize:
                 assert all(a[k] == b[k] or (math.isnan(a[k]) and math.isnan(b[k]))
                            for k in a if k != "kind")
 
-    @pytest.mark.parametrize("predictor", ["analytic", "mlp", "exact-oracle"])
+    @pytest.mark.parametrize("predictor", ["analytic", "mlp"])
     def test_sweep_rows_equal_run_trial(self, predictor):
         cfg = _sweep_cfg(predictor, "rayleigh", 21, 6, prompt="class:3", sidechannel=True)
         rows, _ = sweep(cfg)
@@ -264,7 +264,7 @@ class TestRowFailures:
         with pytest.raises(NormalizationError):
             run_trial(build_context(cfg, 1, 9.0), 3)
 
-    @pytest.mark.parametrize("predictor", ["mlp", "exact-oracle"])
+    @pytest.mark.parametrize("predictor", ["mlp"])
     def test_zero_power_rows_fail_alone(self, monkeypatch, predictor):
         cfg = _sweep_cfg(predictor, "rayleigh", 6, 7, prompt="class:3", sidechannel=True)
         ctx = build_context(cfg, 0, 1.0)

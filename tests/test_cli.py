@@ -17,7 +17,7 @@ import pytest
 import gencomm
 from gencomm import pipeline
 from gencomm.cli import main
-from gencomm.config import SIZE_LIMITS
+from gencomm.config import RANGES, SIZE_LIMITS, SNR_DB_MAX, SNR_DB_MIN
 from gencomm.denoiser import MlpDenoiser, load_checkpoint, save_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 from gencomm.verify import ALL_CHECKS
@@ -146,7 +146,7 @@ class TestExitCodes:
         ("[sampler]\nguidance = -1\n", "guidance must be >= 0"),
         ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
         ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
-        ("[world]\nprior_var = 1e307\n", "prior_var must be <= 1.25e+306 at k_prime = 8"),
+        ("[world]\nprior_var = 1e307\n", "[world] prior_var must be in [1e-06, 1e+06], got 1e+307"),
         # The singular-step tolerance is a fixed constant now; a config that
         # still sets it is refused rather than silently run at another value.
         ("[sampler]\nsingular_guard = 1e-9\n",
@@ -232,54 +232,6 @@ class TestExitCodes:
                 capsys.readouterr().err)
         assert out.exists() == (code == 0)
 
-    def test_std_of_a_column_near_1e300_is_finite(self, tmp_path):
-        # np.std's squared deviations overflow here; the std is taken on the
-        # column scaled by its largest magnitude, with no warning raised.
-        body = ("[experiment]\ntrials = 2\n[world]\nprior_var = 1e300\n"
-                "[sidechannel]\nenabled = false\n")
-        out = tmp_path / "huge.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
-                         "--quiet"]) == 0
-        rows, header = [], None
-        for line in out.read_text().splitlines():
-            if line.startswith("kind,"):
-                header = line.split(",")
-            elif not line.startswith("#"):
-                rows.append(dict(zip(header, line.split(","))))
-        stds = [r for r in rows if r["kind"] == "std"]
-        assert len(stds) == 5
-        for std in stds:
-            trials = [r for r in rows if r["kind"] == "trial"
-                      and r["axis_index"] == std["axis_index"]]
-            for name in ("mse_coarse", "mse_refined"):
-                col = np.array([float(r[name]) for r in trials])
-                assert np.abs(col).max() > 1e299
-                scale = np.abs(col).max()
-                assert math.isfinite(float(std[name]))
-                assert float(std[name]) == float(scale * np.std(col / scale))
-
-    def test_mean_and_frechet_of_latents_near_1e153_are_finite(self, tmp_path):
-        # 300 squared latents near 1e306 overflow in np.cov's sums and in the
-        # mean of the mse columns; both are taken on scaled values instead.
-        body = ("[experiment]\ntrials = 300\nsnr_points = 7\n[world]\nprior_var = 1e306\n"
-                "[sidechannel]\nenabled = false\n")
-        out = tmp_path / "huge.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
-                         "--quiet"]) == 0
-        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-        header = next(x for x in lines if x.startswith("kind,axis_index,n_trials")).split(",")
-        aggs = [dict(zip(header, x.split(","))) for x in lines
-                if x.startswith(("mean,", "std,"))]
-        assert [a["kind"] for a in aggs] == ["mean", "std"]
-        for agg in aggs:
-            for name in ("mse_coarse", "mse_refined", "frechet_gauss"):
-                assert math.isfinite(float(agg[name])), (agg["kind"], name)
-        assert float(aggs[0]["mse_coarse"]) > 1e305
-
     def test_huge_cbr_point_clamps_to_k_prime(self, tmp_path):
         cfg = write_cfg(tmp_path, "[experiment]\ntrials = 2\ncbr_points = 1e306\n"
                                   "[codec]\nk_prime = 8\n")
@@ -290,19 +242,38 @@ class TestExitCodes:
         trials = [dict(zip(header, x.split(","))) for x in lines if x.startswith("trial,")]
         assert [t["k"] for t in trials] == ["8", "8"]
 
-    @pytest.mark.parametrize("command,body", [
-        ("sweep-snr", "predictor = analytic\n[channel]\nkind = awgn\n"),
-        ("sweep-snr", "predictor = mlp\n[channel]\nkind = rayleigh\n"),
-        ("sidechannel-test", ""),
+    @pytest.mark.parametrize("command,predictor,kind", [
+        ("sweep-snr", "analytic", "awgn"), ("sweep-snr", "mlp", "rayleigh"),
+        ("sidechannel-test", "analytic", "awgn"),
     ], ids=["analytic_awgn", "mlp_rayleigh", "sidechannel_test"])
-    def test_lowest_snr_runs_clean(self, tmp_path, command, body):
-        # -1000 dB is the limit; 10^(-snr/10) overflows a float near -3083 dB.
-        body = (f"[experiment]\ntrials = 2\nsnr_points = -1000\n{body}"
-                "[sidechannel]\nldpc_n = 256\nldpc_seed = 11\n")
-        out = tmp_path / "low.csv"
-        assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out),
-                     "--quiet"]) == 0
+    @pytest.mark.parametrize("snr,magnitude", [
+        (SNR_DB_MIN, 1.0), (SNR_DB_MAX, 1.0), (10.0, 1e-6), (10.0, 1e6),
+    ], ids=["snr_min", "snr_max", "magnitudes_min", "magnitudes_max"])
+    def test_range_edges_run_clean(self, tmp_path, command, predictor, kind, snr, magnitude):
+        # Every SNR key at an edge of its range, or peak and prior_var at one of theirs.
+        body = (f"[experiment]\ntrials = 2\npredictor = {predictor}\nsnr_points = {snr}\n"
+                f"peak = {magnitude}\n[channel]\nkind = {kind}\nsnr_db = {snr}\n"
+                f"[world]\nprior_var = {magnitude}\n"
+                f"[sidechannel]\nsnr_db = {snr}\nldpc_n = 256\nldpc_seed = 11\n")
+        out = tmp_path / "edge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out),
+                         "--quiet"]) == 0
         assert "Error" not in out.read_text()
+
+    @pytest.mark.parametrize("section,key,side", [
+        (*key, side) for key in RANGES for side in ("low", "high")])
+    def test_one_step_outside_a_range_is_configuration_error(self, tmp_path, capsys,
+                                                             section, key, side):
+        low, high = RANGES[section, key]
+        value = np.nextafter(low, -math.inf) if side == "low" else np.nextafter(high, math.inf)
+        cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {float(value)!r}\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep-snr", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: [{section}] {key} must be in [{low:g}, {high:g}]" in err
+        assert not out.exists()
 
     def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
         body = "[experiment]\ntrials = 2\nsnr_points = inf\n[sidechannel]\nenabled = false\n"
@@ -548,7 +519,7 @@ class TestSimulateAndSweep:
         out = tmp_path / "c99.csv"
         assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
                      "--quiet"]) == 0
-        note = "ContractError: prompt class 99 outside [0; 10]"
+        note = "ContractError: prompt class 99 outside [0; 9]"
         metrics = ",".join(["nan"] * 5)
         want = [",".join(pipeline._TRIAL_COLUMNS)]
         want += [f"trial,{a},{t},{snr},0.001953125,600,2,0,{metrics},false,{note}"

@@ -23,9 +23,12 @@ from gencomm.verify import check_analytic_predictor, check_gradients, check_prom
 GAMMA = 0.3
 
 # Pinned self-consistency snapshot: MlpDenoiser(latent_dim=4, hidden=16,
-# time_dim=8, prompt_dim=4, n_classes=5, seed=314) on the fixed probe below.
+# time_dim=8, prompt_dim=4, n_classes=5, seed=314) on the fixed probe below,
+# through the float64 training pass, and through float32 `predict`.
 GOLDEN_PROBE_OUT = [0.18051467258291917, 0.06874601223701958,
                     0.40172909638460486, 0.039522918496625856]
+GOLDEN_PROBE_PREDICT = [0.1805146187543869, 0.06874597817659378,
+                        0.4017292261123657, 0.0395229235291481]
 
 
 def sample_pair(world, rng, n):
@@ -361,9 +364,11 @@ class TestMlpDenoiser:
     def test_golden_snapshot(self):
         model = MlpDenoiser(latent_dim=4, hidden=16, time_dim=8, prompt_dim=4,
                             n_classes=5, seed=314)
-        out = model.predict(np.array([[0.5, -1.0, 2.0, 0.25]]),
-                            np.array([[0.4, -0.9, 1.8, 0.3]]), "class:2", 250)
-        assert np.allclose(out[0], GOLDEN_PROBE_OUT, atol=1e-12)
+        z_t, z_c = np.array([[0.5, -1.0, 2.0, 0.25]]), np.array([[0.4, -0.9, 1.8, 0.3]])
+        trained, _ = model.forward_batch(z_t, z_c, np.array([2]), np.array([250]))
+        assert np.allclose(trained[0], GOLDEN_PROBE_OUT, rtol=0, atol=1e-12)
+        out = model.predict(z_t, z_c, "class:2", 250)
+        assert np.allclose(out[0], GOLDEN_PROBE_PREDICT, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 7, 200])
     def test_predict_equals_gathered_input(self, rng, batch):
@@ -443,7 +448,7 @@ class TestMlpDenoiser:
         free = prompt_to_index("a cheetah in tall grass", 10)
         assert 0 <= free < 10
         assert free == prompt_to_index("a cheetah in tall grass", 10)
-        for malformed in ("class:11", "class:abc", "class:1e3"):
+        for malformed in ("class:10", "class:11", "class:abc", "class:1e3"):
             with pytest.raises(ContractError):
                 prompt_to_index(malformed, 10)
 

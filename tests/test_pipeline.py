@@ -55,14 +55,6 @@ class TestRunTrial:
         ctx = build_context(toy_config())
         assert run_trial(ctx, 0).result.mse_coarse != run_trial(ctx, 1).result.mse_coarse
 
-    def test_noiseless_exact_oracle_recovers(self):
-        cfg = toy_config(predictor="exact-oracle",
-                         channel=ChannelConfig("awgn", float("inf")),
-                         codec=CodecConfig(k_prime=4, k=4, height=8, width=8,
-                                           channels=1))
-        out = run_trial(build_context(cfg), 0)
-        assert out.result.mse_refined <= 1e-9
-
     def test_psnr_consistent_with_mse(self):
         ctx = build_context(toy_config())
         for t in range(6):
@@ -200,17 +192,6 @@ class TestSweep:
         assert len(trials) == 4
         assert "synthetic failure" in trials[1]["error"]
 
-    @pytest.mark.filterwarnings("error")
-    def test_exact_recovery_aggregates_without_warnings(self):
-        # Recovering z0 exactly gives mse_refined = 0 and PSNR +inf; the std
-        # of such a point is NaN, and taking it must not warn.
-        cfg = toy_config(predictor="exact-oracle", sweep_axis="snr",
-                         snr_points=(1.0, 9.0), channel=ChannelConfig("rayleigh", 10.0))
-        rows, aggregates = sweep(cfg)
-        assert any(math.isinf(r.psnr_refined) for r in rows)
-        std = [a["psnr_refined"] for a in aggregates if a["kind"] == "std"]
-        assert any(math.isnan(v) for v in std)
-
 
 def _same_fields(a, b):
     """Every RunResult field but wall_time equal; NaN equals NaN."""
@@ -318,8 +299,7 @@ class TestSweepSharing:
         assert [c[0].k for c in codecs] == [1, 2, 3]
 
     @pytest.mark.parametrize("axis", ["snr", "cbr"])
-    @pytest.mark.parametrize("predictor", ["analytic", "mlp", "mlp-checkpoint",
-                                           "exact-oracle"])
+    @pytest.mark.parametrize("predictor", ["analytic", "mlp", "mlp-checkpoint"])
     def test_points_equal_fresh_contexts(self, tmp_path, axis, predictor):
         from gencomm.denoiser import MlpDenoiser, save_checkpoint
         from gencomm.pipeline import _axis_points, run_trials

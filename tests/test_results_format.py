@@ -83,9 +83,6 @@ def reference_aggregate(rows, axis_index):
             values = [float(getattr(r, name)) for r in ok]
             with np.errstate(invalid="ignore", over="ignore"):
                 rec[name] = float(fn(values)) if values else math.nan
-            if math.isinf(rec[name]) and all(map(math.isfinite, values)):
-                scale = max(map(abs, values))
-                rec[name] = float(scale * fn([v / scale for v in values]))
         out.append(rec)
     return out
 
