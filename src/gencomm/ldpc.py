@@ -8,15 +8,19 @@ parity of packed info bits AND each packed generator row from a byte table.
 Decoding is flooding belief propagation with early exit.
 
 Batch axis: `ldpc_decode_batch` decodes B codewords as one block-diagonal code
-in chunks of CHUNK_EDGES (32768) edges, but of at least MIN_CHUNK_BLOCKS (32)
-blocks, so a gather row holds at least 128 bytes. Messages are slot-outer with
-the block innermost, (6, m, nb): edge (j*m + c)*nb + b is slot j of check c of
-active block b, so a slot is one contiguous run and the gathers move rows of nb
-values. Each block gets a lone decode's bits: left products th0*th1*... and
-right products th5*th4*... are formed a slot at a time in `np.cumprod`'s order,
-and a variable adds its three messages left to right in check order, as numpy's
-axis-1 sum does. Converged blocks are frozen: the last live columns move into
-their places and the arrays shrink to the live width.
+in chunks of CHUNK_EDGES (98304) edges, but of at least MIN_CHUNK_BLOCKS (32)
+blocks, so a gather row holds at least 128 bytes. A chunk's float32 message
+array is then about 384 KB: 128 blocks of n=256, so a 120-trial sweep point's
+prompts decode as one chunk, and 32 of n=1024. On 2 CPUs, smaller chunks
+decoded n=256 batches slower, and larger ones a 120-block batch no faster.
+Messages are slot-outer with the block innermost, (6, m, nb):
+edge (j*m + c)*nb + b is slot j of check c of active block b, so a slot is one
+contiguous run and the gathers move rows of nb values. Each block gets a lone
+decode's bits: left products th0*th1*... and right products th5*th4*... are
+formed a slot at a time in `np.cumprod`'s order, and a variable adds its three
+messages left to right in check order, as numpy's axis-1 sum does. Converged
+blocks are frozen: the last live columns move into their places and the arrays
+shrink to the live width.
 
 Messages are float32 and kept at half scale: v2c / 2, and c2v / 2 = arctanh of
 the running product of tanh(v2c / 2), so no pass multiplies by 0.5 or 2. The
@@ -44,8 +48,8 @@ from .errors import ConfigurationError, ConstructionError, ContractError
 LLR_MAX = 30.0
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
-CHUNK_EDGES = 32768  # message-array edges per decode chunk, but at least
-MIN_CHUNK_BLOCKS = 32  # this many blocks, so a gather row holds 128 bytes
+CHUNK_EDGES = 98304  # message-array edges per decode chunk (384 KB in float32),
+MIN_CHUNK_BLOCKS = 32  # but at least this many blocks, so a gather row holds 128 bytes
 DEFAULT_BP_ITERS = 50
 MAKE_ATTEMPTS = 20  # random constructions tried before giving up
 REDUCE_4CYCLE_PASSES = 8  # bounded effort of the 4-cycle repair

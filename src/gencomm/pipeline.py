@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class TrialContext:
     world: GaussianWorld
     sampler_cfg: SamplerConfig
     gamma: float
-    predictor: Optional[object]      # None for the per-trial oracle
+    predictor: Union[AnalyticPredictor, MlpDenoiser]
     side_code: Optional[object]
     side_snr_db: float
     prior_root: np.ndarray

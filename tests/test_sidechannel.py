@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gencomm.config import SNR_DB_MIN
+from gencomm import ldpc
+from gencomm.config import SNR_DB_MIN, load_config
 from gencomm.errors import DecodeError
 from gencomm.ldpc import LLR_MAX, ldpc_decode_batch, ldpc_encode, ldpc_make
 from gencomm.sidechannel import (awgn_llrs, bpsk_modulate, default_code,
@@ -124,6 +126,26 @@ class TestReceivePrompts:
     # Frames of 1, 2 and 3 blocks of the n=256 code (128 info bits per block).
     TEXTS = {1: "class:7", 2: "a red fox in snow", 3: "a lighthouse on a cliff at dawn"}
 
+    def test_a_sweep_point_is_one_decode_chunk(self, monkeypatch):
+        # A 120-trial point of configs/snr_sweep.cfg sends one block of its
+        # n=256 code per trial, and its 120 blocks decode as one BP chunk. The
+        # n=1024 code keeps the 32-block chunks that `measure_link` groups by.
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "snr_sweep.cfg")
+        side = default_code(cfg.ldpc_n, cfg.ldpc_seed)
+        normals = np.random.default_rng(5).standard_normal((120, side.n))
+        llrs = transmit_prompt(cfg.prompt, 1.0, normals, side)
+        assert llrs.shape == (120, 1, 256)
+        calls, decode_chunk = [], ldpc._decode_chunk
+
+        def counted(code, chunk, *rest):
+            calls.append(len(chunk))
+            decode_chunk(code, chunk, *rest)
+
+        monkeypatch.setattr(ldpc, "_decode_chunk", counted)
+        receive_prompts(llrs, side, cfg.bp_iters)
+        assert calls == [120]
+        assert ldpc_make(1024, 7070).chunk_blocks == 32
+
     @pytest.mark.parametrize("snr_db", [0.0, 2.0, math.inf])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_each_row_is_a_lone_call(self, code, snr_db, blocks):
@@ -188,10 +210,12 @@ def reference_measure_link(code, snr_db, min_info_bits, rng, max_iters=50):
             "ber": bit_errors / (frames * code.k), "fer": frame_errors / frames}
 
 
-@pytest.mark.parametrize("frames", [1, 64, 65, 130])
-def test_measure_link_matches_per_frame_reference(code, frames):
-    # 1 dB leaves frame errors in most groups of 42 (the n=256 code's chunk);
-    # 64, 65 and 130 end in a short group.
+@pytest.mark.parametrize("groups, extra", [(0, 1), (1, 0), (1, 1), (2, 2)],
+                         ids=["1", "chunk", "chunk+1", "2chunk+2"])
+def test_measure_link_matches_per_frame_reference(code, groups, extra):
+    # 1 dB leaves frame errors in most frames of a group of code.chunk_blocks.
+    # One frame, one full group, a full group and a short one, then three.
+    frames = groups * code.chunk_blocks + extra
     args = (code, 1.0, frames * code.k)
     got = measure_link(*args, np.random.default_rng(frames), max_iters=20)
     assert got == reference_measure_link(*args, np.random.default_rng(frames), max_iters=20)
