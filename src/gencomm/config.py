@@ -5,65 +5,64 @@ Sections and keys, all optional with the defaults shown:
 
     [experiment]
     spec_version = 1
-    master_seed = 7
-    trials = 100                  ; frechet_gauss bias ~78/trials; at most 100000
+    master_seed = 7               ; in [0, inf)
+    trials = 100                  ; in [1, 100000]; frechet_gauss bias ~78/trials
     predictor = analytic          ; analytic | mlp
     sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
-    snr_points = 1 4 7 10 13      ; dB
-    cbr_points = 0.002 0.0033 0.0059 0.011  ; above k_prime/(C*H*W): k = k_prime
+    snr_points = 1 4 7 10 13      ; in [-50, 60] or inf; dB
+    cbr_points = 0.002 0.0033 0.0059 0.011  ; in (0, inf); above k_prime/(C*H*W): k = k_prime
     prompt = class:3              ; empty -> no prompt, unconditional sampling
-    peak = 1.0                    ; dynamic range used by the PSNR transform
+    peak = 1.0                    ; in [1e-6, 1e6]; dynamic range of the PSNR transform
     mlp_checkpoint =              ; path; empty -> fresh seeded model
 
     [channel]
     kind = awgn                   ; awgn | rayleigh
-    snr_db = 10                   ; dB
+    snr_db = 10                   ; in [-50, 60] or inf; dB
 
     [codec]
     k = 2
-    k_prime = 8                   ; at most 512
+    k_prime = 8                   ; in [1, 512]
     height = 32
     width = 32
     channels = 1
-    seed = 99
-    tikhonov_lambda = 0.0
+    seed = 99                     ; in [0, inf)
+    tikhonov_lambda = 0.0         ; in [0, inf)
 
     [schedule]
-    steps = 1000                  ; at most 100000
+    steps = 1000                  ; in [1, 100000]
     beta_min = 1e-4
     beta_max = 0.02
     kind = linear                 ; linear | scaled_linear
 
     [sampler]
-    steps = 5                     ; at most 1000
+    steps = 5                     ; in [1, 1000]
     warm_start = auto             ; auto -> from the CBR table, or an integer
-    guidance = 3.0                ; at most 100
+    guidance = 3.0                ; in [0, 100]
 
     [world]
-    prior_var = 1.0               ; variance of each source coordinate
-    prior_ar1_rho = 0.9           ; source correlation; 0 -> isotropic prior
+    prior_var = 1.0               ; in [1e-6, 1e6]; variance of each source coordinate
+    prior_ar1_rho = 0.9           ; in [0, 1); source correlation; 0 -> isotropic prior
 
     [sidechannel]
     enabled = true
-    snr_db = auto                 ; dB; auto -> same as image channel
-    ldpc_n = 1024                 ; at most 8192
-    ldpc_seed = 7070
-    bp_iters = 50                 ; at most 1000
+    snr_db = auto                 ; in [-50, 60] or inf; dB; auto -> same as image channel
+    ldpc_n = 1024                 ; in (-inf, 8192]; a built code needs it even and >= 12
+    ldpc_seed = 7070              ; in [0, inf)
+    bp_iters = 50                 ; in [0, 1000]
 
-Unknown sections or keys are rejected. Physical ranges (`RANGES`, inclusive): each
-SNR in [-50, 60] dB, or inf for a noiseless channel; `peak` and `prior_var` in
-[1e-6, 1e6]. CBR points must be > 0 and every other float finite.
-The sizes that set an allocation or a loop have the upper limits noted
-above: at any one of them a 1024-trial sweep point (a `budget.cfg` sweep, for
-`trials`) peaks below about 0.6 GB. The guidance limit keeps a guided MLP
-refinement finite (1e300 overflows it). At 16 latent dims, a `frechet_gauss` cell
-of true value W2^2 needs about 780/W2^2 trials to keep its bias under 10%.
+Unknown sections or keys are rejected. `; in` gives the values a key admits,
+each also in its `_SCHEMA` row: `[` and `]` include a bound, `(` and `)`
+exclude it, and an SNR of inf dB is a noiseless channel. The upper limits of
+the sizes that set an allocation or a loop keep a 1024-trial sweep point (a
+`budget.cfg` sweep, for `trials`) below about 0.6 GB. The guidance limit keeps
+a guided MLP refinement finite (1e300 overflows it). At 16 latent dims, a
+`frechet_gauss` cell of true value W2^2 needs about 780/W2^2 trials to keep its
+bias under 10%.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional
@@ -117,11 +116,11 @@ class ExperimentConfig:
     bp_iters: int = sidechannel.DEFAULT_BP_ITERS
 
     def __post_init__(self):
-        for name in ("master_seed", "codec_seed", "ldpc_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        for (section, key), (name, _, *admits) in _SCHEMA.items():
+            value = attrgetter(name)(self) if admits else ()
+            for v in value if isinstance(value, tuple) else [value]:
+                if v is not None and not _admits(admits[0], v):
+                    raise ConfigurationError(f"[{section}] {key} must be in {admits[0]}, got {v}")
         if self.prompt is not None and ("\n" in self.prompt or "\r" in self.prompt):
             raise ConfigurationError(f"prompt must be one line, got {self.prompt!r}")
         if self.predictor not in PREDICTOR_CHOICES:
@@ -132,8 +131,6 @@ class ExperimentConfig:
             raise ConfigurationError("snr sweep requires snr_points")
         if self.sweep_axis == "cbr" and not self.cbr_points:
             raise ConfigurationError("cbr sweep requires cbr_points")
-        if not all(math.isfinite(v) and v > 0.0 for v in self.cbr_points):
-            raise ConfigurationError(f"cbr_points must be finite and > 0, got {self.cbr_points}")
         schedule.check_schedule(self.schedule_steps, self.beta_min, self.beta_max,
                                 self.schedule_kind)
         # An auto warm start depends on each point's CBR, so build_context checks it.
@@ -142,26 +139,16 @@ class ExperimentConfig:
         if self.warm_start is not None and warm > self.schedule_steps:
             raise ConfigurationError(f"warm_start ({warm}) exceeds schedule steps "
                                      f"({self.schedule_steps})")
-        for name in ("guidance", "tikhonov_lambda"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.bp_iters < 0:
-            raise ConfigurationError(f"bp_iters must be >= 0, got {self.bp_iters}")
-        if not self.tikhonov_lambda >= 0.0:
-            raise ConfigurationError("tikhonov_lambda must be >= 0")
-        if not 0.0 <= self.prior_ar1_rho < 1.0:
-            raise ConfigurationError("prior_ar1_rho must be in [0, 1)")
-        for (section, key), limit in SIZE_LIMITS.items():
-            value = attrgetter(_SCHEMA[section, key][0])(self)
-            if value > limit:
-                raise ConfigurationError(f"[{section}] {key} must be <= {limit}, got {value}")
-        for (section, key), (low, high) in RANGES.items():
-            value = attrgetter(_SCHEMA[section, key][0])(self)
-            snr = key in ("snr_points", "snr_db")
-            for v in value if isinstance(value, tuple) else [value]:
-                if v is not None and not (low <= v <= high or snr and v == math.inf):  # NaN too
-                    raise ConfigurationError(f"[{section}] {key} must be in [{low:g}, {high:g}]"
-                                             f"{' dB or inf' if snr else ''}, got {v}")
+
+
+def _admits(values: str, v) -> bool:
+    """Whether `values`, an interval as the module docstring writes it (`[0, 1)`,
+    `(-inf, 8192]`), optionally followed by ` or inf`, holds `v`; no NaN is in one."""
+    interval, _, extra = values.partition(" or ")
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    return ((bool(extra) and v == float(extra))
+            or ((low < v if interval[0] == "(" else low <= v)
+                and (v < high if interval[-1] == ")" else v <= high)))
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -186,55 +173,46 @@ def _text_or_none(raw: str) -> Optional[str]:
     return raw if raw.strip() else None
 
 
-# (section, key) -> (ExperimentConfig field, parser). A dotted field names an
-# attribute of a nested config; `spec_version` is checked, not stored.
+# (section, key) -> (ExperimentConfig field, parser[, the values it admits, as in
+# the module docstring]). A dotted field names an attribute of a nested config;
+# `spec_version` is checked, not stored.
+_SNR = "[-50, 60] or inf"
 _SCHEMA = {
     ("experiment", "spec_version"): ("spec_version", int),
-    ("experiment", "master_seed"): ("master_seed", int),
-    ("experiment", "trials"): ("trials", int),
+    ("experiment", "master_seed"): ("master_seed", int, "[0, inf)"),
+    ("experiment", "trials"): ("trials", int, "[1, 100000]"),
     ("experiment", "predictor"): ("predictor", str),
     ("experiment", "sweep_axis"): ("sweep_axis", str),
-    ("experiment", "snr_points"): ("snr_points", _floats),
-    ("experiment", "cbr_points"): ("cbr_points", _floats),
+    ("experiment", "snr_points"): ("snr_points", _floats, _SNR),
+    ("experiment", "cbr_points"): ("cbr_points", _floats, "(0, inf)"),
     ("experiment", "prompt"): ("prompt", _text_or_none),
-    ("experiment", "peak"): ("peak", float),
+    ("experiment", "peak"): ("peak", float, "[1e-6, 1e6]"),
     ("experiment", "mlp_checkpoint"): ("mlp_checkpoint", _text_or_none),
     ("channel", "kind"): ("channel.kind", str),
-    ("channel", "snr_db"): ("channel.snr_db", float),
+    ("channel", "snr_db"): ("channel.snr_db", float, _SNR),
     ("codec", "k"): ("codec.k", int),
-    ("codec", "k_prime"): ("codec.k_prime", int),
+    ("codec", "k_prime"): ("codec.k_prime", int, "[1, 512]"),
     ("codec", "height"): ("codec.height", int),
     ("codec", "width"): ("codec.width", int),
     ("codec", "channels"): ("codec.channels", int),
-    ("codec", "seed"): ("codec_seed", int),
-    ("codec", "tikhonov_lambda"): ("tikhonov_lambda", float),
-    ("schedule", "steps"): ("schedule_steps", int),
+    ("codec", "seed"): ("codec_seed", int, "[0, inf)"),
+    ("codec", "tikhonov_lambda"): ("tikhonov_lambda", float, "[0, inf)"),
+    ("schedule", "steps"): ("schedule_steps", int, "[1, 100000]"),
     ("schedule", "beta_min"): ("beta_min", float),
     ("schedule", "beta_max"): ("beta_max", float),
     ("schedule", "kind"): ("schedule_kind", str),
-    ("sampler", "steps"): ("sampler_steps", int),
+    ("sampler", "steps"): ("sampler_steps", int, "[1, 1000]"),
     ("sampler", "warm_start"): ("warm_start", _or_auto(int)),
-    ("sampler", "guidance"): ("guidance", float),
-    ("world", "prior_var"): ("prior_var", float),
-    ("world", "prior_ar1_rho"): ("prior_ar1_rho", float),
+    ("sampler", "guidance"): ("guidance", float, "[0, 100]"),
+    ("world", "prior_var"): ("prior_var", float, "[1e-6, 1e6]"),
+    ("world", "prior_ar1_rho"): ("prior_ar1_rho", float, "[0, 1)"),
     ("sidechannel", "enabled"): ("sidechannel_enabled", _bool),
-    ("sidechannel", "snr_db"): ("sidechannel_snr_db", _or_auto(float)),
-    ("sidechannel", "ldpc_n"): ("ldpc_n", int),
-    ("sidechannel", "ldpc_seed"): ("ldpc_seed", int),
-    ("sidechannel", "bp_iters"): ("bp_iters", int),
+    ("sidechannel", "snr_db"): ("sidechannel_snr_db", _or_auto(float), _SNR),
+    ("sidechannel", "ldpc_n"): ("ldpc_n", int, "(-inf, 8192]"),
+    ("sidechannel", "ldpc_seed"): ("ldpc_seed", int, "[0, inf)"),
+    ("sidechannel", "bp_iters"): ("bp_iters", int, "[0, 1000]"),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
-# The upper limits documented in the module docstring.
-SIZE_LIMITS = {("experiment", "trials"): 100_000, ("codec", "k_prime"): 512,
-               ("schedule", "steps"): 100_000, ("sampler", "steps"): 1000,
-               ("sampler", "guidance"): 100, ("sidechannel", "ldpc_n"): 8192,
-               ("sidechannel", "bp_iters"): 1000}
-# The physical ranges of the module docstring, inclusive; an SNR may also be +inf.
-SNR_DB_MIN, SNR_DB_MAX = -50.0, 60.0
-RANGES = {("experiment", "snr_points"): (SNR_DB_MIN, SNR_DB_MAX),
-          ("channel", "snr_db"): (SNR_DB_MIN, SNR_DB_MAX),
-          ("sidechannel", "snr_db"): (SNR_DB_MIN, SNR_DB_MAX),
-          ("experiment", "peak"): (1e-6, 1e6), ("world", "prior_var"): (1e-6, 1e6)}
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -255,7 +233,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
         for key, raw in parser.items(section):
             if (section, key) not in _SCHEMA:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-            name, parse = _SCHEMA[section, key]
+            name, parse, *_ = _SCHEMA[section, key]
             try:
                 value = parse(raw)
             except ValueError as exc:

@@ -272,6 +272,14 @@ def _aligned_zeros(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
+def _param_shapes(latent_dim: int, hidden: int, time_dim: int, prompt_dim: int,
+                  n_classes: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each MlpDenoiser parameter, in initialisation order."""
+    in_dim = 2 * latent_dim + time_dim + prompt_dim
+    return {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (hidden, hidden), "b2": (hidden,),
+            "w3": (latent_dim, hidden), "b3": (latent_dim,), "emb": (n_classes + 1, prompt_dim)}
+
+
 class MlpDenoiser:
     """Two-hidden-layer tanh network over concat(z_t, z_c, time emb, prompt emb)."""
 
@@ -292,21 +300,17 @@ class MlpDenoiser:
         self.prompt_dim = prompt_dim
         self.n_classes = n_classes
         self.seed = seed
-        in_dim = 2 * latent_dim + time_dim + prompt_dim
+        shapes = _param_shapes(latent_dim, hidden, time_dim, prompt_dim, n_classes)
+        in_dim = shapes["w1"][1]
         rng = np.random.default_rng(seed)
 
         def glorot(fan_out, fan_in):
             return rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / (fan_in + fan_out))
 
-        init = {
-            "w1": glorot(hidden, in_dim),
-            "b1": np.zeros(hidden),
-            "w2": glorot(hidden, hidden),
-            "b2": np.zeros(hidden),
-            "w3": glorot(latent_dim, hidden),
-            "b3": np.zeros(latent_dim),
-            "emb": rng.standard_normal((n_classes + 1, prompt_dim)) * 0.1,
-        }
+        # Glorot weights, zero biases, then the prompt embedding, drawn in that order.
+        init = {name: glorot(*shape) if name[0] == "w" else np.zeros(shape)
+                for name, shape in shapes.items() if name != "emb"}
+        init["emb"] = rng.standard_normal(shapes["emb"]) * 0.1
         # Every parameter and its gradient is a view of one flat array, so a
         # training update is one pass over each, and predict's float32 weights
         # are views of a third, refreshed by one copy; each view starts a cache line.
@@ -453,21 +457,26 @@ def load_checkpoint(path) -> MlpDenoiser:
             if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data.files:
                 raise ConfigurationError(f"{path} is not an npz checkpoint with __meta__")
             meta = data["__meta__"]
+            if meta.shape != (7,):  # version, the five dims, seed
+                raise ConfigurationError(f"checkpoint __meta__ has shape {meta.shape}, not (7,)")
             if int(meta[0]) != _CHECKPOINT_VERSION:
                 raise ConfigurationError(f"unsupported checkpoint version {int(meta[0])}")
-            model = MlpDenoiser(latent_dim=int(meta[1]), hidden=int(meta[2]),
-                                time_dim=int(meta[3]), prompt_dim=int(meta[4]),
-                                n_classes=int(meta[5]), seed=int(meta[6]))
-            for name, view in model.params.items():
-                value = data[name]
-                if (value.dtype, value.shape) != (view.dtype, view.shape):  # sized by the meta
-                    raise ConfigurationError(f"checkpoint {name} is not float64 {view.shape}")
+            dims = dict(zip(("latent_dim", "hidden", "time_dim", "prompt_dim", "n_classes"),
+                            map(int, meta[1:6])))
+            # Every array is checked against the meta before the meta sizes a model.
+            arrays = {}
+            for name, shape in _param_shapes(**dims).items():
+                value = arrays[name] = data[name]
+                if (value.dtype, value.shape) != (np.float64, shape):
+                    raise ConfigurationError(f"checkpoint {name} is not float64 {shape}")
                 # predict casts to float32, where these would become inf or nan
                 if not np.all(np.abs(value) <= np.finfo(np.float32).max):
                     raise ConfigurationError(
                         f"checkpoint {name} holds a value that is not finite or is "
                         "beyond float32's range")
-                view[...] = value
+            model = MlpDenoiser(**dims, seed=int(meta[6]))
+            for name, view in model.params.items():
+                view[...] = arrays[name]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from None
     return model

@@ -43,7 +43,8 @@ from .channel import (DRAW_ROWS, ZERO_POWER, ChannelConfig, apply_channel,
                       mmse_equalize, pack_complex, snr_to_sigma2)
 from .channel import transmit  # noqa: F401  (benchmarks/spans.py traces this binding)
 from .config import ExperimentConfig
-from .denoiser import AnalyticPredictor, GaussianWorld, MlpDenoiser, load_checkpoint
+from .denoiser import (AnalyticPredictor, GaussianWorld, MlpDenoiser, load_checkpoint,
+                       prompt_to_index)
 from .errors import ConfigurationError, ContractError, GencommError, NormalizationError
 from .jscc import CodecConfig, cbr, make_linear_codec
 from .metrics import frechet_gauss, mse, psd_sqrt, psnr
@@ -197,6 +198,11 @@ def build_context(
             )
     else:
         predictor = MlpDenoiser(latent_dim=2 * codec_cfg.k_prime, seed=cfg.master_seed)
+    if cfg.predictor == "mlp":  # the model's class count is known from here on
+        try:
+            prompt_to_index(cfg.prompt, predictor.n_classes)
+        except ContractError as exc:
+            raise ConfigurationError(f"[experiment] prompt {cfg.prompt!r}: {exc}") from None
     side_code = (sidechannel.default_code(cfg.ldpc_n, cfg.ldpc_seed)
                  if cfg.prompt is not None and cfg.sidechannel_enabled else None)
     side_snr = cfg.sidechannel_snr_db if cfg.sidechannel_snr_db is not None else snr_db
@@ -316,8 +322,8 @@ def run_trials(ctx: TrialContext, trial_ids: list[int]) -> TrialRows:
     z0_hat = np.full_like(z_c, np.nan)
     for prompt, rows in groups.items():
         try:
-            z0_hat[rows], _ = sample_batch(z_c[rows], ctx.predictor, prompt, ctx.sampler_cfg,
-                                           ctx.sched, draws.warm[rows])
+            z0_hat[rows] = sample_batch(z_c[rows], ctx.predictor, prompt, ctx.sampler_cfg,
+                                        ctx.sched, draws.warm[rows])
         except GencommError as exc:
             for r in rows:
                 errors[r] = exc

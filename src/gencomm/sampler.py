@@ -195,12 +195,14 @@ def sample_batch(
     cfg: SamplerConfig,
     sched: NoiseSchedule,
     eps: np.ndarray,
-) -> tuple[np.ndarray, SampleTrace]:
+    trace: Optional[SampleTrace] = None,
+) -> np.ndarray:
     """Run the full conditioned sampler on a (B, d) batch of decoded latents.
 
     `eps` (B, d) is each row's warm-start noise. Starts at the warm-start
     step, walks the rounded step grid down to 0 and returns the final
-    clean-latent estimates together with a per-step trace of (B, d) arrays.
+    clean-latent estimates; a given `trace` gets each step's (B, d) arrays
+    appended, and without one only the current state is kept.
     The unconditional predictor pass is skipped when guidance == 1, no
     prompt is given, or the predictor ignores the prompt (`uses_prompt` is
     False): each reduces to the conditional prediction exactly. A singular
@@ -218,7 +220,6 @@ def sample_batch(
 
     guided = (prompt is not None and cfg.guidance != 1.0
               and getattr(predictor, "uses_prompt", True))
-    trace = SampleTrace()
     for i, t in enumerate(grid):
         t_prev = grid[i + 1] if i + 1 < len(grid) else 0
         if len(grid) > 1 and _inversion(t, gamma, sched) is None:
@@ -229,9 +230,10 @@ def sample_batch(
                 eps_uncond = predictor.predict(z, z_c, None, t)
                 eps_hat = cfg_combine(eps_uncond, eps_hat, cfg.guidance)
         z0_hat = predict_z0(z, z_c, eps_hat, t, gamma, sched)
-        trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
+        if trace is not None:
+            trace.steps.append(SampleStep(t=t, z_t=z, z0_hat=z0_hat, eps_hat=eps_hat))
         z = sampler_step(z, z0_hat, t_prev, t, sched)
-    return z, trace
+    return z
 
 
 def sample(
@@ -245,7 +247,8 @@ def sample(
     """`sample_batch` on one decoded latent, drawing its warm-start noise
     from `rng`; the trace holds that latent's rows."""
     eps = rng.standard_normal(z_c.shape)
-    z, trace = sample_batch(z_c[None], predictor, prompt, cfg, sched, eps[None])
+    trace = SampleTrace()
+    z = sample_batch(z_c[None], predictor, prompt, cfg, sched, eps[None], trace)
     steps = [SampleStep(s.t, s.z_t[0], s.z0_hat[0], s.eps_hat if s.eps_hat is None
                         else s.eps_hat[0]) for s in trace.steps]
     return z[0], SampleTrace(steps)

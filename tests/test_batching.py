@@ -29,7 +29,7 @@ from gencomm.jscc import CodecConfig, LinearCodec, make_linear_codec
 from gencomm.ldpc import ldpc_make
 from gencomm.metrics import mse
 from gencomm.pipeline import build_context, make_training_set, run_trial, sweep
-from gencomm.sampler import SamplerConfig, sample, sample_batch
+from gencomm.sampler import SamplerConfig, SampleTrace, sample, sample_batch
 from gencomm.schedule import residual_weight
 from gencomm.sidechannel import measure_link
 
@@ -172,7 +172,8 @@ class TestPredictorsAndSampler:
         pred, prompt = _predictors(sched, d, z0)[name]
         cfg = SamplerConfig(steps=5, warm_start_step=500, guidance=2.5)
         eps = np.stack([np.random.default_rng(s).standard_normal(d) for s in range(b)])
-        out, trace = sample_batch(z_c, pred, prompt, cfg, sched, eps)
+        trace = SampleTrace()
+        out = sample_batch(z_c, pred, prompt, cfg, sched, eps, trace)
         for r in range(b):
             lone_pred = (ExactRecoveryOracle(z0[r], sched, pred.gamma)
                          if name == "oracle" else pred)
@@ -241,6 +242,18 @@ class TestSweepBatchSize:
                 assert _same_fields(row, run_trial(ctx, t).result)
 
 
+def _refusing(refused):
+    """`MlpDenoiser.predict` raising a ContractError for the prompt `refused`."""
+    real = MlpDenoiser.predict
+
+    def predict(self, z_t, z_c, prompt, t):
+        if prompt == refused:
+            raise ContractError(f"refused {prompt}")
+        return real(self, z_t, z_c, prompt, t)
+
+    return predict
+
+
 class TestRowFailures:
     def test_one_zero_power_row_gives_one_error_row(self, monkeypatch):
         cfg = _sweep_cfg("mlp", "awgn", 4, 5)
@@ -299,10 +312,11 @@ class TestRowFailures:
         assert [r.error.partition(":")[0] for r in got.rows] == ["NormalizationError"] * 2
         assert got.z0.shape == got.z0_hat.shape == (0, ctx.world.dim)
 
-    def test_sampler_error_fails_only_rows_with_that_prompt(self):
-        # The MLP has 10 classes, so a received "class:99" is a ContractError;
-        # rows whose prompt was lost sample unconditionally and succeed.
-        cfg = _sweep_cfg("mlp", "awgn", 4, 12, prompt="class:99", sidechannel=True)
+    def test_sampler_error_fails_only_rows_with_that_prompt(self, monkeypatch):
+        # The MLP refuses a received "class:3"; rows whose prompt was lost sample
+        # unconditionally and succeed.
+        monkeypatch.setattr(MlpDenoiser, "predict", _refusing("class:3"))
+        cfg = _sweep_cfg("mlp", "awgn", 4, 12, prompt="class:3", sidechannel=True)
         rows, _ = sweep(cfg)
         ctx = build_context(cfg, 0, 1.0)
         for row in rows[: cfg.trials]:
@@ -326,10 +340,11 @@ class TestRowFailures:
             out = model.predict(z_t[:2], z_c[:2], "class:1", 250)
         assert np.isfinite(out).all()
 
-    def test_run_trial_raises_a_sampler_error(self):
-        # Without a side channel every row samples with "class:99".
-        ctx = build_context(_sweep_cfg("mlp", "awgn", 4, 1, prompt="class:99"), 0, 1.0)
-        with pytest.raises(ContractError, match="prompt class 99"):
+    def test_run_trial_raises_a_sampler_error(self, monkeypatch):
+        # Without a side channel every row samples with "class:3".
+        monkeypatch.setattr(MlpDenoiser, "predict", _refusing("class:3"))
+        ctx = build_context(_sweep_cfg("mlp", "awgn", 4, 1, prompt="class:3"), 0, 1.0)
+        with pytest.raises(ContractError, match="refused class:3"):
             run_trial(ctx, 0)
 
 

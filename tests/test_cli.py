@@ -17,7 +17,7 @@ import pytest
 import gencomm
 from gencomm import pipeline
 from gencomm.cli import main
-from gencomm.config import RANGES, SIZE_LIMITS, SNR_DB_MAX, SNR_DB_MIN
+from gencomm.config import _SCHEMA, load_config
 from gencomm.denoiser import MlpDenoiser, load_checkpoint, save_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 from gencomm.verify import ALL_CHECKS
@@ -26,6 +26,22 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
 # One PASS line per check, in order, shows that the default sizes run every check.
 VERIFY_REPORT = "".join(f"PASS {name}\n" for name, _ in ALL_CHECKS) + "21 passed, 0 failed\n"
+# (section, key) -> the values the key admits, as its schema row writes them.
+ADMITS = {key: row[2] for key, row in _SCHEMA.items() if len(row) > 2}
+# The sizes that set an allocation or a loop, and the guidance limit.
+SIZE_KEYS = [("experiment", "trials"), ("codec", "k_prime"), ("schedule", "steps"),
+             ("sampler", "steps"), ("sampler", "guidance"), ("sidechannel", "ldpc_n"),
+             ("sidechannel", "bp_iters")]
+
+
+def bounds(section, key):
+    """(low, high, low included, high included) of a key's admitted interval."""
+    interval = ADMITS[section, key].partition(" or ")[0]
+    low, high = (float(b) for b in interval[1:-1].split(","))
+    return low, high, interval[0] == "[", interval[-1] == "]"
+
+
+SNR_DB_MIN, SNR_DB_MAX, *_ = bounds("channel", "snr_db")
 
 
 def write_cfg(tmp_path, body):
@@ -140,13 +156,14 @@ class TestExitCodes:
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("body,message", [
         ("[schedule]\nkind = bogus\n", "schedule kind must be one of"),
-        ("[schedule]\nsteps = 0\n", "T must be >= 1"),
+        ("[schedule]\nsteps = 0\n", "[schedule] steps must be in [1, 100000], got 0"),
         ("[schedule]\nbeta_min = 0.5\nbeta_max = 0.1\n", "need 0 < beta_min <= beta_max < 1"),
-        ("[sampler]\nsteps = 0\n", "steps must be >= 1"),
-        ("[sampler]\nguidance = -1\n", "guidance must be >= 0"),
+        ("[sampler]\nsteps = 0\n", "[sampler] steps must be in [1, 1000], got 0"),
+        ("[sampler]\nguidance = -1\n", "[sampler] guidance must be in [0, 100], got -1.0"),
         ("[sampler]\nwarm_start = 5000\n", "warm_start (5000) exceeds schedule steps (1000)"),
-        ("[codec]\ntikhonov_lambda = -1\n", "tikhonov_lambda must be >= 0"),
-        ("[world]\nprior_var = 1e307\n", "[world] prior_var must be in [1e-06, 1e+06], got 1e+307"),
+        ("[codec]\ntikhonov_lambda = -1\n",
+         "[codec] tikhonov_lambda must be in [0, inf), got -1.0"),
+        ("[world]\nprior_var = 1e307\n", "[world] prior_var must be in [1e-6, 1e6], got 1e+307"),
         # The singular-step tolerance is a fixed constant now; a config that
         # still sets it is refused rather than silently run at another value.
         ("[sampler]\nsingular_guard = 1e-9\n",
@@ -164,11 +181,11 @@ class TestExitCodes:
         assert err.startswith("configuration error: ") and message in err, err
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
-    @pytest.mark.parametrize("section,key", sorted(SIZE_LIMITS))
+    @pytest.mark.parametrize("section,key", SIZE_KEYS)
     def test_size_above_its_limit_is_configuration_error(self, tmp_path, capsys,
                                                          section, key):
         # Without a limit, 2^31 here asked numpy for 16-128 GiB.
-        limit = SIZE_LIMITS[section, key]
+        limit = int(bounds(section, key)[1])
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {limit + 1}\n")
         out = tmp_path / "out.csv"
         tracemalloc.start()
@@ -178,7 +195,7 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert f"configuration error: [{section}] {key} must be <= {limit}" in err
+        assert f"configuration error: [{section}] {key} must be in {ADMITS[section, key]}" in err
         assert not out.exists()
         assert peak < 1 << 20  # nothing of the run was allocated
 
@@ -211,9 +228,10 @@ class TestExitCodes:
     def test_trials_flag_above_its_limit_is_configuration_error(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_SWEEP), "--trials",
-                     str(SIZE_LIMITS["experiment", "trials"] + 1), "--out", str(out)]) == 1
+                     "100001", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "configuration error: [experiment] trials must be <= 100000, got 100001\n"
+        assert err == ("configuration error: [experiment] trials must be in [1, 100000], "
+                       "got 100001\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("guidance,code", [("100", 0), ("100.0001", 1), ("1e300", 1)])
@@ -228,7 +246,7 @@ class TestExitCodes:
             assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out",
                          str(out), "--quiet"]) == code
         if code:
-            assert "configuration error: [sampler] guidance must be <= 100" in (
+            assert "configuration error: [sampler] guidance must be in [0, 100], got" in (
                 capsys.readouterr().err)
         assert out.exists() == (code == 0)
 
@@ -263,16 +281,31 @@ class TestExitCodes:
         assert "Error" not in out.read_text()
 
     @pytest.mark.parametrize("section,key,side", [
-        (*key, side) for key in RANGES for side in ("low", "high")])
-    def test_one_step_outside_a_range_is_configuration_error(self, tmp_path, capsys,
-                                                             section, key, side):
-        low, high = RANGES[section, key]
-        value = np.nextafter(low, -math.inf) if side == "low" else np.nextafter(high, math.inf)
-        cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {float(value)!r}\n")
+        (*key, side) for key in ADMITS for side, edge in zip(("low", "high"), bounds(*key))
+        if math.isfinite(edge)])
+    def test_every_finite_edge_of_every_range(self, tmp_path, capsys, section, key, side):
+        # The value on the admitted side of the edge loads, and one step past it (the
+        # edge itself if the range excludes it) exits 1 with a message naming the range.
+        low, high, low_in, high_in = bounds(section, key)
+        edge, included, outward = (low, low_in, -1) if side == "low" else (high, high_in, 1)
+        if _SCHEMA[section, key][1] is int:  # every integer range includes its edges
+            inside, outside = int(edge), int(edge) + outward
+        elif included:
+            inside, outside = edge, float(np.nextafter(edge, outward * math.inf))
+        else:
+            inside, outside = float(np.nextafter(edge, -outward * math.inf)), edge
+        # k = 2 > k_prime = 1 is refused on its own.
+        extra = "k = 1\n" if key == "k_prime" else ""
+        load_config(write_cfg(tmp_path, f"[{section}]\n{extra}{key} = {inside!r}\n"))
+        cfg = write_cfg(tmp_path, f"[{section}]\n{extra}{key} = {outside!r}\n")
         out = tmp_path / "out.csv"
         assert main(["sweep-snr", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"configuration error: [{section}] {key} must be in [{low:g}, {high:g}]" in err
+        if (key, outside) == ("k_prime", 0):  # CodecConfig, built first, refuses it
+            assert err == "configuration error: k and k_prime must be >= 1\n"
+        else:
+            assert err == (f"configuration error: [{section}] {key} must be in "
+                           f"{ADMITS[section, key]}, got {outside}\n")
         assert not out.exists()
 
     def test_infinite_snr_is_a_noiseless_channel(self, tmp_path):
@@ -313,7 +346,8 @@ class TestExitCodes:
         b"",
         "npz_without_meta",
         "truncated_npz",
-    ], ids=["missing", "not_npz", "empty", "no_meta", "truncated"])
+        "short_meta",
+    ], ids=["missing", "not_npz", "empty", "no_meta", "truncated", "short_meta"])
     def test_unreadable_checkpoint_is_configuration_error(self, tmp_path, capsys, content):
         path = tmp_path / "model.npz"
         if content == "npz_without_meta":
@@ -321,6 +355,8 @@ class TestExitCodes:
         elif content == "truncated_npz":
             np.savez(path, __meta__=np.arange(7), w1=np.zeros(3))
             path.write_bytes(path.read_bytes()[:40])
+        elif content == "short_meta":  # an IndexError, exit 2, before the shape check
+            np.savez(path, __meta__=np.array([1, 16, 128]))
         elif content is not None:
             path.write_bytes(content)
         body = SMALL_SWEEP.replace("predictor = analytic",
@@ -509,40 +545,24 @@ class TestSimulateAndSweep:
         golden = DATA / "golden_cbr_sweep.csv"
         assert out.read_bytes() == golden.read_bytes()
 
-    @pytest.mark.parametrize("steps", [1, 5])
-    def test_out_of_range_prompt_class_fails_every_mlp_row(self, tmp_path, steps):
-        # A one-step run has only the singular step, whose prediction is never
-        # used; its predictor call stays, so the class check still fails the row.
-        body = ("[experiment]\ntrials = 3\npredictor = mlp\nprompt = class:99\n"
-                f"snr_points = 1 7\n[sampler]\nsteps = {steps}\n"
-                "[sidechannel]\nenabled = false\n")
-        out = tmp_path / "c99.csv"
-        assert main(["sweep-snr", "--config", write_cfg(tmp_path, body), "--out", str(out),
-                     "--quiet"]) == 0
-        note = "ContractError: prompt class 99 outside [0; 9]"
-        metrics = ",".join(["nan"] * 5)
-        want = [",".join(pipeline._TRIAL_COLUMNS)]
-        want += [f"trial,{a},{t},{snr},0.001953125,600,2,0,{metrics},false,{note}"
-                 for a, snr in enumerate((1, 7)) for t in range(3)]
-        fields = pipeline._AGGREGATE_FIELDS[:-1]  # wall_time is written with --timings only
-        want.append(",".join(["kind", "axis_index", "n_trials", "n_failed", *fields]))
-        want += [f"{kind},{a},3,3," + ",".join(["nan"] * len(fields))
-                 for a in (0, 1) for kind in ("mean", "std")]
-        assert [line for line in out.read_text().splitlines()
-                if not line.startswith("#")] == want
-
-    @pytest.mark.parametrize("suffix", ["abc", "1e3"])
-    def test_malformed_prompt_class_fails_every_mlp_row(self, tmp_path, suffix):
-        body = ("[experiment]\ntrials = 2\npredictor = mlp\n"
-                f"prompt = class:{suffix}\n[sidechannel]\nenabled = false\n")
-        out = tmp_path / "bad.csv"
-        assert main(["simulate", "--config", write_cfg(tmp_path, body), "--out", str(out),
-                     "--quiet"]) == 0
-        _, trials, aggregates = pipeline.read_results(out)
-        assert [t["error"] for t in trials] == [
-            f"ContractError: prompt class '{suffix}' is not an integer"] * 2
-        # Every row failed, so the aggregates' integer columns read back as NaN.
-        assert [(a["n_failed"], math.isnan(a["k"])) for a in aggregates] == [(2, True)] * 2
+    @pytest.mark.parametrize("command", ["sweep-snr", "simulate", "sample"])
+    @pytest.mark.parametrize("prompt,cause", [
+        ("class:12", "prompt class 12 outside [0, 9]"),
+        ("class:abc", "prompt class 'abc' is not an integer"),
+        ("class:1e3", "prompt class '1e3' is not an integer"),
+    ], ids=["out_of_range", "abc", "1e3"])
+    def test_prompt_the_mlp_cannot_embed_is_configuration_error(self, tmp_path, capsys,
+                                                                 command, prompt, cause):
+        # Checked once the model, and so its class count, is built. Before, every
+        # row whose prompt arrived failed, those whose prompt was lost sampled
+        # unconditionally, and the run exited 0.
+        body = (f"[experiment]\ntrials = 6\npredictor = mlp\nprompt = {prompt}\n"
+                "snr_points = 1 13\n[sidechannel]\nldpc_n = 256\nldpc_seed = 11\n")
+        assert main([command, "--config", write_cfg(tmp_path, body), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: [experiment] prompt {prompt!r}: {cause}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_sweep_cbr_runs(self, tmp_path):
         cfg = str(CONFIGS / "cbr_sweep.cfg")

@@ -113,24 +113,24 @@ def test_documented_table_is_the_schema_with_its_defaults():
     assert set(documented) == set(config_mod._SCHEMA)
     defaults = ExperimentConfig()
     for (section, key), raw in documented.items():
-        name, parse = config_mod._SCHEMA[section, key]
+        name, parse, *_ = config_mod._SCHEMA[section, key]
         want = (config_mod.SPEC_VERSION if name == "spec_version"
                 else attrgetter(name)(defaults))
         assert parse(raw) == want, f"[{section}] {key} documented as {raw!r}"
 
 
-def test_documented_size_limits_are_the_enforced_ones(tmp_path):
+def test_documented_ranges_are_the_schema_ones():
+    # Every bounded key's docstring line says `; in <its row's range>`, and no other does.
     documented, section = {}, None
     for line in config_mod.__doc__.splitlines():
         line = line.strip()
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
-        elif "; at most " in line:
+        elif "; in " in line:
             key = line.partition("=")[0].strip()
-            documented[section, key] = int(line.rpartition("; at most ")[2])
-    assert documented == config_mod.SIZE_LIMITS
-    for (section, key), limit in documented.items():  # the limit itself is allowed
-        load_config(_write(tmp_path, f"[{section}]\n{key} = {limit}\n"))
+            documented[section, key] = line.partition("; in ")[2].split(";")[0].strip()
+    assert documented == {key: row[2] for key, row in config_mod._SCHEMA.items()
+                          if len(row) > 2}
 
 
 def test_auto_values(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -466,6 +467,23 @@ class TestMlpDenoiser:
         assert np.array_equal(loaded.predict(z_t, z_c, "class:2", 99),
                               model.predict(z_t, z_c, "class:2", 99))
 
+
+    def test_checkpoint_meta_is_checked_before_a_model_is_built(self, tmp_path):
+        # A header claiming hidden = 4096 over the arrays of a 128-wide model made
+        # 459 MiB of Glorot weights before its arrays were compared.
+        model = MlpDenoiser(latent_dim=16, seed=3)
+        meta = np.array([1, 16, 4096, model.time_dim, model.prompt_dim, model.n_classes, 3])
+        path = tmp_path / "lying.npz"
+        np.savez(path, __meta__=meta, **model.params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=r"checkpoint w1 is not float64 "
+                                                         r"\(4096, 80\)"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20, peak
 
 class TestFloat64Agreement:
     @pytest.mark.parametrize("steps", [0, 2000], ids=["fresh", "trained"])

@@ -12,7 +12,7 @@ import gencomm.sampler as sampler_mod
 from conftest import ZeroNoise
 from gencomm.denoiser import AnalyticPredictor, ExactRecoveryOracle, GaussianWorld
 from gencomm.errors import ConfigurationError, ContractError, DomainError
-from gencomm.sampler import (SamplerConfig, _inversion, cfg_combine, predict_z0,
+from gencomm.sampler import (SamplerConfig, SampleTrace, _inversion, cfg_combine, predict_z0,
                              residual_forward, sample, sample_batch, sampler_step,
                              step_grid, warm_start)
 from gencomm.schedule import build_schedule, inversion_coeffs, residual_weight, update_coeffs
@@ -288,7 +288,8 @@ class TestSample:
         pred = SingularStepRefuser(gamma, sched)
         cfg = SamplerConfig(steps=5, warm_start_step=WARM, guidance=3.0)
         z_c, eps = rng.standard_normal((2, 3, 6))
-        out, trace = sample_batch(z_c, pred, "class:1", cfg, sched, eps)
+        trace = SampleTrace()
+        out = sample_batch(z_c, pred, "class:1", cfg, sched, eps, trace)
         grid = step_grid(WARM, 5)
         assert sorted(set(pred.steps), reverse=True) == grid[1:]
         assert len(pred.steps) == 2 * len(grid[1:])
