@@ -11,7 +11,7 @@ Sections and keys, all optional with the defaults shown:
     sweep_axis = snr              ; snr | cbr | none; the CLI command sets it
     snr_points = 1 4 7 10 13      ; in [-50, 60] or inf; dB
     cbr_points = 0.002 0.0033 0.0059 0.011  ; in (0, inf); above k_prime/(C*H*W): k = k_prime
-    prompt = class:3              ; empty -> no prompt, unconditional sampling
+    prompt = class:3              ; one line, at most 512 UTF-8 bytes; empty -> unconditional
     peak = 1.0                    ; in [1e-6, 1e6]; dynamic range of the PSNR transform
     mlp_checkpoint =              ; path; empty -> fresh seeded model
 
@@ -53,11 +53,11 @@ Sections and keys, all optional with the defaults shown:
 Unknown sections or keys are rejected. `; in` gives the values a key admits,
 each also in its `_SCHEMA` row: `[` and `]` include a bound, `(` and `)`
 exclude it, and an SNR of inf dB is a noiseless channel. The upper limits of
-the sizes that set an allocation or a loop keep a 1024-trial sweep point (a
-`budget.cfg` sweep, for `trials`) below about 0.6 GB. The guidance limit keeps
-a guided MLP refinement finite (1e300 overflows it). At 16 latent dims, a
-`frechet_gauss` cell of true value W2^2 needs about 780/W2^2 trials to keep its
-bias under 10%.
+the sizes that set an allocation or a loop, and the prompt's, keep a 1024-trial
+sweep point (a `budget.cfg` sweep, for `trials`) below about 0.6 GB. Values are
+literal (no `%` interpolation). The guidance limit keeps a guided MLP
+refinement finite (1e300 overflows it). At 16 latent dims, a `frechet_gauss`
+cell of true value W2^2 needs about 780/W2^2 trials to keep its bias under 10%.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .jscc import CodecConfig
 from . import sampler, schedule, sidechannel
 
 SPEC_VERSION = 1
+MAX_PROMPT_BYTES = 512  # its coded length sets the side channel's draws and LLRs
 
 PREDICTOR_CHOICES = ("analytic", "mlp")
 SWEEP_AXES = ("snr", "cbr", "none")
@@ -123,6 +124,9 @@ class ExperimentConfig:
                     raise ConfigurationError(f"[{section}] {key} must be in {admits[0]}, got {v}")
         if self.prompt is not None and ("\n" in self.prompt or "\r" in self.prompt):
             raise ConfigurationError(f"prompt must be one line, got {self.prompt!r}")
+        if self.prompt is not None and len(self.prompt.encode("utf-8")) > MAX_PROMPT_BYTES:
+            raise ConfigurationError(f"prompt must be at most {MAX_PROMPT_BYTES} UTF-8 bytes, "
+                                     f"got {len(self.prompt.encode('utf-8'))}")
         if self.predictor not in PREDICTOR_CHOICES:
             raise ConfigurationError(f"predictor must be one of {PREDICTOR_CHOICES}")
         if self.sweep_axis not in SWEEP_AXES:
@@ -218,7 +222,7 @@ _SECTIONS = {section for section, _ in _SCHEMA}
 def load_config(path, **overrides) -> ExperimentConfig:
     """The config a file describes, with the top-level `overrides` applied before
     it is validated; keys neither sets keep the ExperimentConfig defaults."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # every value is literal
     try:
         read = parser.read(path)
     except configparser.Error as exc:

@@ -203,15 +203,11 @@ def ldpc_encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
 
 
 class DecodeResult(NamedTuple):
+    """A decode: `ldpc_decode`'s row has (n,) uint8 bits, a bool and an int;
+    `ldpc_decode_batch`'s has (B, n) bits, (B,) bool and (B,) int64 arrays."""
     bits: np.ndarray
-    converged: bool
-    iterations: int
-
-
-class BatchDecodeResult(NamedTuple):
-    bits: np.ndarray          # (B, n) uint8
-    converged: np.ndarray     # (B,) bool
-    iterations: np.ndarray    # (B,) int64
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
 
 
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
@@ -226,7 +222,7 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
 
 def ldpc_decode_batch(
     code: LdpcCode, llrs: np.ndarray, max_iters: int = DEFAULT_BP_ITERS
-) -> BatchDecodeResult:
+) -> DecodeResult:
     """`ldpc_decode` of every row of a (B, n) LLR array, bit for bit."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
@@ -236,16 +232,16 @@ def ldpc_decode_batch(
         raise ContractError(f"LLRs must lie in [-{LLR_MAX:g}, {LLR_MAX:g}] (clip them first)")
     if max_iters < 0:
         raise ContractError(f"max_iters must be >= 0, got {max_iters}")
-    out = BatchDecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
-                            converged=np.zeros(len(llrs), dtype=bool),
-                            iterations=np.full(len(llrs), max_iters, dtype=np.int64))
+    out = DecodeResult(bits=np.empty(llrs.shape, dtype=np.uint8),
+                       converged=np.zeros(len(llrs), dtype=bool),
+                       iterations=np.full(len(llrs), max_iters, dtype=np.int64))
     for lo in range(0, len(llrs), code.chunk_blocks):
         _decode_chunk(code, llrs[lo : lo + code.chunk_blocks], max_iters, lo, out)
     return out
 
 
 def _decode_chunk(code: LdpcCode, llrs: np.ndarray, max_iters: int, first: int,
-                  out: BatchDecodeResult) -> None:
+                  out: DecodeResult) -> None:
     """Flooding BP on blocks first.. of `out`, block b in column b of the (6, m,
     nb) messages and (n, nb) sums, in float32 at half scale (see the module
     docstring): v2c / 2 turns into tanh(v2c / 2) in place, and the three c2v / 2

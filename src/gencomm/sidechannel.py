@@ -7,10 +7,13 @@ belief propagation -> CRC verify -> decompress.
 
 Noise convention: unit-amplitude BPSK per real dimension with per-dimension
 noise variance 10^(-snr_db/10), so the SNR per complex use equals the
-configured value and, at rate 1/2, snr_db coincides with Eb/N0 in dB. LLRs
-are 2y/sigma_dim^2, clipped to +/-30. CRC-32 uses the reflected polynomial
-0xEDB88320. On CRC failure the report carries a failure flag and no text;
-the pipeline then samples unconditionally.
+configured value and, at rate 1/2, snr_db coincides with Eb/N0 in dB.
+`bpsk_llrs` works in real arithmetic: coded bit 2i rides on the real part of
+complex use i and bit 2i+1 on its imaginary part, so each LLR is
+2(x + sigma_dim*n)/sigma_dim^2 of one +/-1 symbol x and one standard normal
+n; NaN (as at -inf dB) -> 0, then clipped to +/-30. CRC-32 uses the
+reflected polynomial 0xEDB88320. On CRC failure the report carries a
+failure flag and no text; the pipeline then samples unconditionally.
 
 The round trip is split so that trials can share the expensive parts:
 `transmit_prompt` turns the stacked noise draws of many trials, shape
@@ -90,33 +93,28 @@ def _deframe(data: bytes) -> str:
     return ac_decode(np.unpackbits(np.frombuffer(head[2:], dtype=np.uint8))).decode("utf-8")
 
 
-def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Even-index bits of each row on I, odd-index on Q; bit 0 -> +1."""
-    symbols = 1.0 - 2.0 * bits.astype(np.float64)
-    return symbols[..., 0::2] + 1j * symbols[..., 1::2]
-
-
-def awgn_llrs(x: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
-    """LLRs (I then Q per symbol) of BPSK symbols x (s,) received over AWGN
-    whose standard normals are `normals` (..., 2s): the s real parts, then the
-    s imaginary parts. Elementwise, so each row gets a lone call's LLRs."""
-    s = x.shape[-1]
-    dims = np.empty(normals.shape)
+def bpsk_llrs(bits: np.ndarray, normals: np.ndarray, snr_db: float) -> np.ndarray:
+    """LLRs of coded `bits` (..., 2s) or (2s,) sent as BPSK over AWGN whose
+    standard normals are `normals` (..., 2s): the s real parts, then the s
+    imaginary parts. Elementwise, so each row gets a lone call's LLRs."""
+    s = normals.shape[-1] // 2
+    llr = np.empty(normals.shape)
+    llr[..., 0::2] = normals[..., :s]
+    llr[..., 1::2] = normals[..., s:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = x + 10.0 ** (-snr_db / 20.0) * (normals[..., :s] + 1j * normals[..., s:])
-        dims[..., 0::2] = y.real
-        dims[..., 1::2] = y.imag
-        llr = 2.0 * dims / snr_to_sigma2(snr_db)
-    llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
-    return np.clip(llr, -LLR_MAX, LLR_MAX)
+        llr *= 10.0 ** (-snr_db / 20.0)
+        llr += 1.0 - 2.0 * bits
+        llr *= 2.0
+        llr /= snr_to_sigma2(snr_db)
+    np.nan_to_num(llr, copy=False, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
+    return np.clip(llr, -LLR_MAX, LLR_MAX, out=llr)
 
 
 def transmit_bits(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """BPSK over AWGN; returns received LLRs for the coded bits."""
     if len(bits) % 2 != 0:
         bits = np.concatenate([bits, np.zeros(1, dtype=bits.dtype)])
-    x = bpsk_modulate(bits)
-    return awgn_llrs(x, rng.standard_normal(2 * len(x)), snr_db)
+    return bpsk_llrs(bits, rng.standard_normal(len(bits)), snr_db)
 
 
 @lru_cache(maxsize=64)
@@ -135,7 +133,7 @@ def transmit_prompt(text: str, snr_db: float, normals: np.ndarray, code: LdpcCod
     """Received LLRs of the coded prompt, shape (..., blocks, n), from the
     noise draws `normals` (..., blocks*n) in `transmit_bits` order."""
     coded = prompt_codeword(text, code)
-    llrs = awgn_llrs(bpsk_modulate(coded.ravel()), normals, snr_db)
+    llrs = bpsk_llrs(coded.ravel(), normals, snr_db)
     return llrs.reshape(normals.shape[:-1] + coded.shape)
 
 
@@ -198,7 +196,7 @@ def measure_link(
         for i in range(len(infos)):
             infos[i] = rng.integers(0, 2, size=code.k)
             rng.standard_normal(out=normals[i])
-        llrs = awgn_llrs(bpsk_modulate(ldpc_encode(code, infos)), normals, snr_db)
+        llrs = bpsk_llrs(ldpc_encode(code, infos), normals, snr_db)
         res = ldpc_decode_batch(code, llrs, max_iters)
         errs = np.count_nonzero(res.bits[:, code.info_positions] != infos, axis=1)
         bit_errors += int(errs.sum())

@@ -17,7 +17,7 @@ import pytest
 import gencomm
 from gencomm import pipeline
 from gencomm.cli import main
-from gencomm.config import _SCHEMA, load_config
+from gencomm.config import _SCHEMA, MAX_PROMPT_BYTES, load_config
 from gencomm.denoiser import MlpDenoiser, load_checkpoint, save_checkpoint
 from gencomm.errors import ConfigurationError, TrainingError
 from gencomm.verify import ALL_CHECKS
@@ -168,9 +168,14 @@ class TestExitCodes:
         # still sets it is refused rather than silently run at another value.
         ("[sampler]\nsingular_guard = 1e-9\n",
          "unknown key 'singular_guard' in section [sampler]"),
+        # Its coded length sets the side channel's draws and LLRs; a 66,000-byte
+        # prompt exited 0 with every row failed.
+        (f"[experiment]\nprompt = {'a' * (MAX_PROMPT_BYTES + 1)}\n",
+         f"prompt must be at most {MAX_PROMPT_BYTES} UTF-8 bytes, got {MAX_PROMPT_BYTES + 1}"),
     ], ids=["schedule_kind", "schedule_steps", "beta_min_above_beta_max", "sampler_steps",
             "guidance_negative", "warm_start_above_schedule",
-            "tikhonov_lambda_negative", "prior_var_above_its_window", "singular_guard_retired"])
+            "tikhonov_lambda_negative", "prior_var_above_its_window", "singular_guard_retired",
+            "prompt_over_its_byte_limit"])
     def test_bad_value_fails_every_command_that_reads_a_config(self, tmp_path, capsys, argv,
                                                                body, message):
         # Only the schedule, sampler, codec or point builders checked these, and
@@ -486,6 +491,16 @@ class TestSimulateAndSweep:
         text = out.read_text()
         assert "mse_refined" in text
         assert "# spec_version = 1" in text
+
+    @pytest.mark.parametrize("prompt", ["a 100% pure cat", "a %(trials)s cat"])
+    def test_percent_in_a_value_is_literal(self, tmp_path, prompt):
+        # configparser's default interpolation made the first an internal error
+        # and substituted `trials` into the second.
+        cfg = write_cfg(tmp_path, SMALL_SWEEP.replace("prompt =", f"prompt = {prompt}"))
+        assert load_config(cfg).prompt == prompt
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert f"\n# prompt = {prompt}\n" in out.read_text()
 
     def test_sweep_snr_byte_identical_runs_and_threads(self, tmp_path):
         cfg = str(CONFIGS / "snr_sweep.cfg")

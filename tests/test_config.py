@@ -154,6 +154,18 @@ def test_multi_line_prompt_rejected(tmp_path):
             ExperimentConfig(prompt=text)
 
 
+def test_prompt_at_its_byte_limit_loads(tmp_path):
+    # Two-byte characters: the limit counts UTF-8 bytes, not characters.
+    text = "\u00e9" * (config_mod.MAX_PROMPT_BYTES // 2)
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"[experiment]\nprompt = {text}\n", encoding="utf-8")
+    assert load_config(path).prompt == text
+    assert f"at most {config_mod.MAX_PROMPT_BYTES} UTF-8 bytes" in config_mod.__doc__
+    with pytest.raises(ConfigurationError, match=f"at most {config_mod.MAX_PROMPT_BYTES} "
+                                                 f"UTF-8 bytes, got {len(text) * 2 + 1}"):
+        ExperimentConfig(prompt=text + "a")
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown config section"):
         load_config(_write(tmp_path, "[mystery]\nx = 1\n"))

@@ -15,7 +15,7 @@ from gencomm.errors import ContractError, FrameError
 from gencomm.jscc import CodecConfig
 from gencomm.ldpc import LLR_MAX
 from gencomm.pipeline import build_context, draw_batch, run_trial, sweep, trial_states
-from gencomm.sidechannel import bpsk_modulate, prompt_codeword, transmit_bits
+from gencomm.sidechannel import prompt_codeword, transmit_bits
 
 SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 + 11, 2**100)
 AXES = (0, 3, 2**32 - 1)
@@ -62,7 +62,8 @@ def reference_transmit_bits(bits, snr_db, rng):
     """BPSK over AWGN as one trial drew it before the batched draw stage."""
     if len(bits) % 2 != 0:
         bits = np.concatenate([bits, np.zeros(1, dtype=bits.dtype)])
-    x = bpsk_modulate(bits)
+    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    x = symbols[0::2] + 1j * symbols[1::2]  # even bits on I, odd on Q; bit 0 -> +1
     sigma_dim = 10.0 ** (-snr_db / 20.0)
     y = x + sigma_dim * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
     dims = np.empty(2 * len(y))

@@ -8,9 +8,9 @@ from gencomm import ldpc
 from gencomm.config import load_config
 from gencomm.errors import DecodeError
 from gencomm.ldpc import LLR_MAX, ldpc_decode_batch, ldpc_encode, ldpc_make
-from gencomm.sidechannel import (awgn_llrs, bpsk_modulate, default_code,
-                                 deframe_prompt, frame_prompt, measure_link, prompt_codeword,
-                                 receive_prompts, send_prompt, transmit_bits, transmit_prompt)
+from gencomm.sidechannel import (bpsk_llrs, default_code, deframe_prompt, frame_prompt,
+                                 measure_link, prompt_codeword, receive_prompts, send_prompt,
+                                 transmit_bits, transmit_prompt)
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,57 @@ class TestFraming:
         assert deframe_prompt(path.read_bytes()) == "dusk over a mountain lake"
 
 
+def complex_llrs(bits, normals, snr_db):
+    """The LLRs as complex BPSK computes them: symbols x = (1 - 2b) of the even
+    bits + 1j * those of the odd bits, y = x + sigma_dim * (real normals + 1j *
+    imaginary normals), then 2y/sigma2 split back into bit order, NaN -> 0 and
+    clipped."""
+    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    x = symbols[..., 0::2] + 1j * symbols[..., 1::2]
+    s = x.shape[-1]
+    dims = np.empty(normals.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y = x + 10.0 ** (-snr_db / 20.0) * (normals[..., :s] + 1j * normals[..., s:])
+        dims[..., 0::2] = y.real
+        dims[..., 1::2] = y.imag
+        llr = 2.0 * dims / 10.0 ** (-snr_db / 10.0)
+    llr = np.nan_to_num(llr, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
+    return np.clip(llr, -LLR_MAX, LLR_MAX)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestBpsk:
-    def test_mapping_convention(self):
-        # bit 0 -> +1; even bits on I, odd bits on Q
-        sym = bpsk_modulate(np.array([0, 1, 1, 0], dtype=np.uint8))
-        assert np.array_equal(sym, np.array([1.0 - 1.0j, -1.0 + 1.0j]))
+    def test_sign_and_order(self):
+        # bit 0 -> positive LLR; bit 2i takes real part i, bit 2i+1 imaginary part i.
+        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+        normals = np.array([0.25, 0.5, -0.125, 0.375])  # re0, re1, im0, im1
+        assert np.array_equal(bpsk_llrs(bits, normals, 0.0), [2.5, -2.25, -1.0, 2.75])
+        assert np.array_equal(bpsk_llrs(bits, normals, math.inf), [30.0, -30.0, -30.0, 30.0])
+
+    @pytest.mark.parametrize("snr_db", [-50.0, -1.0, 0.0, 3.0, 13.0, 60.0, math.inf])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["1d_bits", "2d_bits"])
+    def test_equals_the_complex_formula_bit_for_bit(self, snr_db, per_row):
+        rng = np.random.default_rng(int(per_row) + 17)
+        normals = rng.standard_normal((5, 256))
+        bits = rng.integers(0, 2, size=normals.shape if per_row else 256).astype(np.uint8)
+        assert_same_bits(bpsk_llrs(bits, normals, snr_db), complex_llrs(bits, normals, snr_db))
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, 3100.0], ids=["-inf", "3100"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["1d_bits", "2d_bits"])
+    def test_equals_the_complex_formula_at_the_extremes(self, snr_db, per_row):
+        # Signed zeros among the normals: the complex sum turns -0.0 into +0.0.
+        rng = np.random.default_rng(3)
+        normals = rng.standard_normal((4, 64))
+        normals[:, 0::4], normals[:, 1::4] = 0.0, -0.0
+        bits = rng.integers(0, 2, size=normals.shape if per_row else 64).astype(np.uint8)
+        assert_same_bits(bpsk_llrs(bits, normals, snr_db), complex_llrs(bits, normals, snr_db))
+        for zero in (0.0, -0.0):
+            zeros = np.full(normals.shape, zero)
+            assert_same_bits(bpsk_llrs(bits, zeros, snr_db), complex_llrs(bits, zeros, snr_db))
 
     def test_noiseless_llrs_saturate_correct_sign(self, rng):
         bits = rng.integers(0, 2, size=64).astype(np.uint8)
@@ -61,7 +107,7 @@ class TestBpsk:
         # At 3100 dB the noise variance 1e-310 is subnormal and 2y/1e-310
         # overflows to inf, which the clip maps to the largest LLR.
         bits = rng.integers(0, 2, size=64).astype(np.uint8)
-        llrs = awgn_llrs(bpsk_modulate(bits), rng.standard_normal(64), 3100.0)
+        llrs = bpsk_llrs(bits, rng.standard_normal(64), 3100.0)
         assert np.array_equal(llrs, np.where(bits == 1, -LLR_MAX, LLR_MAX))
 
     @pytest.mark.parametrize("snr_db", [-50.0, 0.0, math.inf])  # -50: the lowest admitted
